@@ -14,8 +14,13 @@ The model is layered the way wireless protocol algebras usually are:
      arrivals.
 
 States at every layer are immutable values; each ``steps`` function is a
-pure map from a state (plus a finite environment menu) to a finite set
-of (action, successor) pairs.
+pure map from a state (plus a finite environment menu) to a tuple of
+(action, successor) pairs, listed in the order the rules build them:
+choice branches left to right, the protocol before its queue, the left
+subnet before the right, and menu entries in menu order.  A pair the
+rules build twice is kept once, at its first position.  The tuple is
+thus the semantics' step set in an order that depends on no hash seed
+and no object identity.
 """
 from __future__ import annotations
 
@@ -134,8 +139,6 @@ ProcessTerm = (
     Assign | Guard | Broadcast | Groupcast | Unicast | Send | Receive
     | Deliver | Choice | Call
 )
-
-_PREFIXES = (Assign, Guard, Broadcast, Groupcast, Unicast, Send, Receive, Deliver)
 
 
 def choice(*terms: ProcessTerm) -> ProcessTerm:
@@ -304,19 +307,6 @@ def _call_targets(body: ProcessTerm) -> set[str]:
         else:
             stack.append(t.cont)
     return out
-
-
-def on_labels(table: ProcessTable, pred) -> Callable[["ProcState"], bool]:
-    """Lift a predicate over (data, label) to process states.
-
-    The lifted predicate holds iff ``pred`` holds at every current
-    control location of the state's term.
-    """
-
-    def check(state: "ProcState") -> bool:
-        return all(pred(state.data, lbl) for lbl in table.labels(state.term))
-
-    return check
 
 
 # ---------------------------------------------------------------------------
@@ -496,43 +486,41 @@ class ProcState:
         return b
 
 
-def seq_steps(
-    table: ProcessTable, state: ProcState, menu: frozenset = EMPTY
-) -> frozenset:
+def seq_steps(table: ProcessTable, state: ProcState, menu=()) -> tuple:
     """One-step successors of a sequential process state.
 
-    ``menu`` is the finite set of messages offered for Receive; the
-    composition layers narrow it to whatever the context can actually
-    send.  Calls unfold transparently (they consume no step).
+    ``menu`` lists the messages offered for Receive; the composition
+    layers narrow it to whatever the context can actually send.  Calls
+    unfold transparently (they consume no step).
     """
-    out: set = set()
+    out: dict = {}  # insertion-ordered set of (action, successor)
     _seq_into(table, state.data, state.term, menu, out, ())
-    return frozenset(out)
+    return tuple(out)
 
 
 def _seq_into(table, xi, term, menu, out, unfolding):
     if isinstance(term, Assign):
-        out.add((TAU, ProcState(term.update(xi), term.cont, table)))
+        out[TAU, ProcState(term.update(xi), term.cont, table)] = None
     elif isinstance(term, Guard):
         for xi2 in term.test(xi):
-            out.add((TAU, ProcState(xi2, term.cont, table)))
+            out[TAU, ProcState(xi2, term.cont, table)] = None
     elif isinstance(term, Broadcast):
-        out.add((BroadcastA(term.msg(xi)), ProcState(xi, term.cont, table)))
+        out[BroadcastA(term.msg(xi)), ProcState(xi, term.cont, table)] = None
     elif isinstance(term, Groupcast):
-        out.add((GroupcastA(frozenset(term.dests(xi)), term.msg(xi)),
-                 ProcState(xi, term.cont, table)))
+        out[GroupcastA(frozenset(term.dests(xi)), term.msg(xi)),
+            ProcState(xi, term.cont, table)] = None
     elif isinstance(term, Unicast):
         dest = term.dest(xi)
-        out.add((UnicastA(dest, term.msg(xi)), ProcState(xi, term.ok, table)))
-        out.add((UnicastFailA(dest), ProcState(xi, term.fail, table)))
+        out[UnicastA(dest, term.msg(xi)), ProcState(xi, term.ok, table)] = None
+        out[UnicastFailA(dest), ProcState(xi, term.fail, table)] = None
     elif isinstance(term, Send):
         xi2 = xi if term.update is None else term.update(xi)
-        out.add((SendA(term.msg(xi)), ProcState(xi2, term.cont, table)))
+        out[SendA(term.msg(xi)), ProcState(xi2, term.cont, table)] = None
     elif isinstance(term, Receive):
         for m in menu:
-            out.add((ReceiveA(m), ProcState(term.update(m, xi), term.cont, table)))
+            out[ReceiveA(m), ProcState(term.update(m, xi), term.cont, table)] = None
     elif isinstance(term, Deliver):
-        out.add((DeliverA(term.data(xi)), ProcState(xi, term.cont, table)))
+        out[DeliverA(term.data(xi)), ProcState(xi, term.cont, table)] = None
     elif isinstance(term, Choice):
         _seq_into(table, xi, term.left, menu, out, unfolding)
         _seq_into(table, xi, term.right, menu, out, unfolding)
@@ -549,7 +537,7 @@ class Automaton:
 
     init: frozenset
 
-    def steps(self, state, menu=EMPTY) -> frozenset:
+    def steps(self, state, menu=()) -> tuple:
         raise NotImplementedError
 
 
@@ -558,7 +546,7 @@ class SeqAutomaton(Automaton):
         self.table = table
         self.init = init
 
-    def steps(self, state, menu=EMPTY) -> frozenset:
+    def steps(self, state, menu=()) -> tuple:
         return seq_steps(self.table, state, menu)
 
 
@@ -579,25 +567,25 @@ class ParAutomaton(Automaton):
         self.right = right
         self.init = frozenset((l, r) for l in left.init for r in right.init)
 
-    def steps(self, state, menu=EMPTY) -> frozenset:
+    def steps(self, state, menu=()) -> tuple:
         l, r = state
         right_steps = self.right.steps(r, menu)
-        sendable = frozenset(
+        sendable = tuple(dict.fromkeys(
             a.msg for a, _ in right_steps if isinstance(a, SendA)
-        )
+        ))
         left_steps = self.left.steps(l, sendable)
-        out = set()
+        out: dict = {}
         for a, l2 in left_steps:
             if isinstance(a, ReceiveA):
                 for b, r2 in right_steps:
                     if isinstance(b, SendA) and b.msg == a.msg:
-                        out.add((TAU, (l2, r2)))
+                        out[TAU, (l2, r2)] = None
             else:
-                out.add((a, (l2, r)))
+                out[a, (l2, r)] = None
         for b, r2 in right_steps:
             if not isinstance(b, SendA):
-                out.add((b, (l, r2)))
-        return frozenset(out)
+                out[b, (l, r2)] = None
+        return tuple(out)
 
 
 def parallel(left: Automaton, right: Automaton) -> ParAutomaton:
@@ -614,17 +602,9 @@ def parallel(left: Automaton, right: Automaton) -> ParAutomaton:
 
 @dataclass(frozen=True)
 class NetMenu:
-    messages: frozenset = EMPTY
-    newpkts: FrozenMap = EMPTY_MAP  # ip -> frozenset of new-packet messages
-    links: frozenset = EMPTY        # ConnectA / DisconnectA actions
-
-    def canon_key(self) -> tuple:
-        return (
-            "menu",
-            value_key(self.messages),
-            self.newpkts.canon_key(),
-            value_key(self.links),
-        )
+    messages: tuple = ()
+    newpkts: FrozenMap = EMPTY_MAP  # ip -> tuple of new-packet messages
+    links: tuple = ()               # ConnectA / DisconnectA actions
 
 
 EMPTY_MENU = NetMenu()
@@ -703,10 +683,11 @@ class NetAutomaton(Automaton):
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
         raise NotImplementedError
 
-    def steps(self, state, menu: NetMenu = EMPTY_MENU) -> frozenset:
-        return frozenset((r.action, r.target) for r in self.rich_steps(state, menu))
+    def steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
+        return tuple(dict.fromkeys(
+            (r.action, r.target) for r in self.rich_steps(state, menu)))
 
-    def cast_delivery(self, state, msg, dests: frozenset) -> frozenset:
+    def cast_delivery(self, state, msg, dests: frozenset) -> tuple:
         """States after ``msg`` is cast with range ``dests``.
 
         Every in-range node must take the message (empty result means
@@ -750,8 +731,8 @@ class NodeAutomaton(NetAutomaton):
 
     def _rich_steps(self, state: NodeS, menu: NetMenu) -> tuple:
         ip = state.ip
-        local_new = menu.newpkts.get(ip, EMPTY)
-        inner_menu = menu.messages | local_new
+        local_new = menu.newpkts.get(ip, ())
+        inner_menu = (*menu.messages, *local_new)
         out: list[RichStep] = []
 
         def emit(origin, detail, action, target):
@@ -809,18 +790,18 @@ class NodeAutomaton(NetAutomaton):
 
         return tuple(out)
 
-    def cast_delivery(self, state: NodeS, msg, dests: frozenset) -> frozenset:
+    def cast_delivery(self, state: NodeS, msg, dests: frozenset) -> tuple:
         if state.ip not in dests:
-            return frozenset([state])
+            return (state,)
         mkey = (bdigest(state), msg)
         hit = self._cast_memo.get(mkey)
         if hit is not None:
             return hit
-        got = set()
-        for a, inner2 in self.inner.steps(state.inner, frozenset([msg])):
+        got: dict = {}
+        for a, inner2 in self.inner.steps(state.inner, (msg,)):
             if isinstance(a, ReceiveA) and a.msg == msg:
-                got.add(NodeS(state.ip, inner2, state.nbrs))
-        out = frozenset(got)
+                got[NodeS(state.ip, inner2, state.nbrs)] = None
+        out = tuple(got)
         if len(self._cast_memo) < _MEMO_CAP:
             self._cast_memo[mkey] = out
         return out
@@ -881,7 +862,7 @@ class SubnetAutomaton(NetAutomaton):
                         )
         return tuple(out)
 
-    def cast_delivery(self, state: SubnetS, msg, dests: frozenset) -> frozenset:
+    def cast_delivery(self, state: SubnetS, msg, dests: frozenset) -> tuple:
         mkey = (bdigest(state), msg, dests)
         hit = self._cast_memo.get(mkey)
         if hit is not None:
@@ -889,9 +870,10 @@ class SubnetAutomaton(NetAutomaton):
         lefts = self.left.cast_delivery(state.left, msg, dests)
         if lefts:
             rights = self.right.cast_delivery(state.right, msg, dests)
-            out = frozenset(SubnetS(l, r) for l in lefts for r in rights)
+            # both sides are duplicate-free, so their product is too
+            out = tuple(SubnetS(l, r) for l in lefts for r in rights)
         else:
-            out = EMPTY
+            out = ()
         if len(self._cast_memo) < _MEMO_CAP:
             self._cast_memo[mkey] = out
         return out
@@ -906,11 +888,10 @@ class ClosedAutomaton(NetAutomaton):
         self.init = net.init
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
-        inner_menu = NetMenu(EMPTY, menu.newpkts, menu.links)
+        # with no messages on offer no node can emit an arrival
+        inner_menu = NetMenu((), menu.newpkts, menu.links)
         out = []
         for r in self.net.rich_steps(state, inner_menu):
-            if isinstance(r.action, ArriveA):  # pragma: no cover - none generated
-                continue
             if isinstance(r.action, CastA):
                 out.append(RichStep(r.origin, r.detail, TAU, r.target))
             else:

@@ -102,10 +102,6 @@ def value_key(x: Any) -> tuple:
     raise TypeError(f"no canonical encoding for {type(x).__name__}: {x!r}")
 
 
-def sort_by_key(values) -> list:
-    return sorted(values, key=value_key)
-
-
 def digest(x: Any) -> str:
     """Stable hex digest of a value's canonical key (32 hex chars)."""
     key = x if isinstance(x, tuple) else value_key(x)

@@ -6,9 +6,12 @@ bounded explorer and writes a counterexample when a suite fails,
 ``graph`` re-runs a simulation to dump per-destination routing graphs,
 optionally validating a previously written trace against it.
 
+Exploration is deterministic: its report and counterexample file are
+the same byte for byte on every run, whatever the hash seed.
+
 Exit codes: 0 all checks passed (a reported depth-bound truncation
-still exits 0), 1 a suite was violated, 2 usage or scenario errors,
-3 the state cap was hit.
+still exits 0), 1 a suite was violated, 2 usage or scenario errors
+(including out-of-range numeric options), 3 the state cap was hit.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import json
 import sys
 
 from .canon import digest, value_key
-from .explore import ResourceCapError, check_theorem1, default_threads
+from .explore import ResourceCapError, check_theorem1
 from .monitor import ALL_SUITES, SuiteError, rt_graph, split_suites
 from .network import net_data, tree_addresses
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -29,6 +32,22 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -45,25 +64,30 @@ def _parser() -> argparse.ArgumentParser:
                         help=f"comma-separated suites (default all: {names})")
     common.add_argument("--out", help="output file")
 
-    e = sub.add_parser("explore", parents=[common],
-                       help="bounded exhaustive exploration with invariants")
-    e.add_argument("--bound", type=int, help="depth bound (layers)")
-    e.add_argument("--state-cap", type=int, default=None,
-                   help="abort after this many stored states")
-    e.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default AWN_AODV_THREADS or 1)")
+    e = sub.add_parser(
+        "explore", parents=[common],
+        help="bounded exhaustive exploration with invariants",
+        description="Breadth-first exploration of the scenario's closed "
+                    "network, checking the invariant suites.  The report and "
+                    "the counterexample file are reproducible byte for byte.")
+    e.add_argument("--bound", type=_int_at_least(0),
+                   help="depth bound in expansion layers (>= 0)")
+    e.add_argument("--state-cap", type=_int_at_least(1), default=None,
+                   help="abort after this many stored states (>= 1)")
 
     s = sub.add_parser("simulate", parents=[common],
                        help="seeded random run under the scenario schedule")
     s.add_argument("--seed", type=int, help="override the schedule seed")
-    s.add_argument("--steps", type=int, help="override the schedule length")
+    s.add_argument("--steps", type=_int_at_least(1),
+                   help="override the schedule length (>= 1)")
     s.add_argument("--dump-sigma", action="store_true",
                    help="include node state in every trace record")
 
     g = sub.add_parser("graph", parents=[common],
                        help="dump routing-table graphs from a simulation run")
     g.add_argument("--seed", type=int, help="override the schedule seed")
-    g.add_argument("--steps", type=int, help="override the schedule length")
+    g.add_argument("--steps", type=_int_at_least(1),
+                   help="override the schedule length (>= 1)")
     g.add_argument("--dip", type=int, action="append",
                    help="destination to graph (repeatable; default all)")
     g.add_argument("--trace", help="validate this trace against the re-run")
@@ -102,8 +126,7 @@ def _listify(x):
 def _cmd_explore(args) -> int:
     sc = _load(args)
     bound = args.bound if args.bound is not None else sc.bound
-    threads = args.threads if args.threads is not None else default_threads()
-    kwargs = dict(suites=sc.suites, bound=bound, threads=threads)
+    kwargs = dict(suites=sc.suites, bound=bound)
     if args.state_cap is not None:
         kwargs["state_cap"] = args.state_cap
     print(f"scenario: {sc.name} (variant {sc.cfg.name})")

@@ -6,18 +6,17 @@ ordered script of topology events.  ``EnvNet`` pairs a closed network
 automaton with that menu so exploration is over completely closed
 systems.
 
-``explore`` is a deterministic breadth-first search: initial states and
-successor sets are sorted by canonical key, so reports and
-counterexamples are reproducible byte for byte, independent of hash
-seeds and thread count.  To keep millions of states affordable, the
-search retains only canonical keys plus a parent pointer and a branch
-rank per state; counterexample paths are rebuilt afterwards by
-replaying those ranks from the initial state.
+``explore`` is a deterministic breadth-first search: initial states are
+sorted by canonical key, and each state's successors are taken in the
+order the step functions build them (see :mod:`aodvcheck.awn`), so
+reports and counterexamples are reproducible byte for byte, independent
+of hash seeds.  To keep millions of states affordable, the search
+retains only state digests plus a parent pointer and a branch rank per
+state; counterexample paths are rebuilt afterwards by replaying those
+ranks from the initial state.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +30,6 @@ from .network import NetTree, closed_net
 from .protocol import BASE, VariantConfig, build_table
 from .trace import render_action
 
-EMPTY = frozenset()
 DEFAULT_STATE_CAP = 10_000_000
 
 
@@ -107,14 +105,10 @@ class EnvNet:
             return menu
         per_ip: dict = {}
         for (ip, data, dip) in env_state.remaining:
-            per_ip.setdefault(ip, set()).add(Newpkt(data, dip))
-        if env_state.pos < len(self.env.links):
-            links = frozenset([self.env.links[env_state.pos]])
-        else:
-            links = EMPTY
-        menu = NetMenu(EMPTY,
-                       FrozenMap({ip: frozenset(v)
-                                  for ip, v in per_ip.items()}),
+            per_ip.setdefault(ip, []).append(Newpkt(data, dip))
+        links = self.env.links[env_state.pos:env_state.pos + 1]
+        menu = NetMenu((), FrozenMap({ip: tuple(v)
+                                      for ip, v in per_ip.items()}),
                        links)
         self._menus[env_state] = menu
         return menu
@@ -136,9 +130,6 @@ class EnvNet:
             out.append(RichStep(r.origin, r.detail, r.action,
                                 (r.target, env2)))
         return tuple(out)
-
-    def steps(self, state) -> frozenset:
-        return frozenset((r.action, r.target) for r in self.rich_steps(state))
 
 
 @dataclass(frozen=True)
@@ -179,24 +170,17 @@ class ExplorationReport:
         return not self.counterexamples
 
 
-def _step_key(r: RichStep) -> tuple:
-    """Cheap deterministic ordering key for sibling transitions.
+def _sorted_steps(auto, state) -> tuple:
+    """The successors of ``state``, in the order search and replay share.
 
-    Covers all four step components, so distinct steps never tie.  The
-    digests are cached on the underlying objects, which the memoized
-    node layer shares across expansions, so this never rebuilds a full
-    canonical key.
+    The search records, for each new state, its parent and the rank of
+    the step that reached it; ``_rebuild`` replays those ranks from the
+    initial state.  Replay is sound because this order is a function of
+    the state: the step functions list successors in the order they
+    build them, which no hash seed affects.  Search and replay must both
+    expand states here.
     """
-    return (
-        -1 if r.origin is None else r.origin,
-        bdigest(r.detail),
-        bdigest(r.action),
-        bdigest(r.target),
-    )
-
-
-def _sorted_steps(auto, state) -> list:
-    return sorted(auto.rich_steps(state), key=_step_key)
+    return auto.rich_steps(state)
 
 
 def _rank_path(visited, key) -> tuple:
@@ -232,7 +216,7 @@ def _rebuild(auto, inits, visited, anchor_key, extra_rank=None):
 
 def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             state_suites=(), step_suites=(), stop_on_violation=True,
-            threads=1, keep_states=False) -> ExplorationReport:
+            keep_states=False) -> ExplorationReport:
     """Breadth-first reachability with invariant checking.
 
     ``allow`` filters transitions by their action.  ``bound`` limits the
@@ -263,52 +247,45 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             if w is not None:
                 pending.append((name, "state", tuple(w), k, None))
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    expand = lambda item: _sorted_steps(auto, item[0])
-    try:
-        while frontier:
-            if pending and stop_on_violation:
-                break
-            if bound is not None and report.depth >= bound:
-                break
-            layers = pool.map(expand, frontier) if pool else map(expand, frontier)
-            next_frontier = []
-            for (state, key), steps in zip(frontier, layers):
-                for rank, r in enumerate(steps):
-                    if allow is not None and not allow(r.action):
-                        continue
-                    report.transitions += 1
-                    tkey = _skey(r.target)
-                    is_new = tkey not in visited
-                    if is_new:
-                        if len(visited) >= state_cap:
-                            report.states = len(visited)
-                            report.capped = True
-                            report.counterexamples = _finish(
-                                auto, inits, visited, pending)
-                            raise ResourceCapError(report)
-                        visited[tkey] = (key, rank)
-                        if keep_states:
-                            index[tkey] = r.target
-                        next_frontier.append((r.target, tkey))
-                    for name, check in step_suites:
-                        w = check(state, r, r.target)
+    while frontier:
+        if pending and stop_on_violation:
+            break
+        if bound is not None and report.depth >= bound:
+            break
+        next_frontier = []
+        for state, key in frontier:
+            for rank, r in enumerate(_sorted_steps(auto, state)):
+                if allow is not None and not allow(r.action):
+                    continue
+                report.transitions += 1
+                tkey = _skey(r.target)
+                is_new = tkey not in visited
+                if is_new:
+                    if len(visited) >= state_cap:
+                        report.states = len(visited)
+                        report.capped = True
+                        report.counterexamples = _finish(
+                            auto, inits, visited, pending)
+                        raise ResourceCapError(report)
+                    visited[tkey] = (key, rank)
+                    if keep_states:
+                        index[tkey] = r.target
+                    next_frontier.append((r.target, tkey))
+                for name, check in step_suites:
+                    w = check(state, r, r.target)
+                    if w is not None:
+                        pending.append((name, "step", tuple(w), key, rank))
+                if is_new:
+                    for name, check in state_suites:
+                        w = check(r.target)
                         if w is not None:
-                            pending.append((name, "step", tuple(w), key, rank))
-                    if is_new:
-                        for name, check in state_suites:
-                            w = check(r.target)
-                            if w is not None:
-                                pending.append(
-                                    (name, "state", tuple(w), tkey, None))
-            if next_frontier:
-                report.depth += 1
-            frontier = next_frontier
-        else:
-            report.complete = True
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+                            pending.append(
+                                (name, "state", tuple(w), tkey, None))
+        if next_frontier:
+            report.depth += 1
+        frontier = next_frontier
+    else:
+        report.complete = True
 
     report.states = len(visited)
     report.counterexamples = _finish(auto, inits, visited, pending)
@@ -333,33 +310,25 @@ def reachable(auto, allow=None, bound=None,
 
 
 def invariant(auto, pred, allow=None, bound=None,
-              state_cap=DEFAULT_STATE_CAP, threads=1) -> ExplorationReport:
+              state_cap=DEFAULT_STATE_CAP) -> ExplorationReport:
     """Does ``pred`` hold on every reachable state?"""
     check = lambda s: None if pred(s) else ("predicate false",)
     return explore(auto, allow=allow, bound=bound, state_cap=state_cap,
-                   state_suites=[("invariant", check)], threads=threads)
+                   state_suites=[("invariant", check)])
 
 
 def step_invariant(auto, pred, allow=None, bound=None,
-                   state_cap=DEFAULT_STATE_CAP, threads=1) -> ExplorationReport:
+                   state_cap=DEFAULT_STATE_CAP) -> ExplorationReport:
     """Does ``pred(state, action, successor)`` hold on every transition?"""
     check = (lambda s, r, t:
              None if pred(s, r.action, t) else ("predicate false",))
     return explore(auto, allow=allow, bound=bound, state_cap=state_cap,
-                   step_suites=[("step-invariant", check)], threads=threads)
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("AWN_AODV_THREADS", "1")))
-    except ValueError:
-        return 1
+                   step_suites=[("step-invariant", check)])
 
 
 def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
                    suites=None, bound=None, state_cap=DEFAULT_STATE_CAP,
-                   stop_on_violation=True, threads=None,
-                   table=None) -> ExplorationReport:
+                   stop_on_violation=True, table=None) -> ExplorationReport:
     """Explore a closed network under ``env`` and check the full suite.
 
     The explored states carry the environment alongside the network;
@@ -373,8 +342,7 @@ def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
           for n, f in step_checks(table, suites)]
     return explore(auto, state_suites=sc, step_suites=tc,
                    bound=bound, state_cap=state_cap,
-                   stop_on_violation=stop_on_violation,
-                   threads=default_threads() if threads is None else threads)
+                   stop_on_violation=stop_on_violation)
 
 
 def replay(auto, cx: Counterexample):

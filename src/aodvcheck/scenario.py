@@ -61,6 +61,17 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _address(x, ips, what):
+    # JSON lists are unhashable, so test the type before any set lookup
+    _require(isinstance(x, int) and x in ips, f"{what} names unknown node {x!r}")
+
+
+def _names(x, what) -> list:
+    _require(isinstance(x, list) and all(isinstance(n, str) for n in x),
+             f"'{what}' must be a list of names")
+    return x
+
+
 def _nodes(rows) -> list:
     _require(isinstance(rows, list) and rows, "scenario needs a nonempty 'nodes' list")
     seen = {}
@@ -96,22 +107,22 @@ def _env(obj, ips) -> EnvMenu:
     extra = set(obj) - {"newpkts", "links"}
     _require(not extra, f"unknown env keys {sorted(extra)}")
     rows = []
-    for row in obj.get("newpkts", []):
+    newpkts, links = obj.get("newpkts", []), obj.get("links", [])
+    _require(isinstance(newpkts, list), "'newpkts' must be a list")
+    _require(isinstance(links, list), "'links' must be a list")
+    for row in newpkts:
         _require(isinstance(row, dict), "each injection must be an object")
         extra = set(row) - {"ip", "data", "dip", "count"}
         _require(not extra, f"unknown injection keys {sorted(extra)}")
         ip, data, dip = row.get("ip"), row.get("data"), row.get("dip")
         count = row.get("count", 1)
-        _require(ip in ips, f"injection at unknown node {ip}")
-        _require(dip in ips, f"injection for unknown destination {dip}")
+        _address(ip, ips, "injection")
+        _address(dip, ips, "injection destination")
         _require(isinstance(data, str) and data, "injection 'data' must be a nonempty string")
         _require(isinstance(count, int) and 1 <= count <= MAX_BUDGET,
                  f"injection count must be in 1..{MAX_BUDGET}")
         rows.append((ip, data, dip, count))
-    links = []
-    for ev in obj.get("links", []):
-        links.append(_link_event(ev, ips))
-    return env_menu(rows, links)
+    return env_menu(rows, [_link_event(ev, ips) for ev in links])
 
 
 def _link_event(ev, ips):
@@ -119,7 +130,8 @@ def _link_event(ev, ips):
              f"link event must be [op, a, b], got {ev!r}")
     op, a, b = ev
     _require(op in ("connect", "disconnect"), f"unknown link op {op!r}")
-    _require(a in ips and b in ips, f"link event {ev!r} names unknown nodes")
+    _address(a, ips, f"link event {ev!r}")
+    _address(b, ips, f"link event {ev!r}")
     _require(a != b, "link event endpoints must differ")
     return (op, a, b)
 
@@ -134,8 +146,10 @@ def _schedule(obj, ips) -> Optional[Schedule]:
     steps = obj.get("steps", 200)
     _require(isinstance(seed, int), "'seed' must be an integer")
     _require(isinstance(steps, int) and steps >= 1, "'steps' must be >= 1")
+    raw = obj.get("events") or {}
+    _require(isinstance(raw, dict), "'events' must be an object")
     events = {}
-    for key, spec in (obj.get("events") or {}).items():
+    for key, spec in raw.items():
         try:
             idx = int(key)
         except (TypeError, ValueError):
@@ -146,7 +160,8 @@ def _schedule(obj, ips) -> Optional[Schedule]:
         if spec[0] == "newpkt":
             _require(len(spec) == 4, "newpkt event must be [\"newpkt\", ip, data, dip]")
             _, ip, data, dip = spec
-            _require(ip in ips and dip in ips, f"event {spec!r} names unknown nodes")
+            _address(ip, ips, f"event {spec!r}")
+            _address(dip, ips, f"event {spec!r}")
             _require(isinstance(data, str) and data, "event data must be a nonempty string")
         else:
             _link_event(spec, ips)
@@ -167,9 +182,12 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
     ips = {ip for ip, _ in rows}
     tree = tree_of(rows)
 
+    variant = obj.get("variant", "base")
+    _require(isinstance(variant, str), "'variant' must be a name")
+    mutate = _names(obj.get("mutate", []), "mutate")
     try:
-        cfg = get_variant(obj.get("variant", "base"))
-        cfg = apply_mutations(cfg, obj.get("mutate", []))
+        cfg = get_variant(variant)
+        cfg = apply_mutations(cfg, mutate)
     except VariantError as e:
         raise ScenarioError(str(e)) from None
 
@@ -178,7 +196,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
 
     suites = obj.get("suites")
     if suites is not None:
-        _require(isinstance(suites, list), "'suites' must be a list of names")
+        _names(suites, "suites")
         try:
             split_suites(suites)
         except SuiteError as e:

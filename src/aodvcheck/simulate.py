@@ -24,8 +24,6 @@ from .network import NetTree, closed_net, net_data, tree_nodes
 from .protocol import BASE, VariantConfig, build_table
 from .trace import TRACE_FORMAT, render_action, sigma_dict
 
-EMPTY = frozenset()
-
 
 class ScheduleError(Exception):
     """A scheduled event cannot fire in the current state."""
@@ -64,9 +62,9 @@ def _parse_event(spec):
 
 def _event_menu(action) -> NetMenu:
     if isinstance(action, NewpktA):
-        pkts = FrozenMap({action.ip: frozenset([Newpkt(action.data, action.dip)])})
-        return NetMenu(EMPTY, pkts, EMPTY)
-    return NetMenu(EMPTY, EMPTY_MAP, frozenset([action]))
+        pkts = FrozenMap({action.ip: (Newpkt(action.data, action.dip),)})
+        return NetMenu((), pkts, ())
+    return NetMenu((), EMPTY_MAP, (action,))
 
 
 @dataclass

@@ -89,7 +89,8 @@ def node_oracle(auto, state, menu):
     ip = state.ip
     local_new = menu.newpkts.get(ip, EMPTY)
     out = set()
-    for a, inner2 in _inner_steps(auto, state.inner, menu.messages | local_new):
+    offered = frozenset((*menu.messages, *local_new))
+    for a, inner2 in _inner_steps(auto, state.inner, offered):
         nxt = NodeS(ip, inner2, state.nbrs)
         if isinstance(a, BroadcastA):
             out.add((CastA(state.nbrs, a.msg), nxt))

@@ -1,0 +1,100 @@
+"""Command-line front end: reproducible output and input rejection."""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import aodvcheck
+from aodvcheck.cli import EXIT_USAGE, main
+
+SRC = os.path.dirname(os.path.dirname(aodvcheck.__file__))
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenarios")
+
+PAIR = [{"ip": 1, "nbrs": [2]}, {"ip": 2, "nbrs": [1]}]
+
+
+def write_scenario(tmp_path, obj, name="case"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def run_cli(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects bad options this way
+        code = e.code
+    return code, capsys.readouterr()
+
+
+def test_counterexample_file_ignores_hash_seed(tmp_path):
+    # Two data strings for one destination: their new-packet steps are
+    # siblings whose set order would follow the string hash.
+    scenario = write_scenario(tmp_path, {
+        "nodes": PAIR,
+        "mutate": ["accept-stale-update"],
+        "env": {"newpkts": [{"ip": 1, "data": "a", "dip": 2},
+                            {"ip": 1, "data": "b", "dip": 2}],
+                "links": [["disconnect", 1, 2], ["connect", 1, 2]]},
+    })
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"cx.{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "aodvcheck.cli", "explore", scenario,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 1, done.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["suite"] == "nsqn-monotone"
+
+
+@pytest.mark.parametrize("patch", [
+    {"variant": []},
+    {"mutate": 5},
+    {"mutate": [5]},
+    {"suites": [[1]]},
+    {"env": {"newpkts": [{"ip": [1], "data": "x", "dip": 2}]}},
+    {"env": {"newpkts": 5}},
+    {"env": {"links": [["connect", [1], 2]]}},
+    {"schedule": {"events": [1]}},
+    {"schedule": {"events": {"0": ["newpkt", [1], "x", 2]}}},
+], ids=lambda patch: json.dumps(patch))
+def test_malformed_scenario_is_a_usage_error(tmp_path, capsys, patch):
+    scenario = write_scenario(tmp_path, {"nodes": PAIR, **patch})
+    code, out = run_cli(["explore", scenario, "--bound", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "pair2.json", "--bound", "-3"],
+    ["explore", "pair2.json", "--state-cap", "0"],
+    ["explore", "pair2.json", "--state-cap", "-1"],
+    ["simulate", "pair2.json", "--steps", "-5"],
+    ["simulate", "pair2.json", "--steps", "0"],
+    ["graph", "pair2.json", "--steps", "0"],
+])
+def test_out_of_range_numeric_option_is_a_usage_error(capsys, argv):
+    argv = [argv[0], os.path.join(SCENARIOS, argv[1]), *argv[2:]]
+    code, out = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert "error: argument" in out.err
+    assert out.out == ""
+
+
+def test_smallest_numeric_options_are_accepted(tmp_path, capsys):
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    code, out = run_cli(["explore", pair2, "--bound", "0",
+                         "--state-cap", "1"], capsys)
+    assert code == 0 and "states: 1 " in out.out
+    code, out = run_cli(["simulate", pair2, "--steps", "1"], capsys)
+    assert code == 0 and "steps: 1 " in out.out

@@ -80,15 +80,6 @@ class TestDeterminism:
         assert (a.states, a.transitions, a.depth, a.complete) == \
                (b.states, b.transitions, b.depth, b.complete)
 
-    def test_thread_count_does_not_change_anything(self):
-        pred = lambda s: 2 not in net_data(s[0])[1].rt
-        a = invariant(one_shot(), pred, threads=1)
-        b = invariant(one_shot(), pred, threads=2)
-        assert not a.holds and not b.holds
-        assert a.counterexamples == b.counterexamples
-        assert (a.states, a.transitions, a.depth) == \
-               (b.states, b.transitions, b.depth)
-
     def test_counterexample_traces_are_identical(self):
         pred = lambda s: 2 not in net_data(s[0])[1].rt
         a = invariant(one_shot(), pred)
@@ -221,8 +212,8 @@ class TestEnvThreading:
         auto = pair_net(env_menu(newpkts=[(1, "x", 2, 2)]))
         ((_, env0),) = auto.init
         menu = auto.menu_for(env0)
-        assert menu.newpkts[1] == frozenset([Newpkt("x", 2)])
-        assert menu.links == frozenset()
+        assert menu.newpkts[1] == (Newpkt("x", 2),)
+        assert menu.links == ()
 
     def test_budget_decrements_then_disappears(self):
         auto = pair_net(env_menu(newpkts=[(1, "x", 2, 2)]))

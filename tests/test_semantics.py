@@ -181,7 +181,7 @@ class TestQueue:
     def test_empty_queue_only_receives(self):
         table = queue_table()
         q0 = ProcState((), table["qmsg"], table)
-        assert seq_steps(table, q0) == frozenset()
+        assert seq_steps(table, q0) == ()
 
 
 def combo_table():
