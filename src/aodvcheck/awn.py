@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Optional
 
-from .canon import (EMPTY_MAP, FrozenMap, bdigest, cached_key, struct_digest,
-                    value_key)
+from .canon import EMPTY_MAP, FrozenMap, bdigest, struct_digest, value_key
 
 EMPTY = frozenset()
 
@@ -50,9 +49,6 @@ class Label:
 
     def __str__(self) -> str:
         return f"{self.pname}-:{self.offset}"
-
-    def canon_key(self) -> tuple:
-        return ("lbl", self.pname, self.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +311,6 @@ def _call_targets(body: ProcessTerm) -> set[str]:
 
 @dataclass(frozen=True)
 class TauA:
-    def canon_key(self) -> tuple:
-        return ("a.tau",)
-
     def __repr__(self) -> str:
         return "Tau"
 
@@ -329,17 +322,11 @@ TAU = TauA()
 class BroadcastA:
     msg: Any
 
-    def canon_key(self) -> tuple:
-        return ("a.bcast", value_key(self.msg))
-
 
 @dataclass(frozen=True)
 class GroupcastA:
     dests: frozenset
     msg: Any
-
-    def canon_key(self) -> tuple:
-        return ("a.gcast", value_key(self.dests), value_key(self.msg))
 
 
 @dataclass(frozen=True)
@@ -347,49 +334,31 @@ class UnicastA:
     dest: int
     msg: Any
 
-    def canon_key(self) -> tuple:
-        return ("a.ucast", self.dest, value_key(self.msg))
-
 
 @dataclass(frozen=True)
 class UnicastFailA:
     dest: int
-
-    def canon_key(self) -> tuple:
-        return ("a.ucast_fail", self.dest)
 
 
 @dataclass(frozen=True)
 class SendA:
     msg: Any
 
-    def canon_key(self) -> tuple:
-        return ("a.send", value_key(self.msg))
-
 
 @dataclass(frozen=True)
 class ReceiveA:
     msg: Any
-
-    def canon_key(self) -> tuple:
-        return ("a.recv", value_key(self.msg))
 
 
 @dataclass(frozen=True)
 class DeliverA:
     data: Any
 
-    def canon_key(self) -> tuple:
-        return ("a.deliver", value_key(self.data))
-
 
 @dataclass(frozen=True)
 class CastA:
     dests: frozenset
     msg: Any
-
-    def canon_key(self) -> tuple:
-        return ("a.cast", value_key(self.dests), value_key(self.msg))
 
 
 @dataclass(frozen=True)
@@ -402,31 +371,17 @@ class ArriveA:
         if self.heard & self.missed:
             raise ModelError("arrive: hearing and missing sets overlap")
 
-    def canon_key(self) -> tuple:
-        return (
-            "a.arrive",
-            value_key(self.heard),
-            value_key(self.missed),
-            value_key(self.msg),
-        )
-
 
 @dataclass(frozen=True)
 class ConnectA:
     a: int
     b: int
 
-    def canon_key(self) -> tuple:
-        return ("a.connect", self.a, self.b)
-
 
 @dataclass(frozen=True)
 class DisconnectA:
     a: int
     b: int
-
-    def canon_key(self) -> tuple:
-        return ("a.disconnect", self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -435,17 +390,11 @@ class NewpktA:
     data: Any
     dip: int
 
-    def canon_key(self) -> tuple:
-        return ("a.newpkt", self.ip, value_key(self.data), self.dip)
-
 
 @dataclass(frozen=True)
 class DeliverAtA:
     ip: int
     data: Any
-
-    def canon_key(self) -> tuple:
-        return ("a.deliver_at", self.ip, value_key(self.data))
 
 
 Action = (
@@ -466,24 +415,19 @@ class ProcState:
     term: ProcessTerm
     table: "ProcessTable" = field(compare=False, repr=False, default=None)
 
-    def canon_key(self) -> tuple:
-        def build():
-            locs = tuple(
-                sorted((l.pname, l.offset) for l in self.table.labels(self.term))
-            )
-            return ("proc", value_key(self.data), locs)
+    # The term compares by identity, so both encodings use the control
+    # locations it stands for instead; ``value_key`` and ``bdigest``
+    # cache the results on the instance.
+    def _locs(self) -> tuple:
+        return tuple(
+            sorted((l.pname, l.offset) for l in self.table.labels(self.term))
+        )
 
-        return cached_key(self, build)
+    def canon_key(self) -> tuple:
+        return ("ProcState", value_key(self.data), self._locs())
 
     def canon_digest(self) -> bytes:
-        b = self.__dict__.get("_bdg")
-        if b is None:
-            locs = tuple(
-                sorted((l.pname, l.offset) for l in self.table.labels(self.term))
-            )
-            b = struct_digest(b"P", (self.data, locs))
-            object.__setattr__(self, "_bdg", b)
-        return b
+        return struct_digest(b"ProcState\0", (self.data, self._locs()))
 
 
 def seq_steps(table: ProcessTable, state: ProcState, menu=()) -> tuple:
@@ -616,38 +560,11 @@ class NodeS:
     inner: Any
     nbrs: frozenset
 
-    def canon_key(self) -> tuple:
-        def build():
-            return ("node", self.ip, value_key(self.inner),
-                    tuple(sorted(self.nbrs)))
-
-        return cached_key(self, build)
-
-    def canon_digest(self) -> bytes:
-        b = self.__dict__.get("_bdg")
-        if b is None:
-            b = struct_digest(b"N", (self.ip, self.inner, self.nbrs))
-            object.__setattr__(self, "_bdg", b)
-        return b
-
 
 @dataclass(frozen=True)
 class SubnetS:
     left: Any
     right: Any
-
-    def canon_key(self) -> tuple:
-        def build():
-            return ("sub", value_key(self.left), value_key(self.right))
-
-        return cached_key(self, build)
-
-    def canon_digest(self) -> bytes:
-        b = self.__dict__.get("_bdg")
-        if b is None:
-            b = struct_digest(b"S", (self.left, self.right))
-            object.__setattr__(self, "_bdg", b)
-        return b
 
 
 @dataclass(frozen=True)
@@ -665,6 +582,8 @@ class RichStep:
     action: Action
     target: Any
 
+    # The simulator sorts sibling steps by this key, with steps that no
+    # node takes (origin None) first, as origin -1.
     def canon_key(self) -> tuple:
         return (
             "step",

@@ -1,16 +1,27 @@
 """Canonical encodings of model values.
 
 Every state, message and action in the model can be turned into a nested
-tuple of plain ints/strings.  Those keys serve three purposes: they make
-sets and maps of model values sortable in a reproducible order, they act
-as visited-set keys during exploration, and they feed the state digests
-written to trace files.  Nothing here may depend on object identity or
-on Python's randomized string hashing.
+tuple of plain ints/strings (``value_key``) and into a 16-byte structural
+digest (``bdigest``).  Keys make sets and maps of model values sortable
+in a reproducible order and feed the state digests written to trace
+files; structural digests are the explorer's visited-set keys.  Nothing
+here may depend on object identity or on Python's randomized string
+hashing.
+
+A model value's encoding is defined once, by its fields: a frozen
+dataclass is encoded as its class name followed by the encodings of its
+compared fields, in declaration order, for the key and the digest
+alike.  Only values whose identity is not their fields supply
+``canon_key``/``canon_digest`` hooks: a process state (its control term
+counts by location), a network step (the simulator's sort key) and
+``FrozenMap``, which is not a dataclass.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from collections.abc import Mapping
+from operator import attrgetter
 from typing import Any, Iterator
 
 
@@ -82,8 +93,34 @@ class FrozenMap(Mapping):
 EMPTY_MAP = FrozenMap()
 
 
+# type -> (key tag, digest tag, getter of the compared fields as a tuple)
+_shapes: dict = {}
+
+
+def _shape(cls: type) -> tuple:
+    shape = _shapes.get(cls)
+    if shape is None:
+        if not dataclasses.is_dataclass(cls):
+            raise TypeError(f"no canonical encoding for {cls.__name__}")
+        names = [f.name for f in dataclasses.fields(cls) if f.compare]
+        if len(names) > 1:
+            get = attrgetter(*names)
+        elif names:
+            one = attrgetter(names[0])
+            get = lambda x: (one(x),)
+        else:
+            get = lambda x: ()
+        name = cls.__name__
+        shape = _shapes[cls] = (name, name.encode("utf-8") + b"\0", get)
+    return shape
+
+
 def value_key(x: Any) -> tuple:
-    """Nested-tuple encoding of a model value, total over the model's types."""
+    """Nested-tuple encoding of a model value, total over the model's types.
+
+    A dataclass encodes as ``(class name, *keys of its compared
+    fields)``, cached on the instance.
+    """
     if x is None:
         return ("none",)
     if isinstance(x, bool):
@@ -96,25 +133,26 @@ def value_key(x: Any) -> tuple:
         return ("tup",) + tuple(value_key(v) for v in x)
     if isinstance(x, (set, frozenset)):
         return ("set",) + tuple(sorted(value_key(v) for v in x))
+    d = getattr(x, "__dict__", None)
+    if d is not None:
+        k = d.get("_ckey")
+        if k is not None:
+            return k
     ck = getattr(x, "canon_key", None)
     if ck is not None:
-        return ck()
-    raise TypeError(f"no canonical encoding for {type(x).__name__}: {x!r}")
+        k = ck()
+    else:
+        name, _, get = _shape(type(x))
+        k = (name, *map(value_key, get(x)))
+    if d is not None:
+        object.__setattr__(x, "_ckey", k)
+    return k
 
 
 def digest(x: Any) -> str:
     """Stable hex digest of a value's canonical key (32 hex chars)."""
     key = x if isinstance(x, tuple) else value_key(x)
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
-
-
-def cached_key(obj: Any, build) -> tuple:
-    """Lazily attach a canonical key to a frozen dataclass instance."""
-    k = obj.__dict__.get("_ckey")
-    if k is None:
-        k = build()
-        object.__setattr__(obj, "_ckey", k)
-    return k
 
 
 def _hd(payload: bytes) -> bytes:
@@ -141,10 +179,11 @@ def bdigest(x: Any) -> bytes:
 
     Composite values hash over their parts' digests, so after a small
     change to a large state only the spine that changed is re-hashed.
-    Model classes either provide ``canon_digest`` or fall back to a
-    digest of their canonical key, cached per instance.  Two values
-    digest equal exactly when their canonical keys are equal (modulo
-    hash collisions).
+    A dataclass digests as ``struct_digest`` of its compared fields,
+    tagged with its class name, and caches the result on the instance.
+    Like the keys, digests are derived from the fields alone, so two
+    values digest equal exactly when they are equal and when their
+    canonical keys are equal (modulo hash collisions).
     """
     if x is None or isinstance(x, _PRIM):
         k = (x.__class__, x)
@@ -160,17 +199,20 @@ def bdigest(x: Any) -> bytes:
         return _hd(b"t" + b"".join(map(bdigest, x)))
     if isinstance(x, (set, frozenset)):
         return _hd(b"s" + b"".join(sorted(map(bdigest, x))))
-    cd = getattr(x, "canon_digest", None)
-    if cd is not None:
-        return cd()
     d = getattr(x, "__dict__", None)
     if d is not None:
         b = d.get("_bdg")
-        if b is None:
-            b = _hd(b"k" + repr(x.canon_key()).encode("utf-8"))
-            object.__setattr__(x, "_bdg", b)
-        return b
-    return _hd(b"k" + repr(value_key(x)).encode("utf-8"))
+        if b is not None:
+            return b
+    cd = getattr(x, "canon_digest", None)
+    if cd is not None:
+        b = cd()
+    else:
+        _, tag, get = _shape(type(x))
+        b = struct_digest(tag, get(x))
+    if d is not None:
+        object.__setattr__(x, "_bdg", b)
+    return b
 
 
 def struct_digest(tag: bytes, parts: tuple) -> bytes:

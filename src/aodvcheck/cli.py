@@ -10,8 +10,9 @@ Exploration is deterministic: its report and counterexample file are
 the same byte for byte on every run, whatever the hash seed.
 
 Exit codes: 0 all checks passed (a reported depth-bound truncation
-still exits 0), 1 a suite was violated, 2 usage or scenario errors
-(including out-of-range numeric options), 3 the state cap was hit.
+still exits 0), 1 a suite was violated, 2 usage, scenario or trace-file
+errors (including out-of-range numeric options and a trace written in
+another format), 3 the state cap was hit.
 """
 from __future__ import annotations
 
@@ -25,13 +26,21 @@ from .monitor import ALL_SUITES, SuiteError, rt_graph, split_suites
 from .network import net_data, tree_addresses
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import Schedule, ScheduleError, run
-from .trace import dump_record, load_trace, write_trace
+from .trace import TRACE_FORMAT, dump_record, load_trace, write_trace
 from .variants import VariantError, apply_mutations, get_variant
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# Counterexample files list each step by its branch rank and the digest
+# of the state it reaches; see ``explore.replay``.
+CX_FORMAT = "aodvcheck-cx-2"
+
+
+class TraceFileError(Exception):
+    """A trace given to ``graph --trace`` cannot be read or is outdated."""
 
 
 def _int_at_least(low: int):
@@ -113,7 +122,7 @@ def _load(args) -> Scenario:
 
 def _json_steps(steps) -> list:
     return [{"origin": st.origin, "action": st.action,
-             "digest": st.digest, "key": _listify(st.key)}
+             "digest": st.digest, "key": st.key}
             for st in steps]
 
 
@@ -156,7 +165,7 @@ def _cmd_explore(args) -> int:
     print(f"violated: {cx.suite} ({cx.kind}) at depth {cx.depth}")
     print(f"witness: {cx.witness}")
     out = args.out or f"{sc.name}.cx.json"
-    doc = {"format": "aodvcheck-cx-1", "scenario": sc.name,
+    doc = {"format": CX_FORMAT, "scenario": sc.name,
            "variant": sc.cfg.name, "suite": cx.suite, "kind": cx.kind,
            "witness": _listify(cx.witness), "depth": cx.depth,
            "digest": cx.digest, "steps": _json_steps(cx.steps)}
@@ -199,6 +208,22 @@ def _cmd_simulate(args) -> int:
     return EXIT_VIOLATION
 
 
+def _read_trace(path: str) -> list:
+    """Records of a trace file written in the current format."""
+    try:
+        records = load_trace(path)
+    except OSError as e:
+        raise TraceFileError(f"cannot read trace: {e}") from None
+    except ValueError as e:
+        raise TraceFileError(f"trace is not line-delimited JSON: {e}") from None
+    head = records[0] if records else {}
+    found = head.get("format") if isinstance(head, dict) else None
+    if found != TRACE_FORMAT:
+        raise TraceFileError(f"trace format {found!r} is not {TRACE_FORMAT!r}; "
+                             "re-run simulate to write a current trace")
+    return records
+
+
 def _cmd_graph(args) -> int:
     sc = _load(args)
     res, sched = _run_schedule(sc, args)
@@ -215,7 +240,7 @@ def _cmd_graph(args) -> int:
            "final": final, "graphs": graphs}
     if args.trace:
         recorded = None
-        for rec in load_trace(args.trace):
+        for rec in _read_trace(args.trace):
             if "final" in rec:
                 recorded = rec["final"]
         doc["trace_final"] = recorded
@@ -243,7 +268,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_graph(args)
-    except (ScenarioError, ScheduleError, SuiteError, VariantError) as e:
+    except (ScenarioError, ScheduleError, SuiteError, TraceFileError,
+            VariantError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,8 +22,7 @@ from typing import Optional
 
 from .awn import (ConnectA, DisconnectA, ModelError, NetMenu, RichStep,
                   NewpktA)
-from .canon import (EMPTY_MAP, FrozenMap, bdigest, digest, struct_digest,
-                    value_key)
+from .canon import EMPTY_MAP, FrozenMap, bdigest, digest, value_key
 from .messages import Newpkt
 from .monitor import state_checks, step_checks
 from .network import NetTree, closed_net
@@ -45,10 +44,6 @@ class ResourceCapError(Exception):
 class EnvMenu:
     newpkts: FrozenMap = EMPTY_MAP   # (ip, data, dip) -> injection budget
     links: tuple = ()                # Connect/Disconnect actions, in order
-
-    def canon_key(self) -> tuple:
-        return ("envmenu", self.newpkts.canon_key(),
-                tuple(value_key(a) for a in self.links))
 
 
 def env_menu(newpkts=(), links=()) -> EnvMenu:
@@ -77,16 +72,6 @@ def env_menu(newpkts=(), links=()) -> EnvMenu:
 class EnvState:
     remaining: FrozenMap  # (ip, data, dip) -> budget left (positive only)
     pos: int              # index of the next link event
-
-    def canon_key(self) -> tuple:
-        return ("envst", self.remaining.canon_key(), self.pos)
-
-    def canon_digest(self) -> bytes:
-        b = self.__dict__.get("_bdg")
-        if b is None:
-            b = struct_digest(b"E", (self.remaining, self.pos))
-            object.__setattr__(self, "_bdg", b)
-        return b
 
 
 class EnvNet:
@@ -136,7 +121,7 @@ class EnvNet:
 class TraceStep:
     origin: Optional[int]
     action: str   # rendered, for people
-    key: tuple    # full canonical step key, for replay
+    key: int      # rank of the step among its source's steps, for replay
     digest: str   # digest of the state reached
 
 
@@ -209,8 +194,8 @@ def _rebuild(auto, inits, visited, anchor_key, extra_rank=None):
     for rank in ranks:
         r = _sorted_steps(auto, state)[rank]
         state = r.target
-        steps.append(TraceStep(r.origin, render_action(r.detail),
-                               r.canon_key(), digest(value_key(state))))
+        steps.append(TraceStep(r.origin, render_action(r.detail), rank,
+                               digest(value_key(state))))
     return init_key, tuple(steps), state
 
 
@@ -346,7 +331,13 @@ def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
 
 
 def replay(auto, cx: Counterexample):
-    """Re-run a counterexample's action path; returns the violating state."""
+    """Re-run a counterexample's step ranks; returns the violating state.
+
+    Each step is taken by its rank among the current state's steps and
+    must reach a state with the recorded digest, so a counterexample
+    from another scenario, variant or encoding is rejected with a
+    ModelError instead of being followed down some other path.
+    """
     start = None
     for s in auto.init:
         if _skey(s) == cx.init_key:
@@ -356,10 +347,13 @@ def replay(auto, cx: Counterexample):
         raise ModelError("counterexample initial state not in automaton")
     state = start
     for i, step in enumerate(cx.steps):
-        for r in auto.rich_steps(state):
-            if r.canon_key() == step.key:
-                state = r.target
-                break
-        else:
-            raise ModelError(f"counterexample does not replay at step {i}")
+        steps = auto.rich_steps(state)
+        if not (isinstance(step.key, int) and 0 <= step.key < len(steps)):
+            raise ModelError(
+                f"counterexample step {i} has no branch of rank {step.key!r}")
+        state = steps[step.key].target
+        if digest(value_key(state)) != step.digest:
+            raise ModelError(
+                f"counterexample does not replay at step {i}: "
+                "reached a state with another digest")
     return state

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .canon import FrozenMap, value_key
+from .canon import FrozenMap
+from .canon import value_key  # noqa: F401  (bench/spans.py patches this name)
 
 
 @dataclass(frozen=True)
@@ -22,18 +23,12 @@ class Newpkt:
 
     is_newpkt = True
 
-    def canon_key(self) -> tuple:
-        return ("m.new", value_key(self.data), self.dip)
-
 
 @dataclass(frozen=True)
 class Pkt:
     data: Any
     dip: int
     sip: int
-
-    def canon_key(self) -> tuple:
-        return ("m.pkt", value_key(self.data), self.dip, self.sip)
 
 
 @dataclass(frozen=True)
@@ -47,10 +42,6 @@ class Rreq:
     osn: int
     sip: int
 
-    def canon_key(self) -> tuple:
-        return ("m.rreq", self.hops, self.rreqid, self.dip, self.dsn,
-                self.dsk, self.oip, self.osn, self.sip)
-
 
 @dataclass(frozen=True)
 class RreqNoId:
@@ -61,10 +52,6 @@ class RreqNoId:
     oip: int
     osn: int
     sip: int
-
-    def canon_key(self) -> tuple:
-        return ("m.rreqni", self.hops, self.dip, self.dsn, self.dsk,
-                self.oip, self.osn, self.sip)
 
 
 @dataclass(frozen=True)
@@ -79,10 +66,6 @@ class RreqFlagged:
     sip: int
     handled: bool
 
-    def canon_key(self) -> tuple:
-        return ("m.rreqfl", self.hops, self.rreqid, self.dip, self.dsn,
-                self.dsk, self.oip, self.osn, self.sip, self.handled)
-
 
 @dataclass(frozen=True)
 class Rrep:
@@ -92,17 +75,11 @@ class Rrep:
     oip: int
     sip: int
 
-    def canon_key(self) -> tuple:
-        return ("m.rrep", self.hops, self.dip, self.dsn, self.oip, self.sip)
-
 
 @dataclass(frozen=True)
 class Rerr:
     dests: FrozenMap  # destination -> sequence number reported unreachable
     sip: int
-
-    def canon_key(self) -> tuple:
-        return ("m.rerr", self.dests.canon_key(), self.sip)
 
 
 RREQ_KINDS = (Rreq, RreqNoId, RreqFlagged)

@@ -17,8 +17,8 @@ from typing import Any
 from .awn import (Assign, Broadcast, Call, Deliver, Groupcast, Guard,
                   ProcessTable, Receive, Send, Unicast, choice,
                   label_process, seq)
-from .canon import (EMPTY_MAP, FrozenMap, cached_key, struct_digest,
-                    value_key)
+from .canon import EMPTY_MAP, FrozenMap
+from .canon import value_key  # noqa: F401  (bench/spans.py patches this name)
 from .messages import Newpkt, Pkt, Rerr, Rreq, RreqFlagged, RreqNoId, Rrep
 from .routing import (KNOWN, UNKNOWN, VALID, RouteEntry, SlimRouteEntry,
                       add_precursors, fresh_rreq_id, hop_count,
@@ -37,9 +37,6 @@ class StoreSlot:
 
     flag: str      # REQUESTED | NOT_REQUESTED
     queue: tuple
-
-    def canon_key(self) -> tuple:
-        return ("slot", self.flag, tuple(value_key(d) for d in self.queue))
 
 
 def queued_dests(store: FrozenMap) -> frozenset:
@@ -107,30 +104,6 @@ class AodvData:
     hops: int = 0
     handled: bool = False
 
-    def canon_key(self) -> tuple:
-        def build():
-            return ("aodv", self.ip, self.sn, self.rt.canon_key(),
-                    value_key(self.rreqs), self.store.canon_key(),
-                    value_key(self.msg), value_key(self.data),
-                    self.dests.canon_key(), value_key(self.pre),
-                    self.rreqid, self.dip, self.dsn, self.dsk,
-                    self.oip, self.osn, self.sip, self.hops,
-                    int(self.handled))
-
-        return cached_key(self, build)
-
-    def canon_digest(self) -> bytes:
-        b = self.__dict__.get("_bdg")
-        if b is None:
-            scalars = (self.ip, self.sn, self.rreqid, self.dip, self.dsn,
-                       self.dsk, self.oip, self.osn, self.sip, self.hops,
-                       self.handled)
-            b = struct_digest(b"A", (scalars, self.rt, self.rreqs,
-                                     self.store, self.msg, self.data,
-                                     self.dests, self.pre))
-            object.__setattr__(self, "_bdg", b)
-        return b
-
 
 def clear_locals(xi: AodvData) -> AodvData:
     """Reset the working variables; sip gets a fixed value that is not ip."""
@@ -158,11 +131,6 @@ class VariantConfig:
     use_precursors: bool = True         # off: broadcast route errors instead
     forward_handled_rreqs: bool = False  # on: flag answered requests, pass on
     accept_stale_update: bool = False
-
-    def canon_key(self) -> tuple:
-        return ("cfg", self.name, self.use_rreq_id, self.forward_all_rreps,
-                self.use_precursors, self.forward_handled_rreqs,
-                self.accept_stale_update)
 
 
 BASE = VariantConfig()

@@ -31,10 +31,6 @@ class RouteEntry:
     nhip: int
     pre: frozenset      # precursor addresses
 
-    def canon_key(self) -> tuple:
-        return ("rte", self.dsn, self.dsk, self.flag, self.hops, self.nhip,
-                tuple(sorted(self.pre)))
-
 
 @dataclass(frozen=True)
 class SlimRouteEntry:
@@ -45,9 +41,6 @@ class SlimRouteEntry:
     flag: str
     hops: int
     nhip: int
-
-    def canon_key(self) -> tuple:
-        return ("rts", self.dsn, self.dsk, self.flag, self.hops, self.nhip)
 
 
 def known_dests(rt: FrozenMap) -> frozenset:

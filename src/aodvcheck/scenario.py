@@ -61,9 +61,14 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _address(x, ips, what):
     # JSON lists are unhashable, so test the type before any set lookup
-    _require(isinstance(x, int) and x in ips, f"{what} names unknown node {x!r}")
+    _require(_is_int(x) and x in ips, f"{what} names unknown node {x!r}")
 
 
 def _names(x, what) -> list:
@@ -80,12 +85,12 @@ def _nodes(rows) -> list:
         extra = set(row) - {"ip", "nbrs"}
         _require(not extra, f"unknown node keys {sorted(extra)}")
         ip = row.get("ip")
-        _require(isinstance(ip, int), "node 'ip' must be an integer")
+        _require(_is_int(ip), "node 'ip' must be an integer")
         _require(ip not in seen, f"duplicate node address {ip}")
         nbrs = row.get("nbrs", [])
         _require(isinstance(nbrs, list), "'nbrs' must be a list")
         for n in nbrs:
-            _require(isinstance(n, int), "neighbour addresses must be integers")
+            _require(_is_int(n), "neighbour addresses must be integers")
             _require(n != ip, f"node {ip} lists itself as a neighbour")
         seen[ip] = set(nbrs)
     for ip, nbrs in seen.items():
@@ -119,7 +124,7 @@ def _env(obj, ips) -> EnvMenu:
         _address(ip, ips, "injection")
         _address(dip, ips, "injection destination")
         _require(isinstance(data, str) and data, "injection 'data' must be a nonempty string")
-        _require(isinstance(count, int) and 1 <= count <= MAX_BUDGET,
+        _require(_is_int(count) and 1 <= count <= MAX_BUDGET,
                  f"injection count must be in 1..{MAX_BUDGET}")
         rows.append((ip, data, dip, count))
     return env_menu(rows, [_link_event(ev, ips) for ev in links])
@@ -144,8 +149,8 @@ def _schedule(obj, ips) -> Optional[Schedule]:
     _require(not extra, f"unknown schedule keys {sorted(extra)}")
     seed = obj.get("seed", 0)
     steps = obj.get("steps", 200)
-    _require(isinstance(seed, int), "'seed' must be an integer")
-    _require(isinstance(steps, int) and steps >= 1, "'steps' must be >= 1")
+    _require(_is_int(seed), "'seed' must be an integer")
+    _require(_is_int(steps) and steps >= 1, "'steps' must be an integer >= 1")
     raw = obj.get("events") or {}
     _require(isinstance(raw, dict), "'events' must be an object")
     events = {}
@@ -205,6 +210,6 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
 
     bound = obj.get("bound")
     if bound is not None:
-        _require(isinstance(bound, int) and bound >= 0, "'bound' must be >= 0")
+        _require(_is_int(bound) and bound >= 0, "'bound' must be an integer >= 0")
 
     return Scenario(name, tree, cfg, env, sched, suites, bound)

@@ -35,9 +35,6 @@ class Schedule:
     max_steps: int = 200
     events: FrozenMap = EMPTY_MAP  # step index -> environment action
 
-    def canon_key(self) -> tuple:
-        return ("sched", self.seed, self.max_steps, self.events.canon_key())
-
 
 def schedule(seed=0, max_steps=200, events=None) -> Schedule:
     """Build a schedule; event specs may be tuples or action objects."""

@@ -14,7 +14,9 @@ from .awn import (ArriveA, BroadcastA, CastA, ConnectA, DeliverA, DeliverAtA,
                   DisconnectA, GroupcastA, NewpktA, ReceiveA, SendA, TauA,
                   UnicastA, UnicastFailA)
 
-TRACE_FORMAT = "aodvcheck-trace-1"
+# The format also names the state encoding behind the recorded digests:
+# a trace whose header carries another format cannot be checked by them.
+TRACE_FORMAT = "aodvcheck-trace-2"
 
 
 def render_action(a) -> str:

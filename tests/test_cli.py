@@ -7,7 +7,12 @@ import sys
 import pytest
 
 import aodvcheck
-from aodvcheck.cli import EXIT_USAGE, main
+from aodvcheck.canon import bdigest, digest, value_key
+from aodvcheck.cli import CX_FORMAT, EXIT_USAGE, EXIT_VIOLATION, main
+from aodvcheck.explore import Counterexample, EnvNet, TraceStep, replay
+from aodvcheck.network import closed_net
+from aodvcheck.scenario import load_scenario
+from aodvcheck.trace import TRACE_FORMAT, load_trace, write_trace
 
 SRC = os.path.dirname(os.path.dirname(aodvcheck.__file__))
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
@@ -66,6 +71,9 @@ def test_counterexample_file_ignores_hash_seed(tmp_path):
     {"env": {"links": [["connect", [1], 2]]}},
     {"schedule": {"events": [1]}},
     {"schedule": {"events": {"0": ["newpkt", [1], "x", 2]}}},
+    {"bound": True},
+    {"env": {"newpkts": [{"ip": True, "data": "x", "dip": 2}]}},
+    {"schedule": {"seed": False}},
 ], ids=lambda patch: json.dumps(patch))
 def test_malformed_scenario_is_a_usage_error(tmp_path, capsys, patch):
     scenario = write_scenario(tmp_path, {"nodes": PAIR, **patch})
@@ -98,3 +106,68 @@ def test_smallest_numeric_options_are_accepted(tmp_path, capsys):
     assert code == 0 and "states: 1 " in out.out
     code, out = run_cli(["simulate", pair2, "--steps", "1"], capsys)
     assert code == 0 and "steps: 1 " in out.out
+
+
+STALE_PAIR = {
+    "nodes": PAIR,
+    "mutate": ["accept-stale-update"],
+    "env": {"newpkts": [{"ip": 1, "data": "a", "dip": 2}],
+            "links": [["disconnect", 1, 2], ["connect", 1, 2]]},
+}
+
+
+def test_counterexample_file_replays_by_rank(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, STALE_PAIR)
+    out = tmp_path / "cx.json"
+    code, _ = run_cli(["explore", scenario, "--out", str(out)], capsys)
+    assert code == EXIT_VIOLATION
+    doc = json.loads(out.read_text())
+    assert doc["format"] == CX_FORMAT
+    assert all(isinstance(st["key"], int) for st in doc["steps"])
+    sc = load_scenario(scenario)
+    auto = EnvNet(closed_net(sc.tree, sc.cfg), sc.env)
+    (init,) = auto.init
+    steps = tuple(TraceStep(st["origin"], st["action"], st["key"],
+                            st["digest"]) for st in doc["steps"])
+    cx = Counterexample(doc["suite"], doc["kind"], tuple(doc["witness"]),
+                        bdigest(init), steps, doc["digest"])
+    assert digest(value_key(replay(auto, cx))) == doc["digest"]
+
+
+def test_graph_validates_a_current_trace(tmp_path, capsys):
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    trace = str(tmp_path / "t.ndjson")
+    code, _ = run_cli(["simulate", pair2, "--out", trace], capsys)
+    assert code == 0
+    assert load_trace(trace)[0]["format"] == TRACE_FORMAT
+    code, out = run_cli(["graph", pair2, "--trace", trace], capsys)
+    assert code == 0
+    assert json.loads(out.out)["validated"] is True
+
+
+@pytest.mark.parametrize("header", [
+    {"format": "aodvcheck-trace-1", "kind": "simulate"},
+    {"kind": "simulate"},
+    [],
+], ids=json.dumps)
+def test_graph_rejects_a_trace_in_another_format(tmp_path, capsys, header):
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    trace = str(tmp_path / "t.ndjson")
+    run_cli(["simulate", pair2, "--out", trace], capsys)
+    records = load_trace(trace)
+    write_trace(trace, [header] + records[1:])
+    code, out = run_cli(["graph", pair2, "--trace", trace], capsys)
+    assert code == EXIT_USAGE
+    assert out.err.startswith("error: trace format")
+    assert out.out == ""
+
+
+def test_graph_rejects_an_unreadable_trace(tmp_path, capsys):
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    bad = tmp_path / "t.ndjson"
+    bad.write_text("{not json\n")
+    for path in (str(bad), str(tmp_path / "missing.ndjson")):
+        code, out = run_cli(["graph", pair2, "--trace", path], capsys)
+        assert code == EXIT_USAGE
+        assert out.err.startswith("error: ")
+        assert "Traceback" not in out.err

@@ -5,6 +5,8 @@ full canonical keys; the engine under test keeps only digests and
 parent pointers, so agreement here exercises the whole compression
 scheme.
 """
+from dataclasses import replace as dc_replace
+
 import pytest
 
 from aodvcheck.awn import (ConnectA, DisconnectA, ModelError, NetMenu,
@@ -155,6 +157,33 @@ class TestInvariantDrivers:
         assert digest(value_key(end)) == cx.digest
         assert not pred(end)
         assert cx.depth == len(cx.steps)
+
+    def test_counterexample_steps_are_branch_ranks(self):
+        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        (cx,) = invariant(one_shot(), pred).counterexamples
+        auto = one_shot()
+        (state,) = auto.init
+        for st in cx.steps:
+            assert isinstance(st.key, int)
+            state = auto.rich_steps(state)[st.key].target
+            assert digest(value_key(state)) == st.digest
+
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_replay_rejects_tampered_step_digest(self, at):
+        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        (cx,) = invariant(one_shot(), pred).counterexamples
+        steps = list(cx.steps)
+        steps[at] = dc_replace(steps[at], digest="0" * 32)
+        bad = dc_replace(cx, steps=tuple(steps))
+        with pytest.raises(ModelError, match="does not replay at step"):
+            replay(one_shot(), bad)
+
+    def test_replay_rejects_rank_out_of_range(self):
+        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        (cx,) = invariant(one_shot(), pred).counterexamples
+        steps = (dc_replace(cx.steps[0], key=99),) + cx.steps[1:]
+        with pytest.raises(ModelError, match="rank 99"):
+            replay(one_shot(), dc_replace(cx, steps=steps))
 
     def test_step_invariant_sees_actions(self):
         pred = lambda s, a, t: not isinstance(a, NewpktA)

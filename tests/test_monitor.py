@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from aodvcheck.awn import RichStep, TAU, CastA
-from aodvcheck.canon import EMPTY_MAP, FrozenMap
+from aodvcheck.canon import EMPTY_MAP, FrozenMap, value_key
 from aodvcheck.messages import Rerr
 from aodvcheck.monitor import (ALL_SUITES, RtGraph, SuiteError, Verdict,
                                check_state_invariants, check_step_invariants,
@@ -204,7 +204,7 @@ class TestDispatchSuite:
                 if table.labels(proc.term) & locs:
                     return table, s
                 for r in auto.rich_steps(s):
-                    k = r.target.canon_key()
+                    k = value_key(r.target)
                     if k not in seen:
                         seen.add(k)
                         nxt.append(r.target)

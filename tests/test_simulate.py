@@ -1,4 +1,7 @@
 """Seeded simulation runs, schedules, and the trace file format."""
+import hashlib
+import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -9,8 +12,10 @@ from aodvcheck.messages import Rreq
 from aodvcheck.simulate import Schedule, ScheduleError, run, schedule
 from aodvcheck.network import tree_of
 from aodvcheck.protocol import BASE
+from aodvcheck.scenario import load_scenario
 from aodvcheck.trace import (TRACE_FORMAT, dump_record, load_trace,
                              render_action, write_trace)
+from aodvcheck.variants import VARIANTS, apply_mutations
 
 PAIR = tree_of([(1, [2]), (2, [1])])
 CHAIN = tree_of([(1, [2]), (2, [1, 3]), (3, [2])])
@@ -60,6 +65,32 @@ class TestDeterminism:
         a = run(PAIR, pair_schedule(seed=0))
         b = run(PAIR, pair_schedule(seed=1))
         assert trace_bytes(a) != trace_bytes(b)
+
+
+class TestDrawOrder:
+    # Which step a seed draws depends on how the simulator orders each
+    # sibling set.  The hash covers every (step, origin, action) record
+    # of seeds 0-9 on chain3 under each variant and under the
+    # stale-accepting mutation; an encoding change that reorders the
+    # siblings of any drawn step changes it.
+    DRAWS_SHA256 = (
+        "6573ad9fb63f5a0d6755ba9f30c1b77e26536dea9b7caa9f3b96ad6cc0cabd84")
+
+    def test_chain3_draw_order_is_pinned(self):
+        sc = load_scenario(os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "scenarios", "chain3.json"))
+        cfgs = [VARIANTS[n] for n in sorted(VARIANTS)]
+        cfgs.append(apply_mutations(BASE, ["accept-stale-update"]))
+        h = hashlib.sha256()
+        for cfg in cfgs:
+            for seed in range(10):
+                sched = Schedule(seed, sc.sched.max_steps, sc.sched.events)
+                for rec in run(sc.tree, sched, cfg).records:
+                    if "action" in rec:
+                        row = [rec["step"], rec["origin"], rec["action"]]
+                        h.update(json.dumps(row).encode() + b"\n")
+        assert h.hexdigest() == self.DRAWS_SHA256
 
 
 class TestRunOutcomes:
