@@ -162,24 +162,28 @@ def seq(*parts: ProcessTerm) -> ProcessTerm:
     return out
 
 
-def _check_complete(pname: str, body: ProcessTerm) -> None:
+def subterms(body: ProcessTerm):
+    """Every term of ``body``, depth first, left to right; calls are leaves."""
     stack = [body]
     while stack:
         t = stack.pop()
-        if isinstance(t, Call):
-            continue
+        yield t
         if isinstance(t, Choice):
-            stack += [t.left, t.right]
+            stack += [t.right, t.left]
         elif isinstance(t, Unicast):
+            stack += [c for c in (t.fail, t.ok) if c is not None]
+        elif not isinstance(t, Call) and t.cont is not None:
+            stack.append(t.cont)
+
+
+def _check_complete(pname: str, body: ProcessTerm) -> None:
+    for t in subterms(body):
+        if isinstance(t, Unicast):
             if t.ok is None or t.fail is None:
                 raise ModelError(f"{pname}: unicast without both branches")
-            stack += [t.ok, t.fail]
-        else:
-            if t.cont is None:
-                raise ModelError(
-                    f"{pname}: {type(t).__name__} prefix without continuation"
-                )
-            stack.append(t.cont)
+        elif not isinstance(t, (Choice, Call)) and t.cont is None:
+            raise ModelError(
+                f"{pname}: {type(t).__name__} prefix without continuation")
 
 
 def label_process(pname: str, body: ProcessTerm) -> ProcessTerm:
@@ -224,10 +228,10 @@ class ProcessTable:
         self._label_cache: dict[int, tuple] = {}
         for name, body in self._bodies.items():
             _check_complete(name, body)
-            for target in _call_targets(body):
-                if target not in self._bodies:
+            for t in subterms(body):
+                if isinstance(t, Call) and t.name not in self._bodies:
                     raise ModelError(
-                        f"process {name!r} calls undeclared process {target!r}"
+                        f"process {name!r} calls undeclared process {t.name!r}"
                     )
 
     def __getitem__(self, name: str) -> ProcessTerm:
@@ -270,39 +274,9 @@ class ProcessTable:
 
     def all_labels(self) -> frozenset:
         """Every label occurring anywhere in the table."""
-        out: set[Label] = set()
-        for body in self._bodies.values():
-            stack = [body]
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Choice):
-                    stack += [t.left, t.right]
-                elif isinstance(t, Call):
-                    continue
-                else:
-                    if t.label is not None:
-                        out.add(t.label)
-                    if isinstance(t, Unicast):
-                        stack += [t.ok, t.fail]
-                    else:
-                        stack.append(t.cont)
-        return frozenset(out)
-
-
-def _call_targets(body: ProcessTerm) -> set[str]:
-    out: set[str] = set()
-    stack = [body]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Call):
-            out.add(t.name)
-        elif isinstance(t, Choice):
-            stack += [t.left, t.right]
-        elif isinstance(t, Unicast):
-            stack += [t.ok, t.fail]
-        else:
-            stack.append(t.cont)
-    return out
+        return frozenset(
+            t.label for body in self._bodies.values() for t in subterms(body)
+            if not isinstance(t, (Choice, Call)) and t.label is not None)
 
 
 # ---------------------------------------------------------------------------

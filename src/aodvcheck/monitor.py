@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .awn import CastA, Choice, ProcessTable, Receive, SubnetS
+from .awn import CastA, ProcessTable, Receive, SubnetS, subterms
 from .canon import bdigest
 from .messages import Rerr
 from .network import GlobalView, net_data, node_states, proc_state
@@ -184,15 +184,10 @@ def dispatch_locations(table: ProcessTable) -> frozenset:
     cached = getattr(table, "_dispatch_locs", None)
     if cached is not None:
         return cached
-    stack = [table["aodv"]]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Choice):
-            stack += [t.left, t.right]
-        elif isinstance(t, Receive):
-            locs = table.labels(t.cont)
-            table._dispatch_locs = locs
-            return locs
+    for t in subterms(table["aodv"]):
+        if isinstance(t, Receive):
+            table._dispatch_locs = table.labels(t.cont)
+            return table._dispatch_locs
     raise SuiteError("main loop has no receive branch")
 
 

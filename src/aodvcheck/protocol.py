@@ -7,11 +7,24 @@ handler processes do the actual work and every path through them clears
 the working variables and loops back to ``aodv``.
 
 ``build_table`` assembles the table for a given :class:`VariantConfig`;
-the default configuration is the unmodified protocol.
+the default configuration is the unmodified protocol.  Each switch is
+read by one function:
+
+* ``use_rreq_id`` and ``forward_handled_rreqs`` by ``rreq_message_kind``,
+  which picks the route-request format.  Whether origination draws a
+  request id, what identifies a request (``_request_id``) and whether
+  answered requests go on follow from that format's fields.
+* ``use_precursors`` by ``route_entry_kind``, which picks the route-entry
+  format.  Precursor bookkeeping, and route errors groupcast to
+  precursors rather than broadcast (``_report_loss``), exist only where
+  that format has precursors.
+* ``forward_all_rreps`` by ``_rrep_body``.
+* ``accept_stale_update`` by ``_updater``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cache
 from typing import Any
 
 from .awn import (Assign, Broadcast, Call, Deliver, Groupcast, Guard,
@@ -144,6 +157,55 @@ def rreq_message_kind(cfg: VariantConfig):
     return Rreq
 
 
+def route_entry_kind(cfg: VariantConfig):
+    return RouteEntry if cfg.use_precursors else SlimRouteEntry
+
+
+@cache
+def _fields(kind) -> tuple:
+    return tuple(f.name for f in fields(kind))
+
+
+def _build(kind, **values):
+    """A ``kind`` holding those of ``values`` that it has fields for."""
+    return kind(**{name: values[name] for name in _fields(kind)})
+
+
+def _rreq(cfg, **values):
+    return _build(rreq_message_kind(cfg), **values)
+
+
+def _route(cfg, dsn, dsk, hops, nhip):
+    return _build(route_entry_kind(cfg), dsn=dsn, dsk=dsk, flag=VALID,
+                  hops=hops, nhip=nhip, pre=EMPTY)
+
+
+def _keeps_precursors(cfg) -> bool:
+    return "pre" in _fields(route_entry_kind(cfg))
+
+
+def _rreq_has(cfg, name: str) -> bool:
+    return name in _fields(rreq_message_kind(cfg))
+
+
+def _request_id(cfg):
+    """A request's identity from (originator, request id, originator sn).
+
+    Requests that carry no id are told apart by the originator's
+    sequence number instead.
+    """
+    if _rreq_has(cfg, "rreqid"):
+        return lambda oip, rreqid, osn: (oip, rreqid)
+    return lambda oip, rreqid, osn: (oip, osn)
+
+
+def _updater(cfg):
+    def upd(rt, dip, entry):
+        return update_route(rt, dip, entry, accept_stale=cfg.accept_stale_update)
+
+    return upd
+
+
 def _true(test):
     """Boolean condition as a guard body: pass the state through or block."""
     return lambda xi: (xi,) if test(xi) else ()
@@ -154,24 +216,35 @@ def _bind_dip(candidates):
     return lambda xi: tuple(replace(xi, dip=d) for d in sorted(candidates(xi)))
 
 
-def _route(cfg, dsn, dsk, hops, nhip):
-    if cfg.use_precursors:
-        return RouteEntry(dsn, dsk, VALID, hops, nhip, EMPTY)
-    return SlimRouteEntry(dsn, dsk, VALID, hops, nhip)
+def _bind_msg(xi):
+    """Copy each field of the received message to the variable of its name."""
+    m = xi.msg
+    return replace(xi, **{name: getattr(m, name) for name in _fields(type(m))})
 
 
-def _updater(cfg):
-    def upd(rt, dip, entry):
-        return update_route(rt, dip, entry, accept_stale=cfg.accept_stale_update)
-
-    return upd
+def _done():
+    """Clear the working variables and go back to the main loop."""
+    return seq(Assign(clear_locals), Call("aodv"))
 
 
 def _joint_precursors(rt: FrozenMap, dests: FrozenMap) -> frozenset:
     return frozenset().union(*(precursors(rt, rip) for rip in dests))
 
 
-def _notify_route_loss(cfg, failed_dest, tail):
+def _report_loss(cfg, pre):
+    """Report the routes in ``dests`` as lost, then loop.
+
+    Where routes keep precursors the report is groupcast to ``pre(xi)``,
+    the nodes relying on them; otherwise it is broadcast.
+    """
+    rerr = lambda xi: Rerr(xi.dests, xi.ip)
+    if _keeps_precursors(cfg):
+        return seq(Assign(lambda xi: replace(xi, pre=pre(xi))),
+                   Groupcast(lambda xi: xi.pre, rerr), _done())
+    return seq(Broadcast(rerr), _done())
+
+
+def _notify_route_loss(cfg, failed_dest):
     """Reaction to a send over a link that turned out to be gone.
 
     Every valid route through the dead next hop is invalidated with a
@@ -186,165 +259,111 @@ def _notify_route_loss(cfg, failed_dest, tail):
                 if next_hop(xi.rt, rip) == nh}
         return replace(xi, dests=FrozenMap(lost))
 
-    parts = [
+    return seq(
         Assign(bind_dests),
         Assign(lambda xi: replace(xi, rt=invalidate_routes(xi.rt, xi.dests))),
         Assign(lambda xi: replace(
             xi, store=mark_requested(xi.store, frozenset(xi.dests)))),
-    ]
-    if cfg.use_precursors:
-        parts += [
-            Assign(lambda xi: replace(xi, pre=_joint_precursors(xi.rt, xi.dests))),
-            Groupcast(lambda xi: xi.pre, lambda xi: Rerr(xi.dests, xi.ip)),
-        ]
-    else:
-        parts.append(Broadcast(lambda xi: Rerr(xi.dests, xi.ip)))
-    parts += [Assign(clear_locals), tail]
-    return seq(*parts)
+        _report_loss(cfg, lambda xi: _joint_precursors(xi.rt, xi.dests)))
 
 
-def _rreq_binder(cfg):
-    if not cfg.use_rreq_id:
-        return lambda xi: replace(
-            xi, hops=xi.msg.hops, dip=xi.msg.dip, dsn=xi.msg.dsn,
-            dsk=xi.msg.dsk, oip=xi.msg.oip, osn=xi.msg.osn, sip=xi.msg.sip)
-    if cfg.forward_handled_rreqs:
-        return lambda xi: replace(
-            xi, hops=xi.msg.hops, rreqid=xi.msg.rreqid, dip=xi.msg.dip,
-            dsn=xi.msg.dsn, dsk=xi.msg.dsk, oip=xi.msg.oip, osn=xi.msg.osn,
-            sip=xi.msg.sip, handled=xi.msg.handled)
-    return lambda xi: replace(
-        xi, hops=xi.msg.hops, rreqid=xi.msg.rreqid, dip=xi.msg.dip,
-        dsn=xi.msg.dsn, dsk=xi.msg.dsk, oip=xi.msg.oip, osn=xi.msg.osn,
-        sip=xi.msg.sip)
+def _unicast_towards(cfg, dest, msg, ok=None):
+    """Unicast to the next hop towards ``dest(xi)``, then ``ok`` or loop.
+
+    A dead link is handled by :func:`_notify_route_loss`.
+    """
+    return Unicast(lambda xi: next_hop(xi.rt, dest(xi)), msg,
+                   ok=_done() if ok is None else ok,
+                   fail=_notify_route_loss(cfg, dest))
 
 
-def _origin_rreq(cfg):
-    def status(xi):
-        return KNOWN if xi.dip in xi.rt else UNKNOWN
-
-    if not cfg.use_rreq_id:
-        return lambda xi: RreqNoId(0, xi.dip, seqno(xi.rt, xi.dip), status(xi),
-                                   xi.ip, xi.sn, xi.ip)
-    if cfg.forward_handled_rreqs:
-        return lambda xi: RreqFlagged(0, xi.rreqid, xi.dip,
-                                      seqno(xi.rt, xi.dip), status(xi),
-                                      xi.ip, xi.sn, xi.ip, False)
-    return lambda xi: Rreq(0, xi.rreqid, xi.dip, seqno(xi.rt, xi.dip),
-                           status(xi), xi.ip, xi.sn, xi.ip)
-
-
-def _main_body(cfg, rreq_kind):
-    bind_newpkt = lambda xi: replace(xi, data=xi.msg.data, dip=xi.msg.dip)
-    bind_pkt = lambda xi: replace(xi, data=xi.msg.data, dip=xi.msg.dip,
-                                  sip=xi.msg.sip)
-    bind_rrep = lambda xi: replace(xi, hops=xi.msg.hops, dip=xi.msg.dip,
-                                   dsn=xi.msg.dsn, oip=xi.msg.oip,
-                                   sip=xi.msg.sip)
-    bind_rerr = lambda xi: replace(xi, dests=xi.msg.dests, sip=xi.msg.sip)
-
+def _main_body(cfg):
+    handlers = ((Newpkt, "newpkt"), (Pkt, "pkt"),
+                (rreq_message_kind(cfg), "rreq"), (Rrep, "rrep"),
+                (Rerr, "rerr"))
     receive_branch = Receive(
         lambda m, xi: replace(xi, msg=m),
-        choice(
-            seq(Guard(_true(lambda xi: isinstance(xi.msg, Newpkt))),
-                Assign(bind_newpkt), Call("newpkt")),
-            seq(Guard(_true(lambda xi: isinstance(xi.msg, Pkt))),
-                Assign(bind_pkt), Call("pkt")),
-            seq(Guard(_true(lambda xi: isinstance(xi.msg, rreq_kind))),
-                Assign(_rreq_binder(cfg)), Call("rreq")),
-            seq(Guard(_true(lambda xi: isinstance(xi.msg, Rrep))),
-                Assign(bind_rrep), Call("rrep")),
-            seq(Guard(_true(lambda xi: isinstance(xi.msg, Rerr))),
-                Assign(bind_rerr), Call("rerr")),
-        ),
+        choice(*(seq(Guard(_true(lambda xi, k=kind: isinstance(xi.msg, k))),
+                     Assign(_bind_msg), Call(name))
+                 for kind, name in handlers)),
     )
 
     send_branch = seq(
         Guard(_bind_dip(lambda xi: queued_dests(xi.store) & valid_dests(xi.rt))),
         Assign(lambda xi: replace(xi, data=head_datum(xi.store, xi.dip))),
-        Unicast(
-            lambda xi: next_hop(xi.rt, xi.dip),
-            lambda xi: Pkt(xi.data, xi.dip, xi.ip),
+        _unicast_towards(
+            cfg, lambda xi: xi.dip, lambda xi: Pkt(xi.data, xi.dip, xi.ip),
             ok=seq(Assign(lambda xi: replace(
                        xi, store=dequeue_datum(xi.store, xi.dip))),
-                   Assign(clear_locals), Call("aodv")),
-            fail=_notify_route_loss(cfg, lambda xi: xi.dip, Call("aodv")),
-        ),
+                   _done())),
     )
 
     def wants_route(xi):
         return frozenset(d for d in queued_dests(xi.store) - valid_dests(xi.rt)
                          if xi.store[d].flag == REQUESTED)
 
+    ident = _request_id(cfg)
     parts = [Guard(_bind_dip(wants_route))]
-    if cfg.use_rreq_id:
+    if _rreq_has(cfg, "rreqid"):
         parts.append(Assign(lambda xi: replace(
             xi, rreqid=fresh_rreq_id(xi.rreqs, xi.ip))))
-    parts.append(Assign(lambda xi: replace(xi, sn=xi.sn + 1)))
-    if cfg.use_rreq_id:
-        parts.append(Assign(lambda xi: replace(
-            xi, rreqs=xi.rreqs | {(xi.ip, xi.rreqid)})))
-    else:
-        parts.append(Assign(lambda xi: replace(
-            xi, rreqs=xi.rreqs | {(xi.ip, xi.sn)})))
     parts += [
+        Assign(lambda xi: replace(xi, sn=xi.sn + 1)),
+        Assign(lambda xi: replace(
+            xi, rreqs=xi.rreqs | {ident(xi.ip, xi.rreqid, xi.sn)})),
         Assign(lambda xi: replace(xi, store=mark_no_request(xi.store, xi.dip))),
-        Broadcast(_origin_rreq(cfg)),
-        Assign(clear_locals),
-        Call("aodv"),
+        Broadcast(lambda xi: _rreq(
+            cfg, hops=0, rreqid=xi.rreqid, dip=xi.dip,
+            dsn=seqno(xi.rt, xi.dip),
+            dsk=KNOWN if xi.dip in xi.rt else UNKNOWN,
+            oip=xi.ip, osn=xi.sn, sip=xi.ip, handled=False)),
+        _done(),
     ]
     return choice(receive_branch, send_branch, seq(*parts))
 
 
+def _deliver_here():
+    return seq(Guard(_true(lambda xi: xi.dip == xi.ip)),
+               Deliver(lambda xi: xi.data), _done())
+
+
 def _newpkt_body(cfg):
     return choice(
-        seq(Guard(_true(lambda xi: xi.dip == xi.ip)),
-            Deliver(lambda xi: xi.data),
-            Assign(clear_locals), Call("aodv")),
+        _deliver_here(),
         seq(Guard(_true(lambda xi: xi.dip != xi.ip)),
             Assign(lambda xi: replace(
                 xi, store=enqueue_datum(xi.store, xi.dip, xi.data))),
-            Assign(clear_locals), Call("aodv")),
+            _done()),
     )
 
 
 def _pkt_body(cfg):
-    deliver = seq(Guard(_true(lambda xi: xi.dip == xi.ip)),
-                  Deliver(lambda xi: xi.data),
-                  Assign(clear_locals), Call("aodv"))
-    forward = seq(
-        Guard(_true(lambda xi: xi.dip != xi.ip
-                    and xi.dip in valid_dests(xi.rt))),
-        Unicast(lambda xi: next_hop(xi.rt, xi.dip),
-                lambda xi: Pkt(xi.data, xi.dip, xi.ip),
-                ok=seq(Assign(clear_locals), Call("aodv")),
-                fail=_notify_route_loss(cfg, lambda xi: xi.dip, Call("aodv"))),
-    )
-    # no usable route: report the one dead destination, drop the datum
-    parts = [
-        Guard(_true(lambda xi: xi.dip != xi.ip
-                    and xi.dip not in valid_dests(xi.rt))),
-        Assign(lambda xi: replace(
-            xi, dests=FrozenMap({xi.dip: seqno(xi.rt, xi.dip) + 1}))),
-    ]
-    if cfg.use_precursors:
-        parts += [
+    return choice(
+        _deliver_here(),
+        seq(Guard(_true(lambda xi: xi.dip != xi.ip
+                        and xi.dip in valid_dests(xi.rt))),
+            _unicast_towards(cfg, lambda xi: xi.dip,
+                             lambda xi: Pkt(xi.data, xi.dip, xi.ip))),
+        # no usable route: report the one dead destination, drop the datum
+        seq(Guard(_true(lambda xi: xi.dip != xi.ip
+                        and xi.dip not in valid_dests(xi.rt))),
             Assign(lambda xi: replace(
-                xi, pre=(precursors(xi.rt, xi.dip)
-                         if xi.dip in invalid_dests(xi.rt) else EMPTY))),
-            Groupcast(lambda xi: xi.pre, lambda xi: Rerr(xi.dests, xi.ip)),
-        ]
-    else:
-        parts.append(Broadcast(lambda xi: Rerr(xi.dests, xi.ip)))
-    parts += [Assign(clear_locals), Call("aodv")]
-    return choice(deliver, forward, seq(*parts))
+                xi, dests=FrozenMap({xi.dip: seqno(xi.rt, xi.dip) + 1}))),
+            _report_loss(cfg, lambda xi: (precursors(xi.rt, xi.dip)
+                                          if xi.dip in invalid_dests(xi.rt)
+                                          else EMPTY))),
+    )
 
 
 def _rreq_body(cfg):
     upd = _updater(cfg)
+    ident = _request_id(cfg)
 
-    def dup_key(xi):
-        return (xi.oip, xi.rreqid) if cfg.use_rreq_id else (xi.oip, xi.osn)
+    def seen(xi):
+        return ident(xi.oip, xi.rreqid, xi.osn) in xi.rreqs
+
+    def away(xi):
+        return xi.dip != xi.ip
 
     def fresh_enough(xi):
         # a valid local route at least as new as the one requested
@@ -355,80 +374,59 @@ def _rreq_body(cfg):
     answer = seq(
         Guard(_true(lambda xi: xi.dip == xi.ip)),
         Assign(lambda xi: replace(xi, sn=max(xi.sn, xi.dsn))),
-        Unicast(lambda xi: next_hop(xi.rt, xi.oip),
-                lambda xi: Rrep(0, xi.ip, xi.sn, xi.oip, xi.ip),
-                ok=seq(Assign(clear_locals), Call("aodv")),
-                fail=_notify_route_loss(cfg, lambda xi: xi.oip, Call("aodv"))),
+        _unicast_towards(cfg, lambda xi: xi.oip,
+                         lambda xi: Rrep(0, xi.ip, xi.sn, xi.oip, xi.ip)),
     )
 
-    def reply_midway(ok_tail):
+    def reply_midway(ok):
         parts = []
-        if cfg.use_precursors:
+        if _keeps_precursors(cfg):
             parts += [
                 Assign(lambda xi: replace(xi, rt=add_precursors(
                     xi.rt, xi.dip, frozenset([xi.sip])))),
                 Assign(lambda xi: replace(xi, rt=add_precursors(
                     xi.rt, xi.oip, frozenset([next_hop(xi.rt, xi.dip)])))),
             ]
-        parts.append(
-            Unicast(lambda xi: next_hop(xi.rt, xi.oip),
-                    lambda xi: Rrep(hop_count(xi.rt, xi.dip), xi.dip,
-                                    seqno(xi.rt, xi.dip), xi.oip, xi.ip),
-                    ok=ok_tail,
-                    fail=_notify_route_loss(cfg, lambda xi: xi.oip,
-                                            Call("aodv"))))
-        return seq(*parts)
+        return seq(*parts, _unicast_towards(
+            cfg, lambda xi: xi.oip,
+            lambda xi: Rrep(hop_count(xi.rt, xi.dip), xi.dip,
+                            seqno(xi.rt, xi.dip), xi.oip, xi.ip),
+            ok))
 
-    def forward_msg(handled=None):
-        def make(xi):
-            dsn = max(seqno(xi.rt, xi.dip), xi.dsn)
-            if not cfg.use_rreq_id:
-                return RreqNoId(xi.hops + 1, xi.dip, dsn, xi.dsk,
-                                xi.oip, xi.osn, xi.ip)
-            if cfg.forward_handled_rreqs:
-                h = xi.handled if handled is None else handled
-                return RreqFlagged(xi.hops + 1, xi.rreqid, xi.dip, dsn, xi.dsk,
-                                   xi.oip, xi.osn, xi.ip, h)
-            return Rreq(xi.hops + 1, xi.rreqid, xi.dip, dsn, xi.dsk,
-                        xi.oip, xi.osn, xi.ip)
+    def forward(answered):
+        return seq(Broadcast(lambda xi: _rreq(
+            cfg, hops=xi.hops + 1, rreqid=xi.rreqid, dip=xi.dip,
+            dsn=max(seqno(xi.rt, xi.dip), xi.dsn), dsk=xi.dsk, oip=xi.oip,
+            osn=xi.osn, sip=xi.ip, handled=answered or xi.handled)), _done())
 
-        return make
-
-    if cfg.forward_handled_rreqs:
-        main = choice(
-            answer,
-            seq(Guard(_true(lambda xi: xi.dip != xi.ip and fresh_enough(xi)
+    if _rreq_has(cfg, "handled"):
+        # an answered request goes on, flagged so nobody answers it twice
+        midway = (
+            seq(Guard(_true(lambda xi: away(xi) and fresh_enough(xi)
                             and not xi.handled)),
-                reply_midway(ok_tail=seq(Broadcast(forward_msg(True)),
-                                         Assign(clear_locals), Call("aodv")))),
-            seq(Guard(_true(lambda xi: xi.dip != xi.ip and fresh_enough(xi)
+                reply_midway(ok=forward(True))),
+            seq(Guard(_true(lambda xi: away(xi) and fresh_enough(xi)
                             and xi.handled)),
-                Broadcast(forward_msg(True)),
-                Assign(clear_locals), Call("aodv")),
-            seq(Guard(_true(lambda xi: xi.dip != xi.ip
-                            and not fresh_enough(xi))),
-                Broadcast(forward_msg()),
-                Assign(clear_locals), Call("aodv")),
+                forward(True)),
         )
     else:
-        main = choice(
-            answer,
-            seq(Guard(_true(lambda xi: xi.dip != xi.ip and fresh_enough(xi))),
-                reply_midway(ok_tail=seq(Assign(clear_locals), Call("aodv")))),
-            seq(Guard(_true(lambda xi: xi.dip != xi.ip
-                            and not fresh_enough(xi))),
-                Broadcast(forward_msg()),
-                Assign(clear_locals), Call("aodv")),
-        )
+        midway = (seq(Guard(_true(lambda xi: away(xi) and fresh_enough(xi))),
+                      reply_midway(ok=_done())),)
+    main = choice(
+        answer,
+        *midway,
+        seq(Guard(_true(lambda xi: away(xi) and not fresh_enough(xi))),
+            forward(False)),
+    )
 
     return seq(
         Assign(lambda xi: replace(xi, rt=upd(
             xi.rt, xi.sip, _route(cfg, 0, UNKNOWN, 1, xi.sip)))),
         choice(
-            seq(Guard(_true(lambda xi: dup_key(xi) in xi.rreqs)),
-                Assign(clear_locals), Call("aodv")),
-            seq(Guard(_true(lambda xi: dup_key(xi) not in xi.rreqs)),
-                Assign(lambda xi: replace(xi, rreqs=xi.rreqs | {dup_key(xi)})),
+            seq(Guard(_true(seen)), _done()),
+            seq(Guard(_true(lambda xi: not seen(xi))),
+                Assign(lambda xi: replace(
+                    xi, rreqs=xi.rreqs | {ident(xi.oip, xi.rreqid, xi.osn)})),
                 Assign(lambda xi: replace(xi, rt=upd(
                     xi.rt, xi.oip,
                     _route(cfg, xi.osn, KNOWN, xi.hops + 1, xi.sip)))),
@@ -440,64 +438,43 @@ def _rreq_body(cfg):
 def _rrep_body(cfg):
     upd = _updater(cfg)
 
-    def fresh_route(xi):
-        return _route(cfg, xi.dsn, KNOWN, xi.hops + 1, xi.sip)
-
-    def relay(msg_fn):
-        parts = []
-        if cfg.use_precursors:
-            parts.append(Assign(lambda xi: replace(xi, rt=add_precursors(
-                xi.rt, xi.dip, frozenset([next_hop(xi.rt, xi.oip)])))))
-        parts.append(
-            Unicast(lambda xi: next_hop(xi.rt, xi.oip), msg_fn,
-                    ok=seq(Assign(clear_locals), Call("aodv")),
-                    fail=_notify_route_loss(cfg, lambda xi: xi.oip,
-                                            Call("aodv"))))
-        return seq(*parts)
-
-    arrived = seq(Guard(_true(lambda xi: xi.oip == xi.ip)),
-                  Assign(clear_locals), Call("aodv"))
-    no_reverse = seq(Guard(_true(lambda xi: xi.oip != xi.ip
-                                 and xi.oip not in valid_dests(xi.rt))),
-                     Assign(clear_locals), Call("aodv"))
+    def offered(xi):
+        # the table after the reply's route to its destination is offered
+        return upd(xi.rt, xi.dip,
+                   _route(cfg, xi.dsn, KNOWN, xi.hops + 1, xi.sip))
 
     if cfg.forward_all_rreps:
-        # take the update unconditionally and pass the best local route on
-        fwd = relay(lambda xi: Rrep(hop_count(xi.rt, xi.dip), xi.dip,
-                                    seqno(xi.rt, xi.dip), xi.oip, xi.ip))
-        return seq(
-            Assign(lambda xi: replace(xi, rt=upd(
-                xi.rt, xi.sip, _route(cfg, 0, UNKNOWN, 1, xi.sip)))),
-            Assign(lambda xi: replace(xi, rt=upd(xi.rt, xi.dip,
-                                                 fresh_route(xi)))),
-            choice(
-                arrived,
-                seq(Guard(_true(lambda xi: xi.oip != xi.ip
-                                and xi.oip in valid_dests(xi.rt))), fwd),
-                no_reverse,
-            ),
-        )
+        # pass the best local route on
+        relayed = lambda xi: Rrep(hop_count(xi.rt, xi.dip), xi.dip,
+                                  seqno(xi.rt, xi.dip), xi.oip, xi.ip)
+    else:
+        relayed = lambda xi: Rrep(xi.hops + 1, xi.dip, xi.dsn, xi.oip, xi.ip)
+    relay = []
+    if _keeps_precursors(cfg):
+        relay.append(Assign(lambda xi: replace(xi, rt=add_precursors(
+            xi.rt, xi.dip, frozenset([next_hop(xi.rt, xi.oip)])))))
+    relay.append(_unicast_towards(cfg, lambda xi: xi.oip, relayed))
 
-    fwd = relay(lambda xi: Rrep(xi.hops + 1, xi.dip, xi.dsn, xi.oip, xi.ip))
+    install = seq(
+        Assign(lambda xi: replace(xi, rt=offered(xi))),
+        choice(
+            seq(Guard(_true(lambda xi: xi.oip == xi.ip)), _done()),
+            seq(Guard(_true(lambda xi: xi.oip != xi.ip
+                            and xi.oip in valid_dests(xi.rt))), *relay),
+            seq(Guard(_true(lambda xi: xi.oip != xi.ip
+                            and xi.oip not in valid_dests(xi.rt))), _done()),
+        ),
+    )
+    if not cfg.forward_all_rreps:
+        # a reply carrying nothing new is dropped
+        install = choice(
+            seq(Guard(_true(lambda xi: offered(xi) != xi.rt)), install),
+            seq(Guard(_true(lambda xi: offered(xi) == xi.rt)), _done()),
+        )
     return seq(
         Assign(lambda xi: replace(xi, rt=upd(
             xi.rt, xi.sip, _route(cfg, 0, UNKNOWN, 1, xi.sip)))),
-        choice(
-            seq(Guard(_true(lambda xi: upd(xi.rt, xi.dip,
-                                           fresh_route(xi)) != xi.rt)),
-                Assign(lambda xi: replace(xi, rt=upd(xi.rt, xi.dip,
-                                                     fresh_route(xi)))),
-                choice(
-                    arrived,
-                    seq(Guard(_true(lambda xi: xi.oip != xi.ip
-                                    and xi.oip in valid_dests(xi.rt))), fwd),
-                    no_reverse,
-                )),
-            # a reply carrying nothing new is dropped
-            seq(Guard(_true(lambda xi: upd(xi.rt, xi.dip,
-                                           fresh_route(xi)) == xi.rt)),
-                Assign(clear_locals), Call("aodv")),
-        ),
+        install,
     )
 
 
@@ -511,33 +488,23 @@ def _rerr_body(cfg):
                 and seqno(xi.rt, rip) < rsn}
         return replace(xi, dests=FrozenMap(keep))
 
-    parts = [
+    report = _report_loss(cfg, lambda xi: _joint_precursors(xi.rt, xi.dests))
+    if not _keeps_precursors(cfg):
+        # an empty report is broadcast to nobody's use, so it is not sent
+        report = choice(
+            seq(Guard(_true(lambda xi: len(xi.dests) > 0)), report),
+            seq(Guard(_true(lambda xi: len(xi.dests) == 0)), _done()),
+        )
+    return seq(
         Assign(narrow),
         Assign(lambda xi: replace(xi, rt=invalidate_routes(xi.rt, xi.dests))),
-    ]
-    if cfg.use_precursors:
-        parts += [
-            Assign(lambda xi: replace(xi, pre=_joint_precursors(xi.rt,
-                                                                xi.dests))),
-            Groupcast(lambda xi: xi.pre, lambda xi: Rerr(xi.dests, xi.ip)),
-            Assign(clear_locals),
-            Call("aodv"),
-        ]
-        return seq(*parts)
-    tail = choice(
-        seq(Guard(_true(lambda xi: len(xi.dests) > 0)),
-            Broadcast(lambda xi: Rerr(xi.dests, xi.ip)),
-            Assign(clear_locals), Call("aodv")),
-        seq(Guard(_true(lambda xi: len(xi.dests) == 0)),
-            Assign(clear_locals), Call("aodv")),
+        report,
     )
-    return seq(*parts, tail)
 
 
 def build_table(cfg: VariantConfig = BASE) -> ProcessTable:
-    kind = rreq_message_kind(cfg)
     bodies = {
-        "aodv": _main_body(cfg, kind),
+        "aodv": _main_body(cfg),
         "newpkt": _newpkt_body(cfg),
         "pkt": _pkt_body(cfg),
         "rreq": _rreq_body(cfg),

@@ -1,9 +1,12 @@
 """Routing-table algebra, the message store, and the process table."""
+import hashlib
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
 
+from aodvcheck.awn import Call, Choice, Unicast
 from aodvcheck.canon import EMPTY_MAP, FrozenMap
 from aodvcheck.protocol import (BASE, StoreSlot, REQUESTED, NOT_REQUESTED,
                                 aodv_init, build_table, clear_locals,
@@ -16,6 +19,7 @@ from aodvcheck.routing import (INVALID, KNOWN, UNKNOWN, VALID, RouteEntry,
                                known_dests, net_seqno, next_hop, precursors,
                                seqno, seqno_status, strictly_fresher,
                                update_route, valid_dests)
+from aodvcheck.variants import VARIANTS, apply_mutations
 
 
 def rte(dsn=0, dsk=UNKNOWN, flag=VALID, hops=1, nhip=9, pre=frozenset()):
@@ -236,3 +240,34 @@ class TestProcessTable:
     def test_queue_process_has_its_own_two_locations(self):
         qt = queue_table()
         assert sorted(l.offset for l in qt.all_labels()) == [0, 1]
+
+
+def _tree(t):
+    """Class names, labels and children of a term, in order; calls by name."""
+    if isinstance(t, Call):
+        return ["Call", t.name]
+    if isinstance(t, Choice):
+        return ["Choice", _tree(t.left), _tree(t.right)]
+    kids = (t.ok, t.fail) if isinstance(t, Unicast) else (t.cont,)
+    return [type(t).__name__, str(t.label), *map(_tree, kids)]
+
+
+class TestTablePin:
+    # Control locations are numbered by position in the term tree, and
+    # they feed state encodings, the simulator's draw order and the
+    # dispatch-msg witnesses.  The hash covers every body of every
+    # variant's table, of the stale-accepting mutation's and of the
+    # queue's; a rewrite of the process builders that moves, adds or
+    # drops a prefix anywhere changes it.
+    TABLES_SHA256 = (
+        "51554e8a2ec341e15c07738404e0ccd64a50d448322fcb5224eacf8424d0b255")
+
+    def test_labelled_term_trees_are_pinned(self):
+        tables = [(n, build_table(VARIANTS[n])) for n in sorted(VARIANTS)]
+        tables.append(("accept-stale-update", build_table(
+            apply_mutations(BASE, ["accept-stale-update"]))))
+        tables.append(("queue", queue_table()))
+        doc = [[tag, name, _tree(table[name])]
+               for tag, table in tables for name in table.names()]
+        h = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert h == self.TABLES_SHA256
