@@ -160,7 +160,6 @@ def _hd(payload: bytes) -> bytes:
 
 
 _PRIM = (int, str)  # covers bool; None is handled separately
-_prim_digests: dict = {}
 
 
 def _flat(x: tuple) -> bool:
@@ -186,13 +185,7 @@ def bdigest(x: Any) -> bytes:
     canonical keys are equal (modulo hash collisions).
     """
     if x is None or isinstance(x, _PRIM):
-        k = (x.__class__, x)
-        b = _prim_digests.get(k)
-        if b is None:
-            b = _hd(b"p" + repr(x).encode("utf-8"))
-            if len(_prim_digests) < (1 << 20):
-                _prim_digests[k] = b
-        return b
+        return _hd(b"p" + repr(x).encode("utf-8"))
     if isinstance(x, tuple):
         if _flat(x):
             return _hd(b"q" + repr(x).encode("utf-8"))

@@ -11,12 +11,14 @@ the same byte for byte on every run, whatever the hash seed.
 
 Exit codes: 0 all checks passed (a reported depth-bound truncation
 still exits 0), 1 a suite was violated, 2 usage, scenario or trace-file
-errors (including out-of-range numeric options and a trace written in
-another format), 3 the state cap was hit.
+errors (including out-of-range numeric options, a trace written in
+another format and an output file that cannot be written), 3 the state
+cap was hit.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -27,7 +29,7 @@ from .network import net_data, tree_addresses
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import Schedule, ScheduleError, run
 from .trace import TRACE_FORMAT, dump_record, load_trace, write_trace
-from .variants import VariantError, apply_mutations, get_variant
+from .variants import VariantError, with_variant
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -41,6 +43,19 @@ CX_FORMAT = "aodvcheck-cx-2"
 
 class TraceFileError(Exception):
     """A trace given to ``graph --trace`` cannot be read or is outdated."""
+
+
+class OutputError(Exception):
+    """An output file cannot be written."""
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write ``path`` into an :class:`OutputError`."""
+    try:
+        yield
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _int_at_least(low: int):
@@ -106,12 +121,8 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args) -> Scenario:
     sc = load_scenario(args.scenario)
     if args.variant is not None:
-        cfg = get_variant(args.variant)
-        # keep any mutations the scenario asked for
-        if sc.cfg.accept_stale_update:
-            cfg = apply_mutations(cfg, ["accept-stale-update"])
-        sc = Scenario(sc.name, sc.tree, cfg, sc.env, sc.sched,
-                      sc.suites, sc.bound)
+        sc = Scenario(sc.name, sc.tree, with_variant(sc.cfg, args.variant),
+                      sc.env, sc.sched, sc.suites, sc.bound)
     if args.suite is not None:
         names = tuple(n for n in args.suite.split(",") if n)
         split_suites(names)
@@ -169,7 +180,7 @@ def _cmd_explore(args) -> int:
            "variant": sc.cfg.name, "suite": cx.suite, "kind": cx.kind,
            "witness": _listify(cx.witness), "depth": cx.depth,
            "digest": cx.digest, "steps": _json_steps(cx.steps)}
-    with open(out, "w") as fh:
+    with _writing(out), open(out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"counterexample: {out} ({cx.depth} step(s))")
@@ -198,7 +209,8 @@ def _cmd_simulate(args) -> int:
     if res.pending_events:
         print(f"pending events: {len(res.pending_events)} never fired")
     if args.out:
-        write_trace(args.out, res.records)
+        with _writing(args.out):
+            write_trace(args.out, res.records)
         print(f"trace: {args.out}")
     if res.holds:
         print("result: PASS")
@@ -252,7 +264,7 @@ def _cmd_graph(args) -> int:
         doc["validated"] = True
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(text)
         print(f"graphs: {args.out}")
     else:
@@ -268,8 +280,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_graph(args)
-    except (ScenarioError, ScheduleError, SuiteError, TraceFileError,
-            VariantError) as e:
+    except (OutputError, ScenarioError, ScheduleError, SuiteError,
+            TraceFileError, VariantError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -81,5 +81,3 @@ class Rerr:
     dests: FrozenMap  # destination -> sequence number reported unreachable
     sip: int
 
-
-RREQ_KINDS = (Rreq, RreqNoId, RreqFlagged)

@@ -289,9 +289,16 @@ ALL_SUITES = tuple(STATE_SUITES) + tuple(STEP_SUITES)
 
 
 def split_suites(names=None) -> tuple:
-    """Partition requested suite names into (state, step) name tuples."""
+    """Partition requested suite names into (state, step) name tuples.
+
+    ``None`` selects every suite; an empty selection is an error, since
+    checking nothing would pass any model.
+    """
     if names is None:
         return tuple(STATE_SUITES), tuple(STEP_SUITES)
+    if not names:
+        raise SuiteError("no suite selected "
+                         f"(known: {', '.join(ALL_SUITES)})")
     state, step = [], []
     for name in names:
         if name in STATE_SUITES:

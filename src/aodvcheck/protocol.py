@@ -8,18 +8,12 @@ the working variables and loops back to ``aodv``.
 
 ``build_table`` assembles the table for a given :class:`VariantConfig`;
 the default configuration is the unmodified protocol.  Each switch is
-read by one function:
-
-* ``use_rreq_id`` and ``forward_handled_rreqs`` by ``rreq_message_kind``,
-  which picks the route-request format.  Whether origination draws a
-  request id, what identifies a request (``_request_id``) and whether
-  answered requests go on follow from that format's fields.
-* ``use_precursors`` by ``route_entry_kind``, which picks the route-entry
-  format.  Precursor bookkeeping, and route errors groupcast to
-  precursors rather than broadcast (``_report_loss``), exist only where
-  that format has precursors.
-* ``forward_all_rreps`` by ``_rrep_body``.
-* ``accept_stale_update`` by ``_updater``.
+read by one function: ``use_rreq_id`` and ``forward_handled_rreqs`` by
+``rreq_message_kind``, ``use_precursors`` by ``route_entry_kind``,
+``forward_all_rreps`` by ``_rrep_body`` and ``accept_stale_update`` by
+``_updater``.  The rest follows from the fields of the two formats: an
+id in requests decides ``_request_id``, a handled flag adds the relaying
+of answered requests, and precursors in routes groupcast route errors.
 """
 from __future__ import annotations
 
@@ -490,7 +484,7 @@ def _rerr_body(cfg):
 
     report = _report_loss(cfg, lambda xi: _joint_precursors(xi.rt, xi.dests))
     if not _keeps_precursors(cfg):
-        # an empty report is broadcast to nobody's use, so it is not sent
+        # without precursors to address, only a non-empty report goes out
         report = choice(
             seq(Guard(_true(lambda xi: len(xi.dests) > 0)), report),
             seq(Guard(_true(lambda xi: len(xi.dests) == 0)), _done()),

@@ -30,7 +30,9 @@ VARIANTS = {
     "fwd-rreq": VariantConfig(name="fwd-rreq", forward_handled_rreqs=True),
 }
 
-MUTATIONS = ("accept-stale-update",)
+# each mutation turns on one VariantConfig switch
+_MUTATION_SWITCHES = {"accept-stale-update": "accept_stale_update"}
+MUTATIONS = tuple(_MUTATION_SWITCHES)
 
 
 class VariantError(ValueError):
@@ -47,9 +49,16 @@ def get_variant(name: str) -> VariantConfig:
 
 def apply_mutations(cfg: VariantConfig, mutations) -> VariantConfig:
     for m in mutations:
-        if m == "accept-stale-update":
-            cfg = replace(cfg, accept_stale_update=True)
-        else:
+        switch = _MUTATION_SWITCHES.get(m)
+        if switch is None:
             known = ", ".join(MUTATIONS)
             raise VariantError(f"unknown mutation {m!r} (known: {known})")
+        cfg = replace(cfg, **{switch: True})
     return cfg
+
+
+def with_variant(cfg: VariantConfig, name: str) -> VariantConfig:
+    """The variant ``name`` with the mutations applied to ``cfg``."""
+    kept = [m for m, switch in _MUTATION_SWITCHES.items()
+            if getattr(cfg, switch)]
+    return apply_mutations(get_variant(name), kept)

@@ -24,8 +24,7 @@ def run_to_quiescence(auto, state, menu=EMPTY_MENU, limit=5000):
 
 def inject(auto, state, ip, data, dip):
     """Take the new-packet step at ``ip``; the menu is offered only here."""
-    menu = NetMenu(frozenset(), FrozenMap({ip: frozenset([Newpkt(data, dip)])}),
-                   frozenset())
+    menu = NetMenu((), FrozenMap({ip: (Newpkt(data, dip),)}), ())
     steps = [r for r in canonical_steps(auto, state, menu)
              if isinstance(r.action, NewpktA)]
     assert steps, f"node {ip} cannot accept a new packet"

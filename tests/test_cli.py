@@ -66,6 +66,7 @@ def test_counterexample_file_ignores_hash_seed(tmp_path):
     {"mutate": 5},
     {"mutate": [5]},
     {"suites": [[1]]},
+    {"suites": []},
     {"env": {"newpkts": [{"ip": [1], "data": "x", "dip": 2}]}},
     {"env": {"newpkts": 5}},
     {"env": {"links": [["connect", [1], 2]]}},
@@ -97,6 +98,14 @@ def test_out_of_range_numeric_option_is_a_usage_error(capsys, argv):
     assert code == EXIT_USAGE
     assert "error: argument" in out.err
     assert out.out == ""
+
+
+def test_empty_suite_option_is_a_usage_error(capsys):
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    code, out = run_cli(["explore", pair2, "--suite", ","], capsys)
+    assert code == EXIT_USAGE
+    assert out.err.startswith("error: no suite selected")
+    assert "result:" not in out.out
 
 
 def test_smallest_numeric_options_are_accepted(tmp_path, capsys):
@@ -171,3 +180,29 @@ def test_graph_rejects_an_unreadable_trace(tmp_path, capsys):
         assert code == EXIT_USAGE
         assert out.err.startswith("error: ")
         assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("command", ["explore", "simulate", "graph"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
+    # explore writes only a counterexample, so it gets a failing scenario
+    scenario = (write_scenario(tmp_path, STALE_PAIR) if command == "explore"
+                else os.path.join(SCENARIOS, "pair2.json"))
+    out_path = str(tmp_path / "missing" / "out.json")
+    code, out = run_cli([command, scenario, "--out", out_path], capsys)
+    assert code == EXIT_USAGE
+    assert out.err.startswith(f"error: cannot write {out_path}")
+    assert "Traceback" not in out.err
+
+
+def test_variant_option_keeps_the_scenario_mutations(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, {**STALE_PAIR, "variant": "fwd-rreq"})
+    out_path = str(tmp_path / "cx.json")
+    code, out = run_cli(["explore", scenario, "--variant", "base",
+                         "--out", out_path], capsys)
+    assert code == EXIT_VIOLATION
+    assert "(variant base)" in out.out
+    assert "violated: nsqn-monotone" in out.out
+    code, out = run_cli(["explore", scenario, "--variant", "fwd-rrep",
+                         "--out", out_path], capsys)
+    assert "(variant fwd-rrep)" in out.out
+    assert json.loads(open(out_path).read())["variant"] == "fwd-rrep"

@@ -14,7 +14,8 @@ from aodvcheck.network import net_data, tree_of
 from aodvcheck.protocol import BASE, build_table, valid_dests
 from aodvcheck.simulate import run, schedule
 from aodvcheck.variants import (MUTATIONS, VARIANTS, VariantError,
-                                apply_mutations, get_variant)
+                                apply_mutations, get_variant,
+                                with_variant)
 
 PAIR = tree_of([(1, [2]), (2, [1])])
 CHAIN = tree_of([(1, [2]), (2, [1, 3]), (3, [2])])
@@ -111,6 +112,15 @@ class TestMutations:
     def test_compose_with_variant(self):
         cfg = apply_mutations(get_variant("fwd-rrep"), ["accept-stale-update"])
         assert cfg.forward_all_rreps and cfg.accept_stale_update
+
+    def test_swapping_the_variant_keeps_the_mutations(self):
+        mutated = apply_mutations(get_variant("fwd-rreq"),
+                                  ["accept-stale-update"])
+        assert with_variant(mutated, "fwd-rrep") == apply_mutations(
+            get_variant("fwd-rrep"), ["accept-stale-update"])
+        assert with_variant(get_variant("fwd-rreq"), "base") == BASE
+        with pytest.raises(VariantError, match="unknown variant"):
+            with_variant(mutated, "aodvv2")
 
 
 class TestMessageFingerprints:
