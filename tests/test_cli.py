@@ -196,13 +196,14 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
 
 def test_variant_option_keeps_the_scenario_mutations(tmp_path, capsys):
     scenario = write_scenario(tmp_path, {**STALE_PAIR, "variant": "fwd-rreq"})
-    out_path = str(tmp_path / "cx.json")
+    cx = tmp_path / "cx.json"
     code, out = run_cli(["explore", scenario, "--variant", "base",
-                         "--out", out_path], capsys)
+                         "--out", str(cx)], capsys)
     assert code == EXIT_VIOLATION
     assert "(variant base)" in out.out
     assert "violated: nsqn-monotone" in out.out
     code, out = run_cli(["explore", scenario, "--variant", "fwd-rrep",
-                         "--out", out_path], capsys)
+                         "--out", str(cx)], capsys)
+    assert code == EXIT_VIOLATION
     assert "(variant fwd-rrep)" in out.out
-    assert json.loads(open(out_path).read())["variant"] == "fwd-rrep"
+    assert json.loads(cx.read_text())["variant"] == "fwd-rrep"
