@@ -15,6 +15,15 @@ alike.  Only values whose identity is not their fields supply
 ``canon_key``/``canon_digest`` hooks: a process state (its control term
 counts by location), a network step (the simulator's sort key) and
 ``FrozenMap``, which is not a dataclass.
+
+``bdigest`` dispatches on the exact type of its argument through one
+table of encoders, filled the first time each class is seen: one for
+primitives and ``None`` (a bool encodes by ``repr``, apart from the int
+of the same value), one each for tuples and sets, the ``FrozenMap`` hook,
+and per dataclass an encoder of its hook or of its compared fields that
+reads and writes the digest in the instance's ``_bdg`` slot of
+``__dict__``.  A class with no encoding raises ``TypeError`` when first
+met.
 """
 from __future__ import annotations
 
@@ -53,7 +62,7 @@ class FrozenMap(Mapping):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._d.items())))
+            self._hash = hash(frozenset(self._d.items()))
         return self._hash  # type: ignore[return-value]
 
     def __eq__(self, other: Any) -> bool:
@@ -145,7 +154,7 @@ def value_key(x: Any) -> tuple:
         name, _, get = _shape(type(x))
         k = (name, *map(value_key, get(x)))
     if d is not None:
-        object.__setattr__(x, "_ckey", k)
+        d["_ckey"] = k
     return k
 
 
@@ -159,18 +168,73 @@ def _hd(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()[:16]
 
 
-_PRIM = (int, str)  # covers bool; None is handled separately
-
-
 def _flat(x: tuple) -> bool:
     """True when ``x`` nests nothing but primitives (repr is injective)."""
     for v in x:
-        if v is None or isinstance(v, _PRIM):
+        if v is None or isinstance(v, (int, str)):
             continue
         if isinstance(v, tuple) and _flat(v):
             continue
         return False
     return True
+
+
+def _prim_digest(x) -> bytes:
+    # bool encodes by repr too, so True and 1 digest apart
+    return _hd(b"p" + repr(x).encode("utf-8"))
+
+
+def _tuple_digest(x: tuple) -> bytes:
+    if _flat(x):
+        return _hd(b"q" + repr(x).encode("utf-8"))
+    return _hd(b"t" + b"".join(map(bdigest, x)))
+
+
+def _set_digest(x) -> bytes:
+    return _hd(b"s" + b"".join(sorted(map(bdigest, x))))
+
+
+def _dataclass_digest(cls: type):
+    """Encoder of a dataclass: its hook or its fields, cached in ``_bdg``."""
+    hook = getattr(cls, "canon_digest", None)
+    if hook is not None:
+        def encode(x) -> bytes:
+            d = x.__dict__
+            b = d.get("_bdg")
+            if b is None:
+                b = d["_bdg"] = hook(x)
+            return b
+    else:
+        _, tag, get = _shape(cls)
+
+        def encode(x) -> bytes:
+            d = x.__dict__
+            b = d.get("_bdg")
+            if b is None:
+                b = d["_bdg"] = struct_digest(tag, get(x))
+            return b
+    return encode
+
+
+# exact type -> digest encoder, filled by ``_encoder`` on first sight
+_encoders: dict = {}
+
+
+def _encoder(cls: type):
+    if issubclass(cls, (int, str)) or cls is type(None):
+        enc = _prim_digest
+    elif issubclass(cls, tuple):
+        enc = _tuple_digest
+    elif issubclass(cls, (set, frozenset)):
+        enc = _set_digest
+    elif dataclasses.is_dataclass(cls):
+        enc = _dataclass_digest(cls)
+    elif hasattr(cls, "canon_digest"):
+        enc = cls.canon_digest
+    else:
+        raise TypeError(f"no canonical encoding for {cls.__name__}")
+    _encoders[cls] = enc
+    return enc
 
 
 def bdigest(x: Any) -> bytes:
@@ -184,28 +248,10 @@ def bdigest(x: Any) -> bytes:
     values digest equal exactly when they are equal and when their
     canonical keys are equal (modulo hash collisions).
     """
-    if x is None or isinstance(x, _PRIM):
-        return _hd(b"p" + repr(x).encode("utf-8"))
-    if isinstance(x, tuple):
-        if _flat(x):
-            return _hd(b"q" + repr(x).encode("utf-8"))
-        return _hd(b"t" + b"".join(map(bdigest, x)))
-    if isinstance(x, (set, frozenset)):
-        return _hd(b"s" + b"".join(sorted(map(bdigest, x))))
-    d = getattr(x, "__dict__", None)
-    if d is not None:
-        b = d.get("_bdg")
-        if b is not None:
-            return b
-    cd = getattr(x, "canon_digest", None)
-    if cd is not None:
-        b = cd()
-    else:
-        _, tag, get = _shape(type(x))
-        b = struct_digest(tag, get(x))
-    if d is not None:
-        object.__setattr__(x, "_bdg", b)
-    return b
+    enc = _encoders.get(type(x))
+    if enc is None:
+        enc = _encoder(type(x))
+    return enc(x)
 
 
 def struct_digest(tag: bytes, parts: tuple) -> bytes:

@@ -13,13 +13,15 @@ Exit codes: 0 all checks passed (a reported depth-bound truncation
 still exits 0), 1 a suite was violated, 2 usage, scenario or trace-file
 errors (including out-of-range numeric options, a trace written in
 another format and an output file that cannot be written), 3 the state
-cap was hit.
+cap was hit.  A reader that closes standard output early (``| head``)
+ends the run quietly, with exit code 1 and no traceback.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .canon import digest, value_key
@@ -35,6 +37,7 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_BROKEN_PIPE = 1  # what Python itself returns on EPIPE
 
 # Counterexample files list each step by its branch rank and the digest
 # of the state it reaches; see ``explore.replay``.
@@ -276,10 +279,20 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "explore":
-            return _cmd_explore(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_graph(args)
+            code = _cmd_explore(args)
+        elif args.command == "simulate":
+            code = _cmd_simulate(args)
+        else:
+            code = _cmd_graph(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Whatever is still
+        # buffered goes to the null device, so that the flush at exit
+        # cannot fail again, and the run ends quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OutputError, ScenarioError, ScheduleError, SuiteError,
             TraceFileError, VariantError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -75,14 +75,41 @@ class EnvState:
 
 
 class EnvNet:
-    """A closed network paired with its finite environment."""
+    """A closed network paired with its finite environment.
+
+    Environment states are interned: the successor of an environment
+    state under an injection or a link event is computed once per
+    (state, action) pair and shared, so every explored state holds one
+    of a handful of ``EnvState`` objects, each digested once.  Both
+    tables belong to this instance, so a run's caches go with it.
+    """
 
     def __init__(self, net, env: EnvMenu):
         self.net = net
         self.env = env
-        env0 = EnvState(env.newpkts, 0)
+        self._envs: dict = {}    # EnvState -> its one shared instance
+        self._after: dict = {}   # (EnvState, action) -> shared successor
+        env0 = self._intern(EnvState(env.newpkts, 0))
         self.init = frozenset((s, env0) for s in net.init)
         self._menus = {}
+
+    def _intern(self, env_state: EnvState) -> EnvState:
+        return self._envs.setdefault(env_state, env_state)
+
+    def _env_after(self, env_s: EnvState, action) -> EnvState:
+        key = (env_s, action)
+        env2 = self._after.get(key)
+        if env2 is None:
+            if isinstance(action, NewpktA):
+                k = (action.ip, action.data, action.dip)
+                left = env_s.remaining[k]
+                rem = (env_s.remaining.remove(k) if left == 1
+                       else env_s.remaining.set(k, left - 1))
+                env2 = EnvState(rem, env_s.pos)
+            else:
+                env2 = EnvState(env_s.remaining, env_s.pos + 1)
+            env2 = self._after[key] = self._intern(env2)
+        return env2
 
     def menu_for(self, env_state: EnvState) -> NetMenu:
         menu = self._menus.get(env_state)
@@ -102,14 +129,8 @@ class EnvNet:
         net_s, env_s = state
         out = []
         for r in self.net.rich_steps(net_s, self.menu_for(env_s)):
-            if isinstance(r.action, NewpktA):
-                key = (r.action.ip, r.action.data, r.action.dip)
-                left = env_s.remaining[key]
-                rem = (env_s.remaining.remove(key) if left == 1
-                       else env_s.remaining.set(key, left - 1))
-                env2 = EnvState(rem, env_s.pos)
-            elif isinstance(r.action, (ConnectA, DisconnectA)):
-                env2 = EnvState(env_s.remaining, env_s.pos + 1)
+            if isinstance(r.action, (NewpktA, ConnectA, DisconnectA)):
+                env2 = self._env_after(env_s, r.action)
             else:
                 env2 = env_s
             out.append(RichStep(r.origin, r.detail, r.action,

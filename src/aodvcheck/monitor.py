@@ -121,15 +121,11 @@ _rt_verdicts: dict = {}
 
 
 def _rt_sig(state) -> tuple:
-    try:
-        return state._rtsig
-    except AttributeError:
-        pass
-    sig = tuple((ip, bdigest(d.rt)) for ip, d in net_data(state).items())
-    try:
-        object.__setattr__(state, "_rtsig", sig)
-    except (AttributeError, TypeError):
-        pass
+    cache = state.__dict__
+    sig = cache.get("_rtsig")
+    if sig is None:
+        sig = cache["_rtsig"] = tuple(
+            (ip, bdigest(d.rt)) for ip, d in net_data(state).items())
     return sig
 
 
@@ -232,17 +228,12 @@ def _changed_data(state, target, out):
 
 
 def _changed_pairs(state, rich, target) -> list:
-    try:
-        return rich._chg
-    except AttributeError:
-        pass
-    out: list = []
-    _changed_data(state, target, out)
-    out.sort(key=lambda item: item[0])
-    try:
-        object.__setattr__(rich, "_chg", out)
-    except (AttributeError, TypeError):
-        pass
+    cache = rich.__dict__
+    out = cache.get("_chg")
+    if out is None:
+        out = cache["_chg"] = []
+        _changed_data(state, target, out)
+        out.sort(key=lambda item: item[0])
     return out
 
 

@@ -121,15 +121,11 @@ def net_data(state) -> dict:
     The result is cached on the state object (monitors ask for it many
     times per state) and must be treated as read-only.
     """
-    try:
-        return state._ndata
-    except AttributeError:
-        pass
-    d = {ip: proc_state(n).data for ip, n in node_states(state).items()}
-    try:
-        object.__setattr__(state, "_ndata", d)
-    except (AttributeError, TypeError):
-        pass
+    cache = state.__dict__
+    d = cache.get("_ndata")
+    if d is None:
+        d = cache["_ndata"] = {ip: proc_state(n).data
+                               for ip, n in node_states(state).items()}
     return d
 
 

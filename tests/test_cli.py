@@ -207,3 +207,28 @@ def test_variant_option_keeps_the_scenario_mutations(tmp_path, capsys):
     assert code == EXIT_VIOLATION
     assert "(variant fwd-rrep)" in out.out
     assert json.loads(cx.read_text())["variant"] == "fwd-rrep"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["explore", "simulate", "graph"])
+def test_closed_stdout_ends_quietly(command, unbuffered):
+    # The read end is closed before the run writes anything, so every
+    # write to stdout, or the flush at exit, meets a broken pipe.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "aodvcheck.cli", command,
+             os.path.join(SCENARIOS, "pair2.json")],
+            stdout=w, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=300)
+    finally:
+        os.close(w)
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    assert done.returncode == 1

@@ -5,13 +5,14 @@ full canonical keys; the engine under test keeps only digests and
 parent pointers, so agreement here exercises the whole compression
 scheme.
 """
+import os
 from dataclasses import replace as dc_replace
 
 import pytest
 
 from aodvcheck.awn import (ConnectA, DisconnectA, ModelError, NetMenu,
                            NewpktA)
-from aodvcheck.canon import digest, value_key
+from aodvcheck.canon import FrozenMap, digest, value_key
 from aodvcheck.explore import (DEFAULT_STATE_CAP, EnvMenu, EnvNet, EnvState,
                                ResourceCapError, check_theorem1, env_menu,
                                explore, invariant, reachable, replay,
@@ -19,7 +20,9 @@ from aodvcheck.explore import (DEFAULT_STATE_CAP, EnvMenu, EnvNet, EnvState,
 from aodvcheck.messages import Newpkt
 from aodvcheck.network import closed_net, net_data, node_states, tree_of
 from aodvcheck.protocol import BASE, build_table
+from aodvcheck.scenario import load_scenario
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIR = tree_of([(1, [2]), (2, [1])])
 
 
@@ -284,6 +287,31 @@ class TestEnvThreading:
         auto = one_shot()
         ((_, env0),) = auto.init
         assert auto.menu_for(env0) is auto.menu_for(env0)
+
+    def test_equal_environments_are_one_object(self):
+        # Injecting at 1 then 2, or at 2 then 1, uses up the same budget.
+        auto = pair_net(env_menu(newpkts=[(1, "x", 2, 1), (2, "y", 1, 1)]))
+        (s0,) = auto.init
+
+        def inject(state, ip):
+            (r,) = [r for r in auto.rich_steps(state)
+                    if isinstance(r.action, NewpktA) and r.action.ip == ip]
+            return r.target
+
+        a = inject(inject(s0, 1), 2)
+        b = inject(inject(s0, 2), 1)
+        assert a[1] == b[1] == EnvState(FrozenMap(), 0)
+        assert a[1] is b[1]
+
+    def test_steps_share_one_object_per_environment_value(self):
+        sc = load_scenario(os.path.join(ROOT, "scenarios", "chain3.json"))
+        auto = EnvNet(closed_net(sc.tree, sc.cfg), sc.env)
+        rep = explore(auto, bound=8, keep_states=True)
+        envs = [r.target[1] for s in rep.state_index.values()
+                for r in auto.rich_steps(s)]
+        envs += [s[1] for s in rep.state_index.values()]
+        assert len(set(envs)) > 2
+        assert len({id(e) for e in envs}) == len(set(envs))
 
 
 class TestTheorem1Driver:
