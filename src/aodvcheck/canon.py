@@ -4,9 +4,11 @@ Every state, message and action in the model can be turned into a nested
 tuple of plain ints/strings (``value_key``) and into a 16-byte structural
 digest (``bdigest``).  Keys make sets and maps of model values sortable
 in a reproducible order and feed the state digests written to trace
-files; structural digests are the explorer's visited-set keys.  Nothing
-here may depend on object identity or on Python's randomized string
-hashing.
+files.  Structural digests identify values everywhere else: the node
+memos, counterexample files (the initial state's digest), and the
+explorer, which numbers the leaves of each state by their digests and
+keys its visited set by those numbers.  Nothing here may depend on
+object identity or on Python's randomized string hashing.
 
 A model value's encoding is defined once, by its fields: a frozen
 dataclass is encoded as its class name followed by the encodings of its

@@ -11,9 +11,16 @@ sorted by canonical key, and each state's successors are taken in the
 order the step functions build them (see :mod:`aodvcheck.awn`), so
 reports and counterexamples are reproducible byte for byte, independent
 of hash seeds.  To keep millions of states affordable, the search
-retains only state digests plus a parent pointer and a branch rank per
-state; counterexample paths are rebuilt afterwards by replaying those
+retains per state only a short key plus its parent's key and a branch
+rank; counterexample paths are rebuilt afterwards by replaying those
 ranks from the initial state.
+
+A state's key is made of run-local numbers of its root parts (see
+``_numbering``): a network state is a tree of subnets over node states,
+and a step renews only one spine of it, so a successor's key costs a
+few dict lookups on subtrees the run has already numbered instead of a
+digest of the whole state.  Leaves are numbered by their ``bdigest``,
+so keys are as exact as digests; the numbers never leave the run.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .awn import (ConnectA, DisconnectA, ModelError, NetMenu, RichStep,
-                  NewpktA)
+                  NewpktA, SubnetS)
 from .canon import EMPTY_MAP, FrozenMap, bdigest, digest, value_key
 from .messages import Newpkt
 from .monitor import state_checks, step_checks
@@ -169,6 +176,7 @@ class ExplorationReport:
     capped: bool = False
     suites: tuple = ()
     counterexamples: tuple = ()
+    # visited key -> state, filled only when ``keep_states``
     state_index: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -201,23 +209,77 @@ def _rank_path(visited, key) -> tuple:
         key = parent
 
 
-def _skey(state) -> bytes:
-    return bdigest(state)
+# A key's numbers are its digits in this radix.  It exceeds any number
+# a run assigns (no run nears 2**40 subtrees), so a key is exact; its
+# low bits are not zero, so every digit reaches the low bits of the
+# key's hash, which a dict probes first.
+_RADIX = (1 << 40) + 0x9E3779B1
+
+
+def _numbering():
+    """A fresh run's key function: a state's root parts' numbers, packed.
+
+    A leaf, any part that is neither a tuple nor a ``SubnetS``, is
+    numbered by its ``bdigest``; a subnet below the root by the pair of
+    its children's numbers.  Numbers count up from 0 in the order the
+    run meets new subtrees, so equal subtrees get equal numbers.  A key
+    packs its numbers into one int in radix ``_RADIX`` (at most 40 bytes
+    for three parts, against 64 for a tuple of them), which is exact
+    because the states of one automaton share one shape.
+
+    Numbers are cached on the subtree objects (every part of an explored
+    state is a dataclass instance), and runs share those objects through
+    automaton memos, so each cached number is tagged with its run's
+    ``tag`` object and any other run's number is ignored.
+    """
+    tag = object()
+    ids: dict = {}   # leaf digest or packed pair of numbers -> number
+
+    def number(x) -> int:
+        d = x.__dict__
+        if d.get("_st") is tag:
+            return d["_sn"]
+        if type(x) is SubnetS:
+            k = number(x.left) * _RADIX + number(x.right)
+        else:
+            k = bdigest(x)
+        n = ids.get(k)
+        if n is None:
+            n = ids[k] = len(ids)
+        d["_sn"] = n
+        d["_st"] = tag
+        return n
+
+    def key(state) -> int:
+        k = 0
+        for part in state if type(state) is tuple else (state,):
+            if type(part) is SubnetS:
+                k = k * _RADIX + number(part.left)
+                k = k * _RADIX + number(part.right)
+            else:
+                k = k * _RADIX + number(part)
+        return k
+
+    return key
 
 
 def _rebuild(auto, inits, visited, anchor_key, extra_rank=None):
-    """Replay the stored ranks to recover a concrete trace."""
+    """Replay the stored ranks to recover a concrete trace.
+
+    Returns the initial state's digest, the steps and the state reached.
+    """
     init_key, ranks = _rank_path(visited, anchor_key)
     if extra_rank is not None:
         ranks.append(extra_rank)
     state = inits[init_key]
+    init_digest = bdigest(state)
     steps = []
     for rank in ranks:
         r = _sorted_steps(auto, state)[rank]
         state = r.target
         steps.append(TraceStep(r.origin, render_action(r.detail), rank,
                                digest(value_key(state))))
-    return init_key, tuple(steps), state
+    return init_digest, tuple(steps), state
 
 
 def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
@@ -233,14 +295,15 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     """
     suites = tuple(n for n, _ in state_suites) + tuple(n for n, _ in step_suites)
     report = ExplorationReport(suites=suites)
-    visited: dict = {}            # digest -> (parent digest | None, branch rank)
-    index = report.state_index    # digest -> state, only when keep_states
+    skey = _numbering()
+    visited: dict = {}            # key -> (parent key | None, branch rank)
+    index = report.state_index    # key -> state, only when keep_states
     pending: list = []            # (suite, kind, witness, anchor key, extra)
-    inits: dict = {}
+    inits: dict = {}              # key -> initial state
 
     frontier = []
     for s in sorted(auto.init, key=value_key):
-        k = _skey(s)
+        k = skey(s)
         if k in visited:
             continue
         visited[k] = (None, None)
@@ -264,7 +327,7 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
                 if allow is not None and not allow(r.action):
                     continue
                 report.transitions += 1
-                tkey = _skey(r.target)
+                tkey = skey(r.target)
                 is_new = tkey not in visited
                 if is_new:
                     if len(visited) >= state_cap:
@@ -361,14 +424,14 @@ def replay(auto, cx: Counterexample):
     """
     start = None
     for s in auto.init:
-        if _skey(s) == cx.init_key:
+        if bdigest(s) == cx.init_key:
             start = s
             break
     if start is None:
         raise ModelError("counterexample initial state not in automaton")
     state = start
     for i, step in enumerate(cx.steps):
-        steps = auto.rich_steps(state)
+        steps = _sorted_steps(auto, state)
         if not (isinstance(step.key, int) and 0 <= step.key < len(steps)):
             raise ModelError(
                 f"counterexample step {i} has no branch of rank {step.key!r}")

@@ -1,9 +1,10 @@
 """Structural digests are pinned byte for byte.
 
-Visited sets, counterexample files (``init_key``) and the node memos are
-keyed by ``bdigest``, so a rewrite of the encoder must reproduce every
-byte.  The hex values below were recorded with the encoder as it stood
-before type dispatch replaced its ``isinstance`` ladder.
+Counterexample files (``init_key``) and the node memos are keyed by
+``bdigest``, and the explorer's visited-set keys number each state's
+leaves by it, so a rewrite of the encoder must reproduce every byte.
+The hex values below were recorded with the encoder as it stood before
+type dispatch replaced its ``isinstance`` ladder.
 """
 import os
 

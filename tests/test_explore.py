@@ -1,9 +1,9 @@
 """Exploration engine: oracle comparison, determinism, caps, replay.
 
 The oracle is a plain dictionary-based breadth-first search keyed by
-full canonical keys; the engine under test keeps only digests and
-parent pointers, so agreement here exercises the whole compression
-scheme.
+full canonical keys; the engine under test keeps only run-local subtree
+numbers and parent pointers, so agreement here exercises the whole
+compression scheme.
 """
 import os
 from dataclasses import replace as dc_replace
@@ -12,7 +12,7 @@ import pytest
 
 from aodvcheck.awn import (ConnectA, DisconnectA, ModelError, NetMenu,
                            NewpktA)
-from aodvcheck.canon import FrozenMap, digest, value_key
+from aodvcheck.canon import FrozenMap, bdigest, digest, value_key
 from aodvcheck.explore import (DEFAULT_STATE_CAP, EnvMenu, EnvNet, EnvState,
                                ResourceCapError, check_theorem1, env_menu,
                                explore, invariant, reachable, replay,
@@ -76,6 +76,41 @@ class TestAgainstOracle:
         states = reachable(auto)
         assert {value_key(s) for s in states} == keys
         assert auto.init <= states
+
+
+def scenario_net(name, table=None) -> EnvNet:
+    sc = load_scenario(os.path.join(ROOT, "scenarios", name))
+    return EnvNet(closed_net(sc.tree, sc.cfg, table), sc.env)
+
+
+class TestStoreExactness:
+    @pytest.mark.parametrize("name,states", [("pair2.json", 4339),
+                                             ("fig1.json", 12938)])
+    def test_keys_count_distinct_states(self, name, states):
+        auto = scenario_net(name)
+        rep = explore(auto, keep_states=True)
+        assert rep.complete
+        reached = rep.state_index.values()
+        assert len({bdigest(s) for s in reached}) == rep.states == states
+        assert len(reachable(auto)) == states
+
+    def test_runs_do_not_share_numbers(self):
+        # Later runs on one automaton meet subtree objects that earlier
+        # runs numbered, since its memos hand out the same node states
+        # again; a shallower first run numbers them in another order
+        # than a fresh run would.  The other automaton shares the table.
+        sc = load_scenario(os.path.join(ROOT, "scenarios", "chain3.json"))
+        table = build_table(sc.cfg)
+        auto = scenario_net("chain3.json", table)
+        other = scenario_net("chain3.json", table)
+        explore(auto, bound=8)
+        runs = [explore(a, bound=10, keep_states=True)
+                for a in (other, auto, auto)]
+        counts = {(r.states, r.transitions, r.depth) for r in runs}
+        assert len(counts) == 1
+        reached = [{bdigest(s) for s in r.state_index.values()}
+                   for r in runs]
+        assert reached[1:] == reached[:1] * 2
 
 
 class TestDeterminism:
