@@ -593,15 +593,39 @@ def _is_newpkt(msg: Any) -> bool:
     return getattr(msg, "is_newpkt", False)
 
 
-# Node step sets are memoized: a node's local state repeats across a huge
-# number of global states, and recomputing its successors means walking
-# process terms and re-evaluating guards every time.  Exploration of a
-# small network touches far fewer distinct (node state, menu) pairs than
-# global states, so a per-automaton cache pays for itself immediately.
+# Step sets are memoized below the root.  A node's local state repeats
+# across a huge number of global states, and so does an inner subnet's:
+# its steps depend only on its own state and the menu its context
+# offers, which is the compositionality the paper's invariants are
+# lifted by.  Exploration of a small network touches far fewer distinct
+# (subtree state, menu) pairs than global states, so a per-automaton
+# cache pays for itself immediately.  The root (the network a
+# ``ClosedAutomaton`` closes) is expanded through the unmemoized body:
+# a search expands each root state exactly once, so a root memo would
+# only keep every expanded state's successors alive.
 _MEMO_CAP = 1 << 20
 
 
-class NodeAutomaton(NetAutomaton):
+class MemoNetAutomaton(NetAutomaton):
+    """A node or subnet layer: ``rich_steps`` memoizes ``_rich_steps``."""
+
+    _steps_memo: dict
+
+    def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
+        mkey = (bdigest(state), menu)
+        hit = self._steps_memo.get(mkey)
+        if hit is not None:
+            return hit
+        out = self._rich_steps(state, menu)
+        if len(self._steps_memo) < _MEMO_CAP:
+            self._steps_memo[mkey] = out
+        return out
+
+    def _rich_steps(self, state, menu: NetMenu) -> tuple:
+        raise NotImplementedError
+
+
+class NodeAutomaton(MemoNetAutomaton):
     def __init__(self, ip: int, inner: Automaton, nbrs: frozenset):
         if ip in nbrs:
             raise ModelError(f"node {ip} lists itself as neighbour")
@@ -611,16 +635,6 @@ class NodeAutomaton(NetAutomaton):
         self.init = frozenset(NodeS(ip, i, frozenset(nbrs)) for i in inner.init)
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
-
-    def rich_steps(self, state: NodeS, menu: NetMenu = EMPTY_MENU) -> tuple:
-        mkey = (bdigest(state), menu)
-        hit = self._steps_memo.get(mkey)
-        if hit is not None:
-            return hit
-        out = self._rich_steps(state, menu)
-        if len(self._steps_memo) < _MEMO_CAP:
-            self._steps_memo[mkey] = out
-        return out
 
     def _rich_steps(self, state: NodeS, menu: NetMenu) -> tuple:
         ip = state.ip
@@ -700,7 +714,7 @@ class NodeAutomaton(NetAutomaton):
         return out
 
 
-class SubnetAutomaton(NetAutomaton):
+class SubnetAutomaton(MemoNetAutomaton):
     def __init__(self, left: NetAutomaton, right: NetAutomaton):
         if left.addresses & right.addresses:
             raise ModelError("subnets share addresses")
@@ -710,9 +724,10 @@ class SubnetAutomaton(NetAutomaton):
         self.init = frozenset(
             SubnetS(l, r) for l in left.init for r in right.init
         )
+        self._steps_memo: dict = {}
         self._cast_memo: dict = {}
 
-    def rich_steps(self, state: SubnetS, menu: NetMenu = EMPTY_MENU) -> tuple:
+    def _rich_steps(self, state: SubnetS, menu: NetMenu) -> tuple:
         lsteps = self.left.rich_steps(state.left, menu)
         rsteps = self.right.rich_steps(state.right, menu)
         out: list[RichStep] = []
@@ -773,18 +788,25 @@ class SubnetAutomaton(NetAutomaton):
 
 
 class ClosedAutomaton(NetAutomaton):
-    """Top layer: casts become internal, arrivals are forbidden."""
+    """Top layer: casts become internal, arrivals are forbidden.
 
-    def __init__(self, net: NetAutomaton):
+    The network below is the root of the tree, so its steps are taken
+    from its unmemoized body (see ``_MEMO_CAP``).
+    """
+
+    def __init__(self, net: MemoNetAutomaton):
         self.net = net
         self.addresses = net.addresses
         self.init = net.init
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
-        # with no messages on offer no node can emit an arrival
-        inner_menu = NetMenu((), menu.newpkts, menu.links)
+        # with no messages on offer no node can emit an arrival; a menu
+        # that offers none is passed on as it is, so that the memo keys
+        # below share it
+        if menu.messages:
+            menu = NetMenu((), menu.newpkts, menu.links)
         out = []
-        for r in self.net.rich_steps(state, inner_menu):
+        for r in self.net._rich_steps(state, menu):
             if isinstance(r.action, CastA):
                 out.append(RichStep(r.origin, r.detail, TAU, r.target))
             else:

@@ -23,9 +23,10 @@ table of encoders, filled the first time each class is seen: one for
 primitives and ``None`` (a bool encodes by ``repr``, apart from the int
 of the same value), one each for tuples and sets, the ``FrozenMap`` hook,
 and per dataclass an encoder of its hook or of its compared fields that
-reads and writes the digest in the instance's ``_bdg`` slot of
-``__dict__``.  A class with no encoding raises ``TypeError`` when first
-met.
+caches the digest on the instance as its ``_bdg`` attribute, read with
+``getattr`` and set with ``object.__setattr__`` so that no instance is
+given a ``__dict__`` of its own.  A class with no encoding raises
+``TypeError`` when first met.
 """
 from __future__ import annotations
 
@@ -166,6 +167,13 @@ def digest(x: Any) -> str:
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
 
 
+# Values cached on frozen instances are set past their ``__setattr__``
+# with this, and read back with ``getattr``.  Touching ``x.__dict__``
+# instead would give every such instance a dict of its own, where
+# CPython otherwise keeps its attributes in the object itself.
+cache_attr = object.__setattr__
+
+
 def _hd(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()[:16]
 
@@ -199,22 +207,16 @@ def _set_digest(x) -> bytes:
 def _dataclass_digest(cls: type):
     """Encoder of a dataclass: its hook or its fields, cached in ``_bdg``."""
     hook = getattr(cls, "canon_digest", None)
-    if hook is not None:
-        def encode(x) -> bytes:
-            d = x.__dict__
-            b = d.get("_bdg")
-            if b is None:
-                b = d["_bdg"] = hook(x)
-            return b
-    else:
+    if hook is None:
         _, tag, get = _shape(cls)
+        hook = lambda x: struct_digest(tag, get(x))
 
-        def encode(x) -> bytes:
-            d = x.__dict__
-            b = d.get("_bdg")
-            if b is None:
-                b = d["_bdg"] = struct_digest(tag, get(x))
-            return b
+    def encode(x) -> bytes:
+        b = getattr(x, "_bdg", None)
+        if b is None:
+            b = hook(x)
+            cache_attr(x, "_bdg", b)
+        return b
     return encode
 
 

@@ -29,7 +29,8 @@ from typing import Optional
 
 from .awn import (ConnectA, DisconnectA, ModelError, NetMenu, RichStep,
                   NewpktA, SubnetS)
-from .canon import EMPTY_MAP, FrozenMap, bdigest, digest, value_key
+from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, digest,
+                    value_key)
 from .messages import Newpkt
 from .monitor import state_checks, step_checks
 from .network import NetTree, closed_net
@@ -228,17 +229,18 @@ def _numbering():
     because the states of one automaton share one shape.
 
     Numbers are cached on the subtree objects (every part of an explored
-    state is a dataclass instance), and runs share those objects through
-    automaton memos, so each cached number is tagged with its run's
-    ``tag`` object and any other run's number is ignored.
+    state is a dataclass instance), past their frozen ``__setattr__`` and
+    without touching their ``__dict__`` (see ``canon.cache_attr``).  Runs
+    share those objects through automaton memos, so each cached number
+    is tagged with its run's ``tag`` object and any other run's number
+    is ignored.
     """
     tag = object()
     ids: dict = {}   # leaf digest or packed pair of numbers -> number
 
     def number(x) -> int:
-        d = x.__dict__
-        if d.get("_st") is tag:
-            return d["_sn"]
+        if getattr(x, "_st", None) is tag:
+            return x._sn
         if type(x) is SubnetS:
             k = number(x.left) * _RADIX + number(x.right)
         else:
@@ -246,8 +248,8 @@ def _numbering():
         n = ids.get(k)
         if n is None:
             n = ids[k] = len(ids)
-        d["_sn"] = n
-        d["_st"] = tag
+        cache_attr(x, "_sn", n)
+        cache_attr(x, "_st", tag)
         return n
 
     def key(state) -> int:

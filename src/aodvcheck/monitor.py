@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .awn import CastA, ProcessTable, Receive, SubnetS, subterms
-from .canon import bdigest
+from .canon import bdigest, cache_attr
 from .messages import Rerr
 from .network import GlobalView, net_data, node_states, proc_state
 from .routing import (VALID, known_dests, net_seqno, next_hop,
@@ -111,27 +111,39 @@ def loop_free(sigma: GlobalView, nodes) -> Verdict:
 # ---------------------------------------------------------------------------
 # state suites
 
-# Routing-table suites are memoized on the tuple of per-node table
-# digests: most transitions shuffle queues or scratch variables without
-# touching any routing table, so the vast majority of states share their
-# verdict with an already-checked sibling.
+# Routing-table suites are memoized on a signature of the routing
+# tables: (address, table digest) per node, in tree order.  Most
+# transitions shuffle queues or scratch variables without touching any
+# routing table, so the vast majority of states share their verdict with
+# an already-checked sibling.  A signature is the concatenation of its
+# subtrees' signatures, each cached on its node or inner subnet state;
+# the step memos share those objects among many global states, so a
+# root state's signature costs one concatenation, and is not kept.
 _MISSING = object()
 _MEMO_CAP = 1 << 20
 _rt_verdicts: dict = {}
 
 
-def _rt_sig(state) -> tuple:
-    cache = state.__dict__
-    sig = cache.get("_rtsig")
+def _sub_sig(x) -> tuple:
+    sig = getattr(x, "_rts", None)
     if sig is None:
-        sig = cache["_rtsig"] = tuple(
-            (ip, bdigest(d.rt)) for ip, d in net_data(state).items())
+        if type(x) is SubnetS:
+            sig = _sub_sig(x.left) + _sub_sig(x.right)
+        else:
+            sig = (x.ip, bdigest(proc_state(x).data.rt))
+        cache_attr(x, "_rts", sig)
     return sig
+
+
+def _rt_sig(state) -> tuple:
+    if type(state) is SubnetS:
+        return _sub_sig(state.left) + _sub_sig(state.right)
+    return _sub_sig(state)
 
 
 def _rt_cached(tag: str, raw):
     def check(state, table):
-        sig = (tag,) + _rt_sig(state)
+        sig = (tag, _rt_sig(state))
         w = _rt_verdicts.get(sig, _MISSING)
         if w is _MISSING:
             w = raw(state, table)
@@ -228,12 +240,12 @@ def _changed_data(state, target, out):
 
 
 def _changed_pairs(state, rich, target) -> list:
-    cache = rich.__dict__
-    out = cache.get("_chg")
+    out = getattr(rich, "_chg", None)
     if out is None:
-        out = cache["_chg"] = []
+        out = []
         _changed_data(state, target, out)
         out.sort(key=lambda item: item[0])
+        cache_attr(rich, "_chg", out)
     return out
 
 

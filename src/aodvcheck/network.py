@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .awn import (Automaton, ModelError, NetAutomaton, NodeS, ProcState,
                   SeqAutomaton, SubnetS, closed, network_node, parallel,
                   subnet)
+from .canon import cache_attr
 from .protocol import BASE, VariantConfig, aodv_init, build_table, queue_table
 
 
@@ -121,11 +122,10 @@ def net_data(state) -> dict:
     The result is cached on the state object (monitors ask for it many
     times per state) and must be treated as read-only.
     """
-    cache = state.__dict__
-    d = cache.get("_ndata")
+    d = getattr(state, "_ndata", None)
     if d is None:
-        d = cache["_ndata"] = {ip: proc_state(n).data
-                               for ip, n in node_states(state).items()}
+        d = {ip: proc_state(n).data for ip, n in node_states(state).items()}
+        cache_attr(state, "_ndata", d)
     return d
 
 

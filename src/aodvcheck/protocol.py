@@ -509,8 +509,13 @@ def build_table(cfg: VariantConfig = BASE) -> ProcessTable:
                          for name, body in bodies.items()})
 
 
+@cache
 def queue_table() -> ProcessTable:
     """First-in-first-out message queue between the network and the protocol.
+
+    The table is built once: queue states compare their control terms by
+    identity, so every network must share one queue table for equal
+    states of two automata to compare equal.
 
     While waiting to hand the head message over, the queue still accepts
     arrivals; without that alternative two nodes whose queues are both

@@ -108,9 +108,23 @@ class TestStoreExactness:
                 for a in (other, auto, auto)]
         counts = {(r.states, r.transitions, r.depth) for r in runs}
         assert len(counts) == 1
-        reached = [{bdigest(s) for s in r.state_index.values()}
-                   for r in runs]
+        reached = [set(r.state_index.values()) for r in runs]
         assert reached[1:] == reached[:1] * 2
+
+
+class TestStepMemos:
+    def test_inner_subnets_memoize_and_the_root_does_not(self):
+        # chain3 is node 1 beside the subnet of nodes 2 and 3; each root
+        # state is expanded once, while inner states repeat
+        auto = scenario_net("chain3.json")
+        root = auto.net.net
+        inner = root.right
+        calls = []
+        steps = inner.rich_steps
+        inner.rich_steps = lambda s, m: calls.append(1) or steps(s, m)
+        explore(auto, bound=12)
+        assert root._steps_memo == {}
+        assert 0 < len(inner._steps_memo) < len(calls)
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ from aodvcheck.network import (GlobalView, Node, Par, build_net, closed_net,
                                lift_global, net_data, node_states, proc_state,
                                queue_contents, tree_addresses, tree_nodes,
                                tree_of, well_formed)
-from aodvcheck.protocol import aodv_init
+from aodvcheck.protocol import BASE, aodv_init, build_table
 
 
 def single_init(auto):
@@ -78,6 +78,14 @@ class TestAssembly:
         s = single_init(auto)
         assert isinstance(s, NodeS)
         assert node_states(s) == {5: s}
+
+    def test_builds_over_one_table_have_equal_initial_states(self):
+        # queue states compare their control terms by identity, so two
+        # builds must share one queue table for their states to be equal
+        tree = tree_of([(1, [2]), (2, [1, 3]), (3, [2])])
+        table = build_table(BASE)
+        a, b = closed_net(tree, BASE, table), closed_net(tree, BASE, table)
+        assert a.init == b.init
 
     def test_addresses_exported(self):
         auto = closed_net(tree_of([(1, [2]), (2, [1, 3]), (3, [2])]))
