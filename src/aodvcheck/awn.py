@@ -13,19 +13,30 @@ The model is layered the way wireless protocol algebras usually are:
   5. a closed network, which internalizes casts and forbids stray
      arrivals.
 
-States at every layer are immutable values; each ``steps`` function is a
-pure map from a state (plus a finite environment menu) to a tuple of
-(action, successor) pairs, listed in the order the rules build them:
-choice branches left to right, the protocol before its queue, the left
-subnet before the right, and menu entries in menu order.  A pair the
-rules build twice is kept once, at its first position.  The tuple is
-thus the semantics' step set in an order that depends on no hash seed
+States at every layer are immutable values.  The process layers' ``steps``
+map a state (plus a finite environment menu) to a tuple of (action,
+successor) pairs; the network layers' ``rich_steps`` map it to a tuple of
+``RichStep`` records, which add the acting node and the action's
+informative shape.  Either tuple lists steps in the order the rules build
+them: choice branches left to right, the protocol before its queue, the
+left subnet before the right, and menu entries in menu order.  A step the
+process rules build twice is kept once, at its first position.  The tuple
+is thus the semantics' step set in an order that depends on no hash seed
 and no object identity.
+
+The composition rules of the network layers are written once, in the
+node's and the subnet's ``_rich_steps``.  These take a record builder,
+called as ``build(origin, detail, action, target)`` for each step they
+compose; below the root it is ``RichStep`` itself.  The layers above the
+root hand theirs down instead of copying the records they get back: the
+closed network passes one that relabels casts as Tau, and an explorer's
+environment wrapper one that also pairs each target with its environment
+successor, so each step of the closed system is built exactly once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .canon import EMPTY_MAP, FrozenMap, bdigest, struct_digest, value_key
 
@@ -541,14 +552,14 @@ class SubnetS:
     right: Any
 
 
-@dataclass(frozen=True)
-class RichStep:
+class RichStep(NamedTuple):
     """A network transition with provenance for traces and drivers.
 
     ``action`` is the action visible at this layer; ``detail`` keeps the
     informative shape (for instance the Cast that a closed network
     reports as Tau) and ``origin`` the address of the acting node, when
-    there is one.
+    there is one.  A record is a tuple, so it is never changed once
+    built, and the composition rules unpack it as one.
     """
 
     origin: Optional[int]
@@ -605,6 +616,9 @@ def _is_newpkt(msg: Any) -> bool:
 # only keep every expanded state's successors alive.
 _MEMO_CAP = 1 << 20
 
+# actions of one side of a subnet that the other side takes no part in
+_LOCAL = (TauA, DeliverAtA, NewpktA)
+
 
 class MemoNetAutomaton(NetAutomaton):
     """A node or subnet layer: ``rich_steps`` memoizes ``_rich_steps``."""
@@ -621,7 +635,7 @@ class MemoNetAutomaton(NetAutomaton):
             self._steps_memo[mkey] = out
         return out
 
-    def _rich_steps(self, state, menu: NetMenu) -> tuple:
+    def _rich_steps(self, state, menu: NetMenu, build=RichStep) -> tuple:
         raise NotImplementedError
 
 
@@ -636,14 +650,15 @@ class NodeAutomaton(MemoNetAutomaton):
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
 
-    def _rich_steps(self, state: NodeS, menu: NetMenu) -> tuple:
+    def _rich_steps(self, state: NodeS, menu: NetMenu,
+                    build=RichStep) -> tuple:
         ip = state.ip
         local_new = menu.newpkts.get(ip, ())
         inner_menu = (*menu.messages, *local_new)
-        out: list[RichStep] = []
+        out: list = []
 
         def emit(origin, detail, action, target):
-            out.append(RichStep(origin, detail, action, target))
+            out.append(build(origin, detail, action, target))
 
         for a, inner2 in self.inner.steps(state.inner, inner_menu):
             nxt = NodeS(ip, inner2, state.nbrs)
@@ -727,47 +742,44 @@ class SubnetAutomaton(MemoNetAutomaton):
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
 
-    def _rich_steps(self, state: SubnetS, menu: NetMenu) -> tuple:
-        lsteps = self.left.rich_steps(state.left, menu)
-        rsteps = self.right.rich_steps(state.right, menu)
-        out: list[RichStep] = []
+    def _rich_steps(self, state: SubnetS, menu: NetMenu,
+                    build=RichStep) -> tuple:
+        left, right = state.left, state.right
+        lsteps = self.left.rich_steps(left, menu)
+        rsteps = self.right.rich_steps(right, menu)
+        out: list = []
+        add = out.append
 
-        def one_side(steps, other_auto, other_state, put):
-            for r in steps:
-                if isinstance(r.action, (TauA, DeliverAtA, NewpktA)):
-                    out.append(
-                        RichStep(r.origin, r.detail, r.action, put(r.target, other_state))
-                    )
-                elif isinstance(r.action, CastA):
-                    for other2 in other_auto.cast_delivery(
-                        other_state, r.action.msg, r.action.dests
-                    ):
-                        out.append(
-                            RichStep(r.origin, r.detail, r.action, put(r.target, other2))
-                        )
-                # Arrive and Connect/Disconnect are joined below
+        # a local step of one side leaves the other as it is; a cast by
+        # one side must be taken by every in-range node of the other
+        for origin, detail, action, target in lsteps:
+            if isinstance(action, _LOCAL):
+                add(build(origin, detail, action, SubnetS(target, right)))
+            elif type(action) is CastA:
+                for right2 in self.right.cast_delivery(
+                        right, action.msg, action.dests):
+                    add(build(origin, detail, action, SubnetS(target, right2)))
+        for origin, detail, action, target in rsteps:
+            if isinstance(action, _LOCAL):
+                add(build(origin, detail, action, SubnetS(left, target)))
+            elif type(action) is CastA:
+                for left2 in self.left.cast_delivery(
+                        left, action.msg, action.dests):
+                    add(build(origin, detail, action, SubnetS(left2, target)))
 
-        one_side(lsteps, self.right, state.right, lambda mine, other: SubnetS(mine, other))
-        one_side(rsteps, self.left, state.left, lambda mine, other: SubnetS(other, mine))
-
-        for rl in lsteps:
-            al = rl.action
-            if isinstance(al, ArriveA):
-                for rr in rsteps:
-                    ar = rr.action
-                    if isinstance(ar, ArriveA) and ar.msg == al.msg:
+        # arrivals and topology changes are taken by both sides together
+        for _, _, al, ltarget in lsteps:
+            if type(al) is ArriveA:
+                for _, _, ar, rtarget in rsteps:
+                    if type(ar) is ArriveA and ar.msg == al.msg:
                         act = ArriveA(
                             al.heard | ar.heard, al.missed | ar.missed, al.msg
                         )
-                        out.append(
-                            RichStep(None, act, act, SubnetS(rl.target, rr.target))
-                        )
+                        add(build(None, act, act, SubnetS(ltarget, rtarget)))
             elif isinstance(al, (ConnectA, DisconnectA)):
-                for rr in rsteps:
-                    if rr.action == al:
-                        out.append(
-                            RichStep(None, al, al, SubnetS(rl.target, rr.target))
-                        )
+                for _, _, ar, rtarget in rsteps:
+                    if ar == al:
+                        add(build(None, al, al, SubnetS(ltarget, rtarget)))
         return tuple(out)
 
     def cast_delivery(self, state: SubnetS, msg, dests: frozenset) -> tuple:
@@ -791,7 +803,10 @@ class ClosedAutomaton(NetAutomaton):
     """Top layer: casts become internal, arrivals are forbidden.
 
     The network below is the root of the tree, so its steps are taken
-    from its unmemoized body (see ``_MEMO_CAP``).
+    from its unmemoized body (see ``_MEMO_CAP``), which builds each
+    record with ``build`` after relabelling casts as Tau.  A caller that
+    wraps the closed network passes its own ``build`` here instead of
+    rebuilding the records it gets back.
     """
 
     def __init__(self, net: MemoNetAutomaton):
@@ -799,19 +814,20 @@ class ClosedAutomaton(NetAutomaton):
         self.addresses = net.addresses
         self.init = net.init
 
-    def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
+    def rich_steps(self, state, menu: NetMenu = EMPTY_MENU,
+                   build=RichStep) -> tuple:
         # with no messages on offer no node can emit an arrival; a menu
         # that offers none is passed on as it is, so that the memo keys
         # below share it
         if menu.messages:
             menu = NetMenu((), menu.newpkts, menu.links)
-        out = []
-        for r in self.net._rich_steps(state, menu):
-            if isinstance(r.action, CastA):
-                out.append(RichStep(r.origin, r.detail, TAU, r.target))
-            else:
-                out.append(r)
-        return tuple(out)
+
+        def close(origin, detail, action, target):
+            if type(action) is CastA:
+                action = TAU
+            return build(origin, detail, action, target)
+
+        return self.net._rich_steps(state, menu, close)
 
 
 def network_node(ip: int, inner: Automaton, nbrs: frozenset) -> NodeAutomaton:

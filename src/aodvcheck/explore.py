@@ -85,6 +85,12 @@ class EnvState:
 class EnvNet:
     """A closed network paired with its finite environment.
 
+    A state is a pair ``(network state, EnvState)``.  Its steps are the
+    closed network's, each record built once, by a builder handed down
+    to the closed layer that pairs the step's target with the
+    environment's successor: the same ``EnvState`` unless the step is an
+    injection or a link event.
+
     Environment states are interned: the successor of an environment
     state under an injection or a link event is computed once per
     (state, action) pair and shared, so every explored state holds one
@@ -135,15 +141,19 @@ class EnvNet:
 
     def rich_steps(self, state) -> tuple:
         net_s, env_s = state
-        out = []
-        for r in self.net.rich_steps(net_s, self.menu_for(env_s)):
-            if isinstance(r.action, (NewpktA, ConnectA, DisconnectA)):
-                env2 = self._env_after(env_s, r.action)
-            else:
-                env2 = env_s
-            out.append(RichStep(r.origin, r.detail, r.action,
-                                (r.target, env2)))
-        return tuple(out)
+        after = self._env_after
+
+        def attach(origin, detail, action, target):
+            if isinstance(action, _ENV_ACTIONS):
+                return RichStep(origin, detail, action,
+                                (target, after(env_s, action)))
+            return RichStep(origin, detail, action, (target, env_s))
+
+        return self.net.rich_steps(net_s, self.menu_for(env_s), attach)
+
+
+# the actions that consume the environment's menu
+_ENV_ACTIONS = (NewpktA, ConnectA, DisconnectA)
 
 
 @dataclass(frozen=True)
@@ -156,6 +166,16 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A path from an initial state to a state or step that fails a suite.
+
+    The explorer makes counterexamples pending: each knows the branch
+    ranks of its path, and so its ``depth``, and replays them into
+    ``steps`` and ``digest`` the first time either is read, since a
+    caller usually reports only the shortest of several.  A pending
+    counterexample compares, hashes and prints like one built with every
+    field given; until it is replayed it keeps its automaton alive.
+    """
+
     suite: str
     kind: str        # "state" or "step"
     witness: tuple
@@ -163,9 +183,32 @@ class Counterexample:
     steps: tuple     # TraceStep path from the initial state
     digest: str      # digest of the violating (target) state
 
+    @classmethod
+    def _pending(cls, suite, kind, witness, init_key, ranks, replay):
+        """One whose steps and digest ``replay()`` returns on demand."""
+        cx = object.__new__(cls)
+        for name, value in (("suite", suite), ("kind", kind),
+                            ("witness", witness), ("init_key", init_key),
+                            ("_ranks", ranks), ("_replay", replay)):
+            cache_attr(cx, name, value)
+        return cx
+
+    def __getattr__(self, name):
+        # Only reached for an attribute the instance lacks, that is the
+        # steps and digest of a pending counterexample before its replay.
+        replay = self.__dict__.get("_replay")
+        if replay is None or name not in ("steps", "digest"):
+            raise AttributeError(name)
+        steps, dg = replay()
+        cache_attr(self, "steps", steps)
+        cache_attr(self, "digest", dg)
+        del self.__dict__["_replay"]
+        return self.__dict__[name]
+
     @property
     def depth(self) -> int:
-        return len(self.steps)
+        ranks = self.__dict__.get("_ranks")
+        return len(self.steps) if ranks is None else len(ranks)
 
 
 @dataclass
@@ -265,23 +308,18 @@ def _numbering():
     return key
 
 
-def _rebuild(auto, inits, visited, anchor_key, extra_rank=None):
-    """Replay the stored ranks to recover a concrete trace.
+def _rebuild(auto, state, ranks) -> tuple:
+    """Replay ``ranks`` from ``state`` to recover a concrete trace.
 
-    Returns the initial state's digest, the steps and the state reached.
+    Returns the steps and the digest of the state reached.
     """
-    init_key, ranks = _rank_path(visited, anchor_key)
-    if extra_rank is not None:
-        ranks.append(extra_rank)
-    state = inits[init_key]
-    init_digest = bdigest(state)
     steps = []
     for rank in ranks:
         r = _sorted_steps(auto, state)[rank]
         state = r.target
         steps.append(TraceStep(r.origin, render_action(r.detail), rank,
                                digest(value_key(state))))
-    return init_digest, tuple(steps), state
+    return tuple(steps), digest(value_key(state))
 
 
 def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
@@ -364,11 +402,17 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
 
 
 def _finish(auto, inits, visited, pending) -> tuple:
+    """Pending counterexamples (see ``Counterexample``) for ``pending``."""
     out = []
     for suite, kind, witness, anchor, extra in pending:
-        init_key, steps, state = _rebuild(auto, inits, visited, anchor, extra)
-        out.append(Counterexample(suite, kind, witness, init_key, steps,
-                                  digest(value_key(state))))
+        init_key, ranks = _rank_path(visited, anchor)
+        if extra is not None:
+            ranks.append(extra)
+        init = inits[init_key]
+        ranks = tuple(ranks)
+        out.append(Counterexample._pending(
+            suite, kind, witness, bdigest(init), ranks,
+            lambda init=init, ranks=ranks: _rebuild(auto, init, ranks)))
     return tuple(out)
 
 
@@ -403,15 +447,14 @@ def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
     """Explore a closed network under ``env`` and check the full suite.
 
     The explored states carry the environment alongside the network;
-    the monitor checks see only the network part.
+    the monitor checks take such states as they are and look only at
+    the network part.
     """
     if table is None:
         table = build_table(cfg)
     auto = EnvNet(closed_net(tree, cfg, table), env)
-    sc = [(n, (lambda s, f=f: f(s[0]))) for n, f in state_checks(table, suites)]
-    tc = [(n, (lambda s, r, t, f=f: f(s[0], r, t[0])))
-          for n, f in step_checks(table, suites)]
-    return explore(auto, state_suites=sc, step_suites=tc,
+    return explore(auto, state_suites=state_checks(table, suites),
+                   step_suites=step_checks(table, suites),
                    bound=bound, state_cap=state_cap,
                    stop_on_violation=stop_on_violation)
 

@@ -19,17 +19,33 @@ Step suites:
 
 Suite checkers return ``None`` when satisfied and a witness tuple of
 plain ints/strings when not, so violations serialize directly into
-trace records.
+trace records.  A check takes a network state, or an explorer state
+``(network, environment)`` as it is, and looks only at the network.
+
+The paper proves invariants of a single node and lifts them to a whole
+network, where such an invariant holds of every node.  dispatch-msg is
+one of these, so it is checked the same way: its verdict is computed
+once per node state and composed up the subnet tree, a subnet failing
+when either child fails, with the witness of lesser address.
+sn-monotone and nsqn-monotone relate one node's data before and after a
+step; they read one shared list of the nodes whose data the step
+changed.  The routing-table suites relate nodes to each other, so they
+are not lifted; they are memoized on per-subtree signatures of the
+tables.  Subtree results are cached on node and inner subnet states,
+which the step memos of ``aodvcheck.awn`` share among many global
+states.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Optional
 
 from .awn import CastA, ProcessTable, Receive, SubnetS, subterms
 from .canon import bdigest, cache_attr
 from .messages import Rerr
-from .network import GlobalView, net_data, node_states, proc_state
+from .network import GlobalView, net_data, proc_state
 from .routing import (VALID, known_dests, net_seqno, next_hop,
                       strictly_fresher, valid_dests)
 
@@ -111,6 +127,15 @@ def loop_free(sigma: GlobalView, nodes) -> Verdict:
 # ---------------------------------------------------------------------------
 # state suites
 
+def _net(state):
+    """The network part of an explorer state ``(network, environment)``.
+
+    Suites take a network state or an explorer state alike; a network
+    state is a node or a subnet, never a tuple.
+    """
+    return state[0] if type(state) is tuple else state
+
+
 # Routing-table suites are memoized on a signature of the routing
 # tables: (address, table digest) per node, in tree order.  Most
 # transitions shuffle queues or scratch variables without touching any
@@ -142,11 +167,12 @@ def _rt_sig(state) -> tuple:
 
 
 def _rt_cached(tag: str, raw):
-    def check(state, table):
+    def check(table, state):
+        state = _net(state)
         sig = (tag, _rt_sig(state))
         w = _rt_verdicts.get(sig, _MISSING)
         if w is _MISSING:
-            w = raw(state, table)
+            w = raw(state)
             if len(_rt_verdicts) < _MEMO_CAP:
                 _rt_verdicts[sig] = w
         return w
@@ -155,7 +181,7 @@ def _rt_cached(tag: str, raw):
     return check
 
 
-def _check_hop_positivity(state, table):
+def _check_hop_positivity(state):
     for ip, d in sorted(net_data(state).items()):
         for dip in sorted(d.rt):
             if d.rt[dip].hops < 1:
@@ -163,7 +189,7 @@ def _check_hop_positivity(state, table):
     return None
 
 
-def _check_quality(state, table):
+def _check_quality(state):
     sigma = GlobalView(net_data(state))
     for ip in sigma.addresses():
         rt = sigma[ip].rt
@@ -181,7 +207,7 @@ def _check_quality(state, table):
     return None
 
 
-def _check_loop_freedom(state, table):
+def _check_loop_freedom(state):
     sigma = GlobalView(net_data(state))
     verdict = loop_free(sigma, sigma.addresses())
     return None if verdict.holds else verdict.witness
@@ -199,27 +225,48 @@ def dispatch_locations(table: ProcessTable) -> frozenset:
     raise SuiteError("main loop has no receive branch")
 
 
-def _check_dispatch_msg(state, table):
-    locs = dispatch_locations(table)
-    memo = table.__dict__.setdefault("_dispatch_memo", {})
-    for ip, node in sorted(node_states(state).items()):
-        proc = proc_state(node)
-        key = bdigest(proc)
-        lbl = memo.get(key, _MISSING)
-        if lbl is _MISSING:
-            here = table.labels(proc.term)
-            lbl = None
-            if (here & locs) and proc.data.msg is None:
-                lbl = min(str(l) for l in here & locs)
-            if len(memo) < _MEMO_CAP:
-                memo[key] = lbl
-        if lbl is not None:
-            return (ip, lbl)
-    return None
+# dispatch-msg is lifted from nodes to subnets (see the module
+# docstring).  A node's verdict is a function of its state alone, since
+# its process state carries its table, so verdicts are cached on node
+# and inner subnet states; a root state's is not kept, as the search
+# meets each root state once.
+
+
+def _least(a, b):
+    """The witness of lesser address, or the one that is not None."""
+    if a is None:
+        return b
+    if b is None or a[0] < b[0]:
+        return a
+    return b
+
+
+def _dispatch_verdict(x):
+    w = getattr(x, "_dsp", _MISSING)
+    if w is _MISSING:
+        if type(x) is SubnetS:
+            w = _least(_dispatch_verdict(x.left), _dispatch_verdict(x.right))
+        else:
+            proc = proc_state(x)
+            table = proc.table
+            here = table.labels(proc.term) & dispatch_locations(table)
+            w = None
+            if here and proc.data.msg is None:
+                w = (x.ip, min(str(l) for l in here))
+        cache_attr(x, "_dsp", w)
+    return w
+
+
+def _check_dispatch_msg(table, state):
+    state = _net(state)
+    if type(state) is SubnetS:
+        return _least(_dispatch_verdict(state.left),
+                      _dispatch_verdict(state.right))
+    return _dispatch_verdict(state)
 
 
 # ---------------------------------------------------------------------------
-# step suites; each sees (state, rich_step, successor state)
+# step suites; each sees (change list, state, rich_step, successor state)
 
 
 def _changed_data(state, target, out):
@@ -230,7 +277,7 @@ def _changed_data(state, target, out):
     """
     if state is target:
         return
-    if isinstance(state, SubnetS):
+    if type(state) is SubnetS:
         _changed_data(state.left, target.left, out)
         _changed_data(state.right, target.right, out)
         return
@@ -239,25 +286,37 @@ def _changed_data(state, target, out):
         out.append((state.ip, b, a))
 
 
-def _changed_pairs(state, rich, target) -> list:
-    out = getattr(rich, "_chg", None)
-    if out is None:
+def _change_list():
+    """A run's change list: (ip, before, after) data records, by address.
+
+    The node-data suites share the list of one transition: it is made by
+    the first of them to ask and kept, with the step it was made for,
+    until another step is checked.  Holding the step and its source
+    keeps them alive, so their identities cannot be reused meanwhile.
+    """
+    last = [None, None, None]   # source state, step, its change list
+
+    def changed(state, rich, target) -> list:
+        if last[1] is rich and last[0] is state:
+            return last[2]
         out = []
-        _changed_data(state, target, out)
-        out.sort(key=lambda item: item[0])
-        cache_attr(rich, "_chg", out)
-    return out
+        _changed_data(_net(state), _net(target), out)
+        out.sort(key=itemgetter(0))
+        last[:] = state, rich, out
+        return out
+
+    return changed
 
 
-def _check_sn_monotone(state, rich, target):
-    for ip, b, a in _changed_pairs(state, rich, target):
+def _check_sn_monotone(changed, state, rich, target):
+    for ip, b, a in changed(state, rich, target):
         if a.sn < b.sn:
             return (ip, b.sn, a.sn)
     return None
 
 
-def _check_nsqn_monotone(state, rich, target):
-    for ip, b, a in _changed_pairs(state, rich, target):
+def _check_nsqn_monotone(changed, state, rich, target):
+    for ip, b, a in changed(state, rich, target):
         rt0, rt1 = b.rt, a.rt
         if rt1 is rt0:
             continue
@@ -267,7 +326,7 @@ def _check_nsqn_monotone(state, rich, target):
     return None
 
 
-def _check_rerr_grounded(state, rich, target):
+def _check_rerr_grounded(changed, state, rich, target):
     a = rich.detail
     if isinstance(a, CastA) and isinstance(a.msg, Rerr):
         if a.dests and not a.msg.dests:
@@ -315,14 +374,24 @@ def split_suites(names=None) -> tuple:
 
 
 def state_checks(table: ProcessTable, names=None):
-    """Ordered (name, state -> witness|None) pairs for the given suites."""
+    """Ordered (name, state -> witness|None) pairs for the given suites.
+
+    A check takes a network state or an explorer state ``(network,
+    environment)``.
+    """
     picked = split_suites(names)[0]
-    return [(n, (lambda s, f=STATE_SUITES[n]: f(s, table))) for n in picked]
+    return [(n, partial(STATE_SUITES[n], table)) for n in picked]
 
 
 def step_checks(table: ProcessTable, names=None):
+    """Ordered (name, (state, step, target) -> witness|None) pairs.
+
+    The checks of one call share one change list (see ``_change_list``),
+    so each call's checks belong to one run.
+    """
     picked = split_suites(names)[1]
-    return [(n, STEP_SUITES[n]) for n in picked]
+    changed = _change_list()
+    return [(n, partial(STEP_SUITES[n], changed)) for n in picked]
 
 
 def check_state_invariants(state, table: ProcessTable, names=None) -> Verdict:

@@ -117,6 +117,19 @@ def test_smallest_numeric_options_are_accepted(tmp_path, capsys):
     assert code == 0 and "steps: 1 " in out.out
 
 
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    runs = [subprocess.run([sys.executable, "-m", module, "explore", pair2],
+                           env=env, capture_output=True, text=True,
+                           timeout=300)
+            for module in ("aodvcheck", "aodvcheck.cli")]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert "states: 4339  transitions: 10086" in runs[0].stdout
+
+
 STALE_PAIR = {
     "nodes": PAIR,
     "mutate": ["accept-stale-update"],

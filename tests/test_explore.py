@@ -5,18 +5,19 @@ full canonical keys; the engine under test keeps only run-local subtree
 numbers and parent pointers, so agreement here exercises the whole
 compression scheme.
 """
+import importlib
 import os
 from dataclasses import replace as dc_replace
 
 import pytest
 
-from aodvcheck.awn import (ConnectA, DisconnectA, ModelError, NetMenu,
+from aodvcheck.awn import (TAU, CastA, ConnectA, DisconnectA, ModelError,
                            NewpktA)
 from aodvcheck.canon import FrozenMap, bdigest, digest, value_key
-from aodvcheck.explore import (DEFAULT_STATE_CAP, EnvMenu, EnvNet, EnvState,
-                               ResourceCapError, check_theorem1, env_menu,
-                               explore, invariant, reachable, replay,
-                               step_invariant)
+from aodvcheck.explore import (DEFAULT_STATE_CAP, Counterexample, EnvMenu,
+                               EnvNet, EnvState, ResourceCapError,
+                               check_theorem1, env_menu, explore, invariant,
+                               reachable, replay, step_invariant)
 from aodvcheck.messages import Newpkt
 from aodvcheck.network import closed_net, net_data, node_states, tree_of
 from aodvcheck.protocol import BASE, build_table
@@ -125,6 +126,93 @@ class TestStepMemos:
         explore(auto, bound=12)
         assert root._steps_memo == {}
         assert 0 < len(inner._steps_memo) < len(calls)
+
+
+def oracle_env_steps(auto, state) -> list:
+    """The explorer's records, rebuilt from the closed network's own.
+
+    Takes the closed layer's records with its default builder, relabels
+    casts as Tau and pairs each target with the environment reached
+    through ``EnvNet._env_after``, one step after another.
+    """
+    net_s, env_s = state
+    out = []
+    for r in auto.net.rich_steps(net_s, auto.menu_for(env_s)):
+        action = TAU if isinstance(r.action, CastA) else r.action
+        env2 = env_s
+        if isinstance(action, (NewpktA, ConnectA, DisconnectA)):
+            env2 = auto._env_after(env_s, action)
+        out.append((r.origin, r.detail, action, (r.target, env2)))
+    return out
+
+
+class TestRootRecords:
+    # pair2_links_stale to depth 58 is every state the command line's
+    # run of it reaches before it stops at its first violation
+    @pytest.mark.parametrize("path,bound,states", [
+        ("bench/scenarios/pair2_links_stale.json", 58, 10829),
+        ("scenarios/chain3.json", 8, 369),
+    ])
+    def test_records_match_the_closed_layer(self, path, bound, states):
+        sc = load_scenario(os.path.join(ROOT, path))
+        auto = EnvNet(closed_net(sc.tree, sc.cfg), sc.env)
+        rep = explore(auto, bound=bound, keep_states=True)
+        assert rep.states == states
+        for state in rep.state_index.values():
+            got = auto.rich_steps(state)
+            want = oracle_env_steps(auto, state)
+            assert len(got) == len(want)
+            for r, w in zip(got, want):
+                assert (r.origin, r.detail, r.action, r.target) == w
+                assert r.target[1] is w[3][1]
+
+
+# by full name: the package re-exports the function ``explore`` under the
+# module's own name
+explore_mod = importlib.import_module("aodvcheck.explore")
+
+
+class TestPendingCounterexamples:
+    def stale(self):
+        sc = load_scenario(os.path.join(ROOT, "bench", "scenarios",
+                                        "pair2_links_stale.json"))
+        return check_theorem1(sc.tree, sc.env, sc.cfg)
+
+    def test_depth_needs_no_replay_and_steps_replay_once(self, monkeypatch):
+        rebuilds = []
+        rebuild = explore_mod._rebuild
+        monkeypatch.setattr(explore_mod, "_rebuild",
+                            lambda *a: rebuilds.append(1) or rebuild(*a))
+        rep = self.stale()
+        assert len(rep.counterexamples) == 4
+        assert [c.depth for c in rep.counterexamples] == [58] * 4
+        assert rebuilds == []
+        cx = rep.counterexamples[0]
+        assert len(cx.steps) == cx.depth
+        assert cx.digest == cx.steps[-1].digest
+        assert rebuilds == [1]
+
+    def test_pending_equals_the_eager_form(self):
+        for cx in self.stale().counterexamples:
+            eager = Counterexample(cx.suite, cx.kind, cx.witness,
+                                   cx.init_key, cx.steps, cx.digest)
+            assert eager == cx and hash(eager) == hash(cx)
+            assert repr(eager) == repr(cx)
+            assert eager.depth == cx.depth
+
+    def test_command_line_replays_only_what_it_writes(self, monkeypatch,
+                                                      tmp_path, capsys):
+        from aodvcheck.cli import EXIT_VIOLATION, main
+        rebuilds = []
+        rebuild = explore_mod._rebuild
+        monkeypatch.setattr(explore_mod, "_rebuild",
+                            lambda *a: rebuilds.append(1) or rebuild(*a))
+        code = main(["explore", os.path.join(
+            ROOT, "bench", "scenarios", "pair2_links_stale.json"),
+            "--out", str(tmp_path / "cx.json")])
+        assert "FAIL (4 counterexample(s))" in capsys.readouterr().out
+        assert code == EXIT_VIOLATION
+        assert rebuilds == [1]
 
 
 class TestDeterminism:

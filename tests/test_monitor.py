@@ -4,6 +4,7 @@ The cycle finder is compared against a brute-force walker on seeded
 random functional graphs; the suites themselves are exercised on forged
 states, since the protocol never produces violating ones.
 """
+import os
 import random
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import pytest
 
 from aodvcheck.awn import RichStep, TAU, CastA
 from aodvcheck.canon import EMPTY_MAP, FrozenMap, value_key
+from aodvcheck.explore import EnvNet, check_theorem1, env_menu, explore
 from aodvcheck.messages import Rerr
 from aodvcheck.monitor import (ALL_SUITES, RtGraph, SuiteError, Verdict,
                                check_state_invariants, check_step_invariants,
@@ -21,10 +23,13 @@ from aodvcheck.network import (GlobalView, closed_net, node_states,
                                proc_state, tree_of)
 from aodvcheck.protocol import BASE, aodv_init, build_table
 from aodvcheck.routing import INVALID, KNOWN, VALID, RouteEntry
+from aodvcheck.scenario import load_scenario
+from aodvcheck.simulate import run, schedule
 
 from helpers import forge_data, inject
 
 EMPTY = frozenset()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def rte(dsn=1, dsk=KNOWN, flag=VALID, hops=1, nhip=0, pre=EMPTY):
@@ -235,6 +240,102 @@ class TestDispatchSuite:
             "aodv", seq(Assign(lambda d: d), Call("aodv")))})
         with pytest.raises(SuiteError):
             dispatch_locations(table)
+
+
+def scan_dispatch_msg(state, table):
+    """dispatch-msg as first written: every node, in address order."""
+    locs = dispatch_locations(table)
+    for ip, node in sorted(node_states(state).items()):
+        proc = proc_state(node)
+        here = table.labels(proc.term)
+        if (here & locs) and proc.data.msg is None:
+            return (ip, min(str(l) for l in here & locs))
+    return None
+
+
+class TestDispatchLifting:
+    """The per-node verdicts, composed up the tree, against the scan."""
+
+    @pytest.mark.parametrize("path", ["scenarios/fig1.json",
+                                      "bench/scenarios/pair2_links_stale.json"])
+    def test_matches_the_scan_on_every_reachable_state(self, path):
+        sc = load_scenario(os.path.join(ROOT, path))
+        table = build_table(sc.cfg)
+        auto = EnvNet(closed_net(sc.tree, sc.cfg, table), sc.env)
+        ((_, lifted),) = state_checks(table, ["dispatch-msg"])
+
+        def compare(s):
+            got, want = lifted(s), scan_dispatch_msg(s[0], table)
+            return None if got == want else (got, want)
+
+        rep = explore(auto, state_suites=[("compare", compare)])
+        assert rep.complete and rep.holds
+
+    def test_least_address_wins_over_the_left_child(self):
+        # node 2 is the left child, node 1 the right; both handle a
+        # message, and the forged state has lost both messages
+        table = build_table(BASE)
+        auto = EnvNet(closed_net(tree_of([(2, [1]), (1, [2])]), BASE, table),
+                      env_menu(newpkts=[(1, "x", 2, 1), (2, "y", 1, 1)]))
+        locs = dispatch_locations(table)
+        rep = explore(auto, bound=6, keep_states=True)
+        (both,) = [s for s, _ in rep.state_index.values()
+                   if all(table.labels(proc_state(n).term) & locs
+                          for n in node_states(s).values())]
+        assert both.left.ip == 2
+        bad = both
+        for ip in (1, 2):
+            bad = forge_data(bad, ip, lambda d: replace(d, msg=None))
+        want = scan_dispatch_msg(bad, table)
+        assert want[0] == 1
+        v = check_state_invariants(bad, table, ["dispatch-msg"])
+        assert v.witness == want
+
+
+class TestSharedChangeList:
+    """sn-monotone and nsqn-monotone share one change list per step."""
+
+    NAMES = ["sn-monotone", "nsqn-monotone"]
+
+    def stale(self):
+        return load_scenario(os.path.join(
+            ROOT, "bench", "scenarios", "pair2_links_stale.json"))
+
+    def by_suite(self, rep, names):
+        return {name: [(c.kind, c.witness, c.depth)
+                       for c in rep.counterexamples if c.suite == name]
+                for name in names}
+
+    def explore_with(self, sc, names):
+        rep = check_theorem1(sc.tree, sc.env, sc.cfg, suites=names,
+                             bound=58, stop_on_violation=False)
+        return self.by_suite(rep, names)
+
+    def test_suites_alone_and_together_agree(self):
+        sc = self.stale()
+        selections = (self.NAMES[:1], self.NAMES[1:], self.NAMES)
+        before = [self.explore_with(sc, names) for names in selections]
+        run(sc.tree, schedule(seed=3, max_steps=200), sc.cfg,
+            suites=self.NAMES)
+        after = [self.explore_with(sc, names) for names in selections]
+        assert after == before
+        alone_sn, alone_nsqn, both = before
+        assert both == {**alone_sn, **alone_nsqn}
+        assert both["nsqn-monotone"]
+
+        # each check with a change list of its own, made afresh per step
+        table = build_table(sc.cfg)
+
+        def unshared(name):
+            def check(state, rich, target):
+                ((_, fn),) = step_checks(table, [name])
+                return fn(state, rich, target)
+            return name, check
+
+        auto = EnvNet(closed_net(sc.tree, sc.cfg, table), sc.env)
+        rep = explore(auto, step_suites=[unshared(n) for n in self.NAMES],
+                      bound=58, stop_on_violation=False)
+        assert self.by_suite(rep, self.NAMES) == both
 
 
 def fake_step(detail=TAU, origin=None):
