@@ -24,6 +24,13 @@ process rules build twice is kept once, at its first position.  The tuple
 is thus the semantics' step set in an order that depends on no hash seed
 and no object identity.
 
+Node and subnet states are hash-consed below the root: each automaton
+interns the states it builds, so equal subtree states are one object
+(see ``_MEMO_CAP``).  The network layers' memos and the monitors'
+per-subtree caches thus hold one entry per distinct value.  Interning
+relies on equal states digesting equal (see ``canon.bdigest``), and it
+changes no step, order or digest, only which object stands for a value.
+
 The composition rules of the network layers are written once, in the
 node's and the subnet's ``_rich_steps``.  These take a record builder,
 called as ``build(origin, detail, action, target)`` for each step they
@@ -614,6 +621,20 @@ def _is_newpkt(msg: Any) -> bool:
 # ``ClosedAutomaton`` closes) is expanded through the unmemoized body:
 # a search expands each root state exactly once, so a root memo would
 # only keep every expanded state's successors alive.
+#
+# The states that go into these memos are interned: each node and
+# subnet automaton keeps a table of the states it has built (its
+# initial states, step targets and cast deliveries), and a new state
+# equal to one of them is replaced by it before anything digests it or
+# caches on it.  A subtree value is then one object, digested once and
+# carrying one set of the monitors' caches, however many global states
+# share it.  Node states are keyed by value; subnet states by the
+# identities of their children, which are interned already.  Root
+# targets are built plain: a table at the root would keep every
+# explored state alive, as a root memo would, so the root's table holds
+# only its initial states.  Each memo and table stops growing at this
+# many entries: a state that is not interned equals its canonical twin,
+# so only memory and time depend on it.
 _MEMO_CAP = 1 << 20
 
 # actions of one side of a subnet that the other side takes no part in
@@ -621,9 +642,16 @@ _LOCAL = (TauA, DeliverAtA, NewpktA)
 
 
 class MemoNetAutomaton(NetAutomaton):
-    """A node or subnet layer: ``rich_steps`` memoizes ``_rich_steps``."""
+    """A node or subnet layer: ``rich_steps`` memoizes ``_rich_steps``.
+
+    Its states are interned in ``_states``, its table of canonical
+    states (see ``_MEMO_CAP``).  ``_rich_steps`` interns the targets it
+    builds unless ``intern`` is false, which the closed layer passes for
+    the root.
+    """
 
     _steps_memo: dict
+    _states: dict
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
         mkey = (bdigest(state), menu)
@@ -635,7 +663,8 @@ class MemoNetAutomaton(NetAutomaton):
             self._steps_memo[mkey] = out
         return out
 
-    def _rich_steps(self, state, menu: NetMenu, build=RichStep) -> tuple:
+    def _rich_steps(self, state, menu: NetMenu, build=RichStep,
+                    intern=True) -> tuple:
         raise NotImplementedError
 
 
@@ -646,12 +675,21 @@ class NodeAutomaton(MemoNetAutomaton):
         self.ip = ip
         self.inner = inner
         self.addresses = frozenset([ip])
-        self.init = frozenset(NodeS(ip, i, frozenset(nbrs)) for i in inner.init)
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
+        self._states: dict = {}   # node state -> its canonical instance
+        self.init = frozenset(self._node(ip, i, frozenset(nbrs))
+                              for i in inner.init)
+
+    def _node(self, ip: int, inner, nbrs: frozenset) -> NodeS:
+        """The canonical node state of this value, keyed by the value."""
+        s = NodeS(ip, inner, nbrs)
+        t = self._states
+        return t.setdefault(s, s) if len(t) < _MEMO_CAP else t.get(s, s)
 
     def _rich_steps(self, state: NodeS, menu: NetMenu,
-                    build=RichStep) -> tuple:
+                    build=RichStep, intern=True) -> tuple:
+        node = self._node if intern else NodeS
         ip = state.ip
         local_new = menu.newpkts.get(ip, ())
         inner_menu = (*menu.messages, *local_new)
@@ -661,7 +699,7 @@ class NodeAutomaton(MemoNetAutomaton):
             out.append(build(origin, detail, action, target))
 
         for a, inner2 in self.inner.steps(state.inner, inner_menu):
-            nxt = NodeS(ip, inner2, state.nbrs)
+            nxt = node(ip, inner2, state.nbrs)
             if isinstance(a, BroadcastA):
                 act = CastA(state.nbrs, a.msg)
                 emit(ip, act, act, nxt)
@@ -708,7 +746,7 @@ class NodeAutomaton(MemoNetAutomaton):
                     nbrs = nbrs - {ev.a}
             else:
                 raise ModelError(f"bad link event {ev!r}")
-            emit(None, ev, ev, NodeS(ip, state.inner, nbrs))
+            emit(None, ev, ev, node(ip, state.inner, nbrs))
 
         return tuple(out)
 
@@ -722,7 +760,7 @@ class NodeAutomaton(MemoNetAutomaton):
         got: dict = {}
         for a, inner2 in self.inner.steps(state.inner, (msg,)):
             if isinstance(a, ReceiveA) and a.msg == msg:
-                got[NodeS(state.ip, inner2, state.nbrs)] = None
+                got[self._node(state.ip, inner2, state.nbrs)] = None
         out = tuple(got)
         if len(self._cast_memo) < _MEMO_CAP:
             self._cast_memo[mkey] = out
@@ -736,14 +774,33 @@ class SubnetAutomaton(MemoNetAutomaton):
         self.left = left
         self.right = right
         self.addresses = left.addresses | right.addresses
-        self.init = frozenset(
-            SubnetS(l, r) for l in left.init for r in right.init
-        )
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
+        # (id(left), id(right)) -> the canonical subnet state over those
+        # children, which holds them alive, so their ids are not reused
+        self._states: dict = {}
+        self.init = frozenset(
+            self._pair(l, r) for l in left.init for r in right.init
+        )
+
+    def _pair(self, left, right) -> SubnetS:
+        """The canonical subnet state over these children.
+
+        Keyed by identity, a pair of equal children that are not the
+        same objects (one of the children's tables is full) misses the
+        table; the state built then is still correct.
+        """
+        key = (id(left), id(right))
+        s = self._states.get(key)
+        if s is None:
+            s = SubnetS(left, right)
+            if len(self._states) < _MEMO_CAP:
+                self._states[key] = s
+        return s
 
     def _rich_steps(self, state: SubnetS, menu: NetMenu,
-                    build=RichStep) -> tuple:
+                    build=RichStep, intern=True) -> tuple:
+        pair = self._pair if intern else SubnetS
         left, right = state.left, state.right
         lsteps = self.left.rich_steps(left, menu)
         rsteps = self.right.rich_steps(right, menu)
@@ -754,18 +811,18 @@ class SubnetAutomaton(MemoNetAutomaton):
         # one side must be taken by every in-range node of the other
         for origin, detail, action, target in lsteps:
             if isinstance(action, _LOCAL):
-                add(build(origin, detail, action, SubnetS(target, right)))
+                add(build(origin, detail, action, pair(target, right)))
             elif type(action) is CastA:
                 for right2 in self.right.cast_delivery(
                         right, action.msg, action.dests):
-                    add(build(origin, detail, action, SubnetS(target, right2)))
+                    add(build(origin, detail, action, pair(target, right2)))
         for origin, detail, action, target in rsteps:
             if isinstance(action, _LOCAL):
-                add(build(origin, detail, action, SubnetS(left, target)))
+                add(build(origin, detail, action, pair(left, target)))
             elif type(action) is CastA:
                 for left2 in self.left.cast_delivery(
                         left, action.msg, action.dests):
-                    add(build(origin, detail, action, SubnetS(left2, target)))
+                    add(build(origin, detail, action, pair(left2, target)))
 
         # arrivals and topology changes are taken by both sides together
         for _, _, al, ltarget in lsteps:
@@ -775,11 +832,11 @@ class SubnetAutomaton(MemoNetAutomaton):
                         act = ArriveA(
                             al.heard | ar.heard, al.missed | ar.missed, al.msg
                         )
-                        add(build(None, act, act, SubnetS(ltarget, rtarget)))
+                        add(build(None, act, act, pair(ltarget, rtarget)))
             elif isinstance(al, (ConnectA, DisconnectA)):
                 for _, _, ar, rtarget in rsteps:
                     if ar == al:
-                        add(build(None, al, al, SubnetS(ltarget, rtarget)))
+                        add(build(None, al, al, pair(ltarget, rtarget)))
         return tuple(out)
 
     def cast_delivery(self, state: SubnetS, msg, dests: frozenset) -> tuple:
@@ -791,7 +848,7 @@ class SubnetAutomaton(MemoNetAutomaton):
         if lefts:
             rights = self.right.cast_delivery(state.right, msg, dests)
             # both sides are duplicate-free, so their product is too
-            out = tuple(SubnetS(l, r) for l in lefts for r in rights)
+            out = tuple(self._pair(l, r) for l in lefts for r in rights)
         else:
             out = ()
         if len(self._cast_memo) < _MEMO_CAP:
@@ -804,9 +861,10 @@ class ClosedAutomaton(NetAutomaton):
 
     The network below is the root of the tree, so its steps are taken
     from its unmemoized body (see ``_MEMO_CAP``), which builds each
-    record with ``build`` after relabelling casts as Tau.  A caller that
-    wraps the closed network passes its own ``build`` here instead of
-    rebuilding the records it gets back.
+    record with ``build`` after relabelling casts as Tau, and interns
+    none of the root states it builds.  A caller that wraps the closed
+    network passes its own ``build`` here instead of rebuilding the
+    records it gets back.
     """
 
     def __init__(self, net: MemoNetAutomaton):
@@ -827,7 +885,7 @@ class ClosedAutomaton(NetAutomaton):
                 action = TAU
             return build(origin, detail, action, target)
 
-        return self.net._rich_steps(state, menu, close)
+        return self.net._rich_steps(state, menu, close, intern=False)
 
 
 def network_node(ip: int, inner: Automaton, nbrs: frozenset) -> NodeAutomaton:

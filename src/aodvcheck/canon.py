@@ -249,8 +249,19 @@ def bdigest(x: Any) -> bytes:
     A dataclass digests as ``struct_digest`` of its compared fields,
     tagged with its class name, and caches the result on the instance.
     Like the keys, digests are derived from the fields alone, so two
-    values digest equal exactly when they are equal and when their
-    canonical keys are equal (modulo hash collisions).
+    values digest equal exactly when their canonical keys are equal
+    (modulo hash collisions).
+
+    Equality is another relation.  Equal values digest equal as long as
+    no field holds a bool where the other value holds the int of the
+    same value: ``True == 1``, but the two digest apart.  The model's
+    states do not mix the two, and the interning of node and subnet
+    states in :mod:`aodvcheck.awn` relies on this direction: it replaces
+    a built state by an equal one built before, whose digest must be
+    the same.
+    The converse does not hold: a ``ProcState`` compares its control
+    term by identity but digests the locations the term stands for, so
+    two process states can digest equal and still compare unequal.
     """
     enc = _encoders.get(type(x))
     if enc is None:

@@ -13,8 +13,10 @@ Exit codes: 0 all checks passed (a reported depth-bound truncation
 still exits 0), 1 a suite was violated, 2 usage, scenario or trace-file
 errors (including out-of-range numeric options, a trace written in
 another format and an output file that cannot be written), 3 the state
-cap was hit.  A reader that closes standard output early (``| head``)
-ends the run quietly, with exit code 1 and no traceback.
+cap was hit before any suite was violated (a violation found before the
+cap is reported and written as usual, with exit code 1).  A reader that
+closes standard output early (``| head``) ends the run quietly, with
+exit code 1 and no traceback.
 """
 from __future__ import annotations
 
@@ -155,15 +157,18 @@ def _cmd_explore(args) -> int:
     print(f"scenario: {sc.name} (variant {sc.cfg.name})")
     try:
         rep = check_theorem1(sc.tree, sc.env, sc.cfg, **kwargs)
+        cap = None
     except ResourceCapError as e:
-        rep = e.report
-        print(f"states: {rep.states}  transitions: {rep.transitions}  "
-              f"depth: {rep.depth}")
-        print(f"state cap hit: {e}", file=sys.stderr)
-        return EXIT_CAP
+        rep, cap = e.report, e
     print(f"states: {rep.states}  transitions: {rep.transitions}  "
           f"depth: {rep.depth}")
-    if rep.complete:
+    if cap is not None:
+        print(f"state cap hit: {cap}", file=sys.stderr)
+        # a violation found before the cap is reported all the same
+        if rep.holds:
+            return EXIT_CAP
+        print("exploration stopped at the state cap")
+    elif rep.complete:
         print("exploration complete")
     elif rep.counterexamples:
         print("exploration stopped at first violating layer")

@@ -31,9 +31,10 @@ sn-monotone and nsqn-monotone relate one node's data before and after a
 step; they read one shared list of the nodes whose data the step
 changed.  The routing-table suites relate nodes to each other, so they
 are not lifted; they are memoized on per-subtree signatures of the
-tables.  Subtree results are cached on node and inner subnet states,
-which the step memos of ``aodvcheck.awn`` share among many global
-states.
+tables.  Subtree results are cached on node and inner subnet states.
+Those are interned by the automata of ``aodvcheck.awn``, one object per
+distinct subtree value, so each result is computed once per distinct
+node or subnet state, however many global states share it.
 """
 from __future__ import annotations
 

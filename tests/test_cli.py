@@ -8,7 +8,8 @@ import pytest
 
 import aodvcheck
 from aodvcheck.canon import bdigest, digest, value_key
-from aodvcheck.cli import CX_FORMAT, EXIT_USAGE, EXIT_VIOLATION, main
+from aodvcheck.cli import (CX_FORMAT, EXIT_CAP, EXIT_USAGE, EXIT_VIOLATION,
+                           main)
 from aodvcheck.explore import Counterexample, EnvNet, TraceStep, replay
 from aodvcheck.network import closed_net
 from aodvcheck.scenario import load_scenario
@@ -115,6 +116,36 @@ def test_smallest_numeric_options_are_accepted(tmp_path, capsys):
     assert code == 0 and "states: 1 " in out.out
     code, out = run_cli(["simulate", pair2, "--steps", "1"], capsys)
     assert code == 0 and "steps: 1 " in out.out
+
+
+STALE_LINKS = os.path.join(os.path.dirname(SCENARIOS), "bench", "scenarios",
+                           "pair2_links_stale.json")
+
+
+def test_violation_found_before_the_state_cap_is_reported(tmp_path, capsys):
+    # The uncapped run stores 10829 states and finds four violations
+    # while expanding its last layer; a cap one state lower stops the
+    # same layer after all four are found.
+    full, capped = tmp_path / "full.json", tmp_path / "capped.json"
+    code, _ = run_cli(["explore", STALE_LINKS, "--out", str(full)], capsys)
+    assert code == EXIT_VIOLATION
+    code, out = run_cli(["explore", STALE_LINKS, "--state-cap", "10828",
+                         "--out", str(capped)], capsys)
+    assert code == EXIT_VIOLATION
+    assert out.err.startswith("state cap hit")
+    assert "exploration stopped at the state cap" in out.out
+    assert "violated: nsqn-monotone (step) at depth 58" in out.out
+    assert capped.read_bytes() == full.read_bytes()
+
+
+def test_state_cap_without_a_violation_writes_nothing(tmp_path, capsys):
+    out_file = tmp_path / "cx.json"
+    code, out = run_cli(["explore", STALE_LINKS, "--state-cap", "100",
+                         "--out", str(out_file)], capsys)
+    assert code == EXIT_CAP
+    assert out.err.startswith("state cap hit")
+    assert "result:" not in out.out
+    assert not out_file.exists()
 
 
 def test_package_runs_as_a_module():
