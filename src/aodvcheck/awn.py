@@ -34,11 +34,23 @@ changes no step, order or digest, only which object stands for a value.
 The composition rules of the network layers are written once, in the
 node's and the subnet's ``_rich_steps``.  These take a record builder,
 called as ``build(origin, detail, action, target)`` for each step they
-compose; below the root it is ``RichStep`` itself.  The layers above the
-root hand theirs down instead of copying the records they get back: the
-closed network passes one that relabels casts as Tau, and an explorer's
-environment wrapper one that also pairs each target with its environment
-successor, so each step of the closed system is built exactly once.
+compose, and a target maker, called as ``make(left, right)`` by a subnet
+and ``make(ip, inner, nbrs)`` by a node.  Below the root the builder is
+``RichStep`` itself and the maker the automaton's interning one.  The
+layers above the root hand theirs down instead of copying the records
+they get back: the closed network passes a builder that relabels casts
+as Tau, and an explorer's environment wrapper one that also pairs each
+target with its environment successor, so each step of the closed
+system is built exactly once.
+
+Root targets are built by whoever calls the closed network.  By default
+its maker is the root state's own class, so a caller such as the
+simulator or a counterexample replay gets plain ``SubnetS`` or ``NodeS``
+targets.  A search passes ``part_maker(root)`` instead, and gets each
+target as its parts (``root_parts``): a subnet's two children, or a node
+state whole.  Those parts are already-interned subtrees, so the search
+can key a successor by them and build the root state (``join_parts``)
+only when the key is new.
 """
 from __future__ import annotations
 
@@ -646,8 +658,8 @@ class MemoNetAutomaton(NetAutomaton):
 
     Its states are interned in ``_states``, its table of canonical
     states (see ``_MEMO_CAP``).  ``_rich_steps`` interns the targets it
-    builds unless ``intern`` is false, which the closed layer passes for
-    the root.
+    builds unless it is given another ``make``, as the closed layer does
+    for the root.
     """
 
     _steps_memo: dict
@@ -664,7 +676,7 @@ class MemoNetAutomaton(NetAutomaton):
         return out
 
     def _rich_steps(self, state, menu: NetMenu, build=RichStep,
-                    intern=True) -> tuple:
+                    make=None) -> tuple:
         raise NotImplementedError
 
 
@@ -688,8 +700,8 @@ class NodeAutomaton(MemoNetAutomaton):
         return t.setdefault(s, s) if len(t) < _MEMO_CAP else t.get(s, s)
 
     def _rich_steps(self, state: NodeS, menu: NetMenu,
-                    build=RichStep, intern=True) -> tuple:
-        node = self._node if intern else NodeS
+                    build=RichStep, make=None) -> tuple:
+        node = self._node if make is None else make
         ip = state.ip
         local_new = menu.newpkts.get(ip, ())
         inner_menu = (*menu.messages, *local_new)
@@ -730,7 +742,7 @@ class NodeAutomaton(MemoNetAutomaton):
 
         for m in menu.messages:
             act = ArriveA(EMPTY, frozenset([ip]), m)
-            emit(None, act, act, state)
+            emit(None, act, act, node(ip, state.inner, state.nbrs))
 
         for ev in menu.links:
             nbrs = state.nbrs
@@ -799,8 +811,8 @@ class SubnetAutomaton(MemoNetAutomaton):
         return s
 
     def _rich_steps(self, state: SubnetS, menu: NetMenu,
-                    build=RichStep, intern=True) -> tuple:
-        pair = self._pair if intern else SubnetS
+                    build=RichStep, make=None) -> tuple:
+        pair = self._pair if make is None else make
         left, right = state.left, state.right
         lsteps = self.left.rich_steps(left, menu)
         rsteps = self.right.rich_steps(right, menu)
@@ -862,9 +874,11 @@ class ClosedAutomaton(NetAutomaton):
     The network below is the root of the tree, so its steps are taken
     from its unmemoized body (see ``_MEMO_CAP``), which builds each
     record with ``build`` after relabelling casts as Tau, and interns
-    none of the root states it builds.  A caller that wraps the closed
+    none of the root states it makes.  A caller that wraps the closed
     network passes its own ``build`` here instead of rebuilding the
-    records it gets back.
+    records it gets back, and may pass a ``make`` for the root targets,
+    such as ``part_maker(state)``; by default they are plain states of
+    the root's class.
     """
 
     def __init__(self, net: MemoNetAutomaton):
@@ -873,7 +887,7 @@ class ClosedAutomaton(NetAutomaton):
         self.init = net.init
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU,
-                   build=RichStep) -> tuple:
+                   build=RichStep, make=None) -> tuple:
         # with no messages on offer no node can emit an arrival; a menu
         # that offers none is passed on as it is, so that the memo keys
         # below share it
@@ -885,7 +899,42 @@ class ClosedAutomaton(NetAutomaton):
                 action = TAU
             return build(origin, detail, action, target)
 
-        return self.net._rich_steps(state, menu, close, intern=False)
+        return self.net._rich_steps(state, menu, close,
+                                    type(state) if make is None else make)
+
+
+# A root state's parts.  A search keys a state by them and compares a
+# step's source and target part by part: a step leaves every part it
+# does not touch the same object, and the parts below the root are
+# interned.  A subnet root's parts are its two children; a node root is
+# one part, itself.
+
+
+def root_parts(state) -> tuple:
+    """The parts of root network state ``state``."""
+    if type(state) is SubnetS:
+        return state.left, state.right
+    return (state,)
+
+
+def _subnet_parts(left, right) -> tuple:
+    return left, right
+
+
+def _node_parts(ip, inner, nbrs) -> tuple:
+    return (NodeS(ip, inner, nbrs),)
+
+
+def part_maker(state):
+    """The ``make`` that gives the root successors of ``state`` as parts."""
+    return _subnet_parts if type(state) is SubnetS else _node_parts
+
+
+def join_parts(parts):
+    """The root network state made of ``parts`` (see ``root_parts``)."""
+    if len(parts) == 2:
+        return SubnetS(*parts)
+    return parts[0]
 
 
 def network_node(ip: int, inner: Automaton, nbrs: frozenset) -> NodeAutomaton:

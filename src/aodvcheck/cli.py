@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Three subcommands share the scenario format: ``explore`` runs the
+Four subcommands share the scenario format: ``explore`` runs the
 bounded explorer and writes a counterexample when a suite fails,
+``replay`` re-derives such a counterexample file step by step,
 ``simulate`` runs a seeded schedule and writes an NDJSON trace, and
 ``graph`` re-runs a simulation to dump per-destination routing graphs,
 optionally validating a previously written trace against it.
@@ -10,13 +11,14 @@ Exploration is deterministic: its report and counterexample file are
 the same byte for byte on every run, whatever the hash seed.
 
 Exit codes: 0 all checks passed (a reported depth-bound truncation
-still exits 0), 1 a suite was violated, 2 usage, scenario or trace-file
-errors (including out-of-range numeric options, a trace written in
-another format and an output file that cannot be written), 3 the state
-cap was hit before any suite was violated (a violation found before the
-cap is reported and written as usual, with exit code 1).  A reader that
-closes standard output early (``| head``) ends the run quietly, with
-exit code 1 and no traceback.
+still exits 0) or a counterexample replayed, 1 a suite was violated, 2
+usage, scenario, trace-file or counterexample-file errors (including
+out-of-range numeric options, a trace written in another format, an
+output file that cannot be written and a counterexample that does not
+replay), 3 the state cap was hit before any suite was violated (a
+violation found before the cap is reported and written as usual, with
+exit code 1).  A reader that closes standard output early (``| head``)
+ends the run quietly, with exit code 1 and no traceback.
 """
 from __future__ import annotations
 
@@ -26,10 +28,12 @@ import json
 import os
 import sys
 
-from .canon import digest, value_key
-from .explore import ResourceCapError, check_theorem1
+from .awn import ModelError
+from .canon import bdigest, digest, value_key
+from .explore import (Counterexample, EnvNet, ResourceCapError, TraceStep,
+                      check_theorem1, replay)
 from .monitor import ALL_SUITES, SuiteError, rt_graph, split_suites
-from .network import net_data, tree_addresses
+from .network import closed_net, net_data, tree_addresses
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import Schedule, ScheduleError, run
 from .trace import TRACE_FORMAT, dump_record, load_trace, write_trace
@@ -52,6 +56,10 @@ class TraceFileError(Exception):
 
 class OutputError(Exception):
     """An output file cannot be written."""
+
+
+class ReplayError(Exception):
+    """A counterexample given to ``replay`` cannot be read or replayed."""
 
 
 @contextlib.contextmanager
@@ -111,6 +119,14 @@ def _parser() -> argparse.ArgumentParser:
                    help="override the schedule length (>= 1)")
     s.add_argument("--dump-sigma", action="store_true",
                    help="include node state in every trace record")
+
+    r = sub.add_parser(
+        "replay", help="re-derive a counterexample file",
+        description="Follow a counterexample file's steps through the "
+                    "scenario's network, under the variant the file records, "
+                    "checking the digest of every state reached.")
+    r.add_argument("counterexample", help="counterexample JSON file")
+    r.add_argument("scenario", help="scenario JSON file it was found in")
 
     g = sub.add_parser("graph", parents=[common],
                        help="dump routing-table graphs from a simulation run")
@@ -193,6 +209,76 @@ def _cmd_explore(args) -> int:
         fh.write("\n")
     print(f"counterexample: {out} ({cx.depth} step(s))")
     return EXIT_VIOLATION
+
+
+# the fields of a counterexample file that replay reads, with their types
+_CX_FIELDS = {"variant": str, "suite": str, "kind": str, "witness": list,
+              "digest": str, "steps": list}
+_CX_STEP_FIELDS = {"origin": (int, type(None)), "action": str, "key": int,
+                   "digest": str}
+
+
+def _read_counterexample(path: str) -> dict:
+    """The document of a counterexample file in the current format."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise ReplayError(
+            f"cannot read counterexample: {e.strerror or e}") from None
+    except ValueError as e:
+        raise ReplayError(f"counterexample is not valid JSON: {e}") from None
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != CX_FORMAT:
+        raise ReplayError(f"counterexample format {found!r} is not "
+                          f"{CX_FORMAT!r}")
+    rows = [(doc, _CX_FIELDS, "counterexample")]
+    if isinstance(doc.get("steps"), list):
+        rows += [(st, _CX_STEP_FIELDS, f"step {i}")
+                 for i, st in enumerate(doc["steps"])]
+    for obj, fields, what in rows:
+        if not isinstance(obj, dict):
+            raise ReplayError(f"{what} is not an object")
+        for name, kind in fields.items():
+            # JSON true/false load as bools, which Python counts as ints
+            if (not isinstance(obj.get(name), kind)
+                    or isinstance(obj.get(name), bool)):
+                raise ReplayError(f"{what} has no valid {name!r}")
+    return doc
+
+
+def _tuplify(x):
+    if isinstance(x, list):
+        return tuple(_tuplify(v) for v in x)
+    return x
+
+
+def _cmd_replay(args) -> int:
+    doc = _read_counterexample(args.counterexample)
+    sc = load_scenario(args.scenario)
+    cfg = with_variant(sc.cfg, doc["variant"])
+    auto = EnvNet(closed_net(sc.tree, cfg), sc.env)
+    # the file records no initial state, so the scenario must have one
+    if len(auto.init) != 1:
+        raise ReplayError(f"scenario has {len(auto.init)} initial states; "
+                          "a counterexample file names none of them")
+    (init,) = auto.init
+    steps = tuple(TraceStep(st["origin"], st["action"], st["key"],
+                            st["digest"]) for st in doc["steps"])
+    cx = Counterexample(doc["suite"], doc["kind"], _tuplify(doc["witness"]),
+                        bdigest(init), steps, doc["digest"])
+    try:
+        final = digest(value_key(replay(auto, cx)))
+    except ModelError as e:
+        raise ReplayError(str(e)) from None
+    if final != doc["digest"]:
+        raise ReplayError("counterexample does not replay: its final state "
+                          "has another digest")
+    print(f"scenario: {sc.name} (variant {cfg.name})")
+    print(f"replayed: {len(steps)} step(s) to the {doc['suite']} "
+          f"({doc['kind']}) violation")
+    print(f"final: {final}")
+    return EXIT_PASS
 
 
 def _run_schedule(sc: Scenario, args, dump_sigma=False):
@@ -285,6 +371,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "explore":
             code = _cmd_explore(args)
+        elif args.command == "replay":
+            code = _cmd_replay(args)
         elif args.command == "simulate":
             code = _cmd_simulate(args)
         else:
@@ -298,8 +386,8 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (OutputError, ScenarioError, ScheduleError, SuiteError,
-            TraceFileError, VariantError) as e:
+    except (OutputError, ReplayError, ScenarioError, ScheduleError,
+            SuiteError, TraceFileError, VariantError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,6 +21,20 @@ and a step renews only one spine of it, so a successor's key costs a
 few dict lookups on subtrees the run has already numbered instead of a
 digest of the whole state.  Leaves are numbered by their ``bdigest``,
 so keys are as exact as digests; the numbers never leave the run.
+
+The search builds root states itself, and only new ones.  It expands a
+state with ``awn.part_maker`` as the target maker, so the closed layer
+hands each successor over as parts: the root's children (the acting
+child's target beside the other child, or two targets for a step both
+sides take), the environment successor, and the step's origin, detail
+and closed action.  The parts are interned subtrees that already carry
+their numbers, so the successor is keyed without being built; its root
+state ``(network, environment)`` is built only when the key is new, and
+about three in four successors are not.  The step suites take the same
+parts (see ``monitor.step_checks``).  Replay, ``_rebuild`` and the
+simulator expand states with the default maker, which builds each
+target; the steps and their order are the same either way, since one
+composition code builds both.
 """
 from __future__ import annotations
 
@@ -28,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .awn import (ConnectA, DisconnectA, ModelError, NetMenu, RichStep,
-                  NewpktA, SubnetS)
+                  NewpktA, SubnetS, join_parts, part_maker, root_parts)
 from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, digest,
                     value_key)
 from .messages import Newpkt
@@ -139,21 +153,33 @@ class EnvNet:
         self._menus[env_state] = menu
         return menu
 
-    def rich_steps(self, state) -> tuple:
+    def rich_steps(self, state, make=None) -> tuple:
+        """The steps of ``state``; ``make`` is handed to the closed layer.
+
+        Each record's target is ``(network target, environment
+        successor)``, the network target made by ``make``: a plain root
+        state by default, or its parts under ``part_maker``.
+        """
         net_s, env_s = state
         after = self._env_after
 
         def attach(origin, detail, action, target):
             if isinstance(action, _ENV_ACTIONS):
-                return RichStep(origin, detail, action,
-                                (target, after(env_s, action)))
-            return RichStep(origin, detail, action, (target, env_s))
+                target = (target, after(env_s, action))
+            else:
+                target = (target, env_s)
+            return _record(RichStep, (origin, detail, action, target))
 
-        return self.net.rich_steps(net_s, self.menu_for(env_s), attach)
+        return self.net.rich_steps(net_s, self.menu_for(env_s), attach, make)
 
 
 # the actions that consume the environment's menu
 _ENV_ACTIONS = (NewpktA, ConnectA, DisconnectA)
+
+# ``_record(RichStep, fields)`` is ``RichStep(*fields)`` without the
+# Python-level ``__new__`` of a named tuple (it is what ``_make`` does);
+# the environment wrapper builds one record per explored transition
+_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -228,17 +254,19 @@ class ExplorationReport:
         return not self.counterexamples
 
 
-def _sorted_steps(auto, state) -> tuple:
+def _sorted_steps(auto, state, make=None) -> tuple:
     """The successors of ``state``, in the order search and replay share.
 
     The search records, for each new state, its parent and the rank of
     the step that reached it; ``_rebuild`` replays those ranks from the
     initial state.  Replay is sound because this order is a function of
     the state: the step functions list successors in the order they
-    build them, which no hash seed affects.  Search and replay must both
+    build them, which no hash seed affects, and ``make`` changes only
+    how each target is handed over (see ``EnvNet.rich_steps``), not which
+    targets there are or their order.  Search and replay must both
     expand states here.
     """
-    return auto.rich_steps(state)
+    return auto.rich_steps(state, make)
 
 
 def _rank_path(visited, key) -> tuple:
@@ -261,12 +289,15 @@ _RADIX = (1 << 40) + 0x9E3779B1
 
 
 def _numbering():
-    """A fresh run's key function: a state's root parts' numbers, packed.
+    """A fresh run's key function: ``key(parts, env)``, numbers packed.
 
-    A leaf, any part that is neither a tuple nor a ``SubnetS``, is
-    numbered by its ``bdigest``; a subnet below the root by the pair of
-    its children's numbers.  Numbers count up from 0 in the order the
-    run meets new subtrees, so equal subtrees get equal numbers.  A key
+    A state ``(network, environment)`` is keyed by the numbers of the
+    network's root parts (``awn.root_parts``) and of its environment
+    state, so a successor handed over as parts is keyed without being
+    built.  A leaf, any part that is not a ``SubnetS``, is numbered by
+    its ``bdigest``; a subnet below the root by the pair of its
+    children's numbers.  Numbers count up from 0 in the order the run
+    meets new subtrees, so equal subtrees get equal numbers.  A key
     packs its numbers into one int in radix ``_RADIX`` (at most 40 bytes
     for three parts, against 64 for a tuple of them), which is exact
     because the states of one automaton share one shape.
@@ -295,15 +326,15 @@ def _numbering():
         cache_attr(x, "_st", tag)
         return n
 
-    def key(state) -> int:
+    # ``number`` with its first test inlined: nearly every part a search
+    # keys is numbered already
+    def key(parts, env) -> int:
         k = 0
-        for part in state if type(state) is tuple else (state,):
-            if type(part) is SubnetS:
-                k = k * _RADIX + number(part.left)
-                k = k * _RADIX + number(part.right)
-            else:
-                k = k * _RADIX + number(part)
-        return k
+        for part in parts:
+            k = k * _RADIX + (part._sn if getattr(part, "_st", None) is tag
+                              else number(part))
+        return k * _RADIX + (env._sn if getattr(env, "_st", None) is tag
+                             else number(env))
 
     return key
 
@@ -327,11 +358,21 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             keep_states=False) -> ExplorationReport:
     """Breadth-first reachability with invariant checking.
 
-    ``allow`` filters transitions by their action.  ``bound`` limits the
-    number of expansion layers (states deeper than it are not created).
-    ``state_suites``/``step_suites`` are (name, check) pairs where a
-    check returns a witness tuple or None.  Raises ResourceCapError when
-    more than ``state_cap`` states would be stored.
+    ``auto`` is an ``EnvNet``: its states are ``(network, environment)``
+    pairs.  ``allow`` filters transitions by their action.  ``bound``
+    limits the number of expansion layers (states deeper than it are not
+    created).  ``state_suites``/``step_suites`` are (name, check) pairs
+    where a check returns a witness tuple or None; a step check is
+    called as ``check(state, step, target)``, or as ``check.parts(state,
+    step)`` if it has that entry (see ``monitor.step_checks``).  Raises
+    ResourceCapError when more than ``state_cap`` states would be stored.
+
+    Each state is expanded with ``part_maker``, so its successors come
+    as parts: every step's target is ``(root parts, environment)``.  The
+    search keys a successor by those parts and builds it only when the
+    key is new; a step check without a ``parts`` entry is given a step
+    whose target it builds.  Per transition the step suites run first,
+    in their order, and then the state suites of a new target.
     """
     suites = tuple(n for n, _ in state_suites) + tuple(n for n, _ in step_suites)
     report = ExplorationReport(suites=suites)
@@ -340,10 +381,12 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     index = report.state_index    # key -> state, only when keep_states
     pending: list = []            # (suite, kind, witness, anchor key, extra)
     inits: dict = {}              # key -> initial state
+    step_entries = [(name, getattr(check, "parts", None) or _on_built(check))
+                    for name, check in step_suites]
 
     frontier = []
     for s in sorted(auto.init, key=value_key):
-        k = skey(s)
+        k = skey(root_parts(s[0]), s[1])
         if k in visited:
             continue
         visited[k] = (None, None)
@@ -363,11 +406,13 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             break
         next_frontier = []
         for state, key in frontier:
-            for rank, r in enumerate(_sorted_steps(auto, state)):
+            steps = _sorted_steps(auto, state, part_maker(state[0]))
+            for rank, r in enumerate(steps):
                 if allow is not None and not allow(r.action):
                     continue
                 report.transitions += 1
-                tkey = skey(r.target)
+                parts, env = r.target
+                tkey = skey(parts, env)
                 is_new = tkey not in visited
                 if is_new:
                     if len(visited) >= state_cap:
@@ -377,16 +422,17 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
                             auto, inits, visited, pending)
                         raise ResourceCapError(report)
                     visited[tkey] = (key, rank)
+                    target = (join_parts(parts), env)
                     if keep_states:
-                        index[tkey] = r.target
-                    next_frontier.append((r.target, tkey))
-                for name, check in step_suites:
-                    w = check(state, r, r.target)
+                        index[tkey] = target
+                    next_frontier.append((target, tkey))
+                for name, on_parts in step_entries:
+                    w = on_parts(state, r)
                     if w is not None:
                         pending.append((name, "step", tuple(w), key, rank))
                 if is_new:
                     for name, check in state_suites:
-                        w = check(r.target)
+                        w = check(target)
                         if w is not None:
                             pending.append(
                                 (name, "state", tuple(w), tkey, None))
@@ -399,6 +445,18 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     report.states = len(visited)
     report.counterexamples = _finish(auto, inits, visited, pending)
     return report
+
+
+def _on_built(check):
+    """A ``parts`` entry for a step check that takes a built target."""
+
+    def on_parts(state, r):
+        parts, env = r.target
+        target = (join_parts(parts), env)
+        return check(state, RichStep(r.origin, r.detail, r.action, target),
+                     target)
+
+    return on_parts
 
 
 def _finish(auto, inits, visited, pending) -> tuple:

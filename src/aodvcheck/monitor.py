@@ -28,8 +28,9 @@ one of these, so it is checked the same way: its verdict is computed
 once per node state and composed up the subnet tree, a subnet failing
 when either child fails, with the witness of lesser address.
 sn-monotone and nsqn-monotone relate one node's data before and after a
-step; they read one shared list of the nodes whose data the step
-changed.  The routing-table suites relate nodes to each other, so they
+step; each is defined once as a check of one node's data pair and lifted
+the same way, over the root parts that the step changed (see the step
+suites below).  The routing-table suites relate nodes to each other, so they
 are not lifted; they are memoized on per-subtree signatures of the
 tables.  Subtree results are cached on node and inner subnet states.
 Those are interned by the automata of ``aodvcheck.awn``, one object per
@@ -40,10 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Optional
 
-from .awn import CastA, ProcessTable, Receive, SubnetS, subterms
+from .awn import CastA, ProcessTable, Receive, SubnetS, root_parts, subterms
 from .canon import bdigest, cache_attr
 from .messages import Rerr
 from .network import GlobalView, net_data, proc_state
@@ -267,72 +267,120 @@ def _check_dispatch_msg(table, state):
 
 
 # ---------------------------------------------------------------------------
-# step suites; each sees (change list, state, rich_step, successor state)
+# step suites
+#
+# A step suite has two entry points: ``check(state, step, target)``,
+# which takes a built target as the simulator has it, and
+# ``check.parts(state, step)``, which an explorer calls with a step whose
+# target is ``(root parts, environment)`` (see ``awn.root_parts``), so
+# that it need not build the target.  Both entries share the suite's
+# core.
+#
+# sn-monotone and nsqn-monotone are node-data suites: a check of one
+# node's data record before and after a step, lifted to the network the
+# way dispatch-msg is.  A step's source and target share every subtree
+# the step did not touch, and subtrees are interned, so the lifting
+# compares the two part by part and walks only the parts that are not
+# the same object, down to the nodes whose data record was replaced.
+# When several nodes fail, the witness of least address wins.
 
 
-def _changed_data(state, target, out):
-    """(ip, before, after) for nodes whose data record was replaced.
-
-    Walks both trees in lockstep and prunes shared subtrees, so the
-    cost is the length of the changed spine, not the network size.
-    """
-    if state is target:
+def _changed_data(before, after, out):
+    """Append (ip, before, after) for each node whose data record was
+    replaced between two subtrees that are not the same object."""
+    if type(before) is SubnetS:
+        if before.left is not after.left:
+            _changed_data(before.left, after.left, out)
+        if before.right is not after.right:
+            _changed_data(before.right, after.right, out)
         return
-    if type(state) is SubnetS:
-        _changed_data(state.left, target.left, out)
-        _changed_data(state.right, target.right, out)
-        return
-    b, a = proc_state(state).data, proc_state(target).data
+    # proc_state(x).data, inlined: this runs for most transitions
+    b, a = before.inner[0].data, after.inner[0].data
     if a is not b:
-        out.append((state.ip, b, a))
+        out.append((before.ip, b, a))
 
 
 def _change_list():
-    """A run's change list: (ip, before, after) data records, by address.
+    """A run's change list: ``changes(net, step, after)`` -> (ip, before,
+    after) data records, for a step from network state ``net`` to one
+    with the root parts ``after``.
 
-    The node-data suites share the list of one transition: it is made by
-    the first of them to ask and kept, with the step it was made for,
-    until another step is checked.  Holding the step and its source
-    keeps them alive, so their identities cannot be reused meanwhile.
+    The node-data suites of one run share the list of one transition:
+    it is made by the first of them to ask and kept, with the step it
+    was made for, until another step is checked.  Holding the step and
+    its source keeps them alive, so their identities cannot be reused
+    meanwhile.
     """
-    last = [None, None, None]   # source state, step, its change list
+    last = [None, None, None]   # source network, step, its change list
 
-    def changed(state, rich, target) -> list:
-        if last[1] is rich and last[0] is state:
+    def changes(net, rich, after) -> list:
+        if last[1] is rich and last[0] is net:
             return last[2]
         out = []
-        _changed_data(_net(state), _net(target), out)
-        out.sort(key=itemgetter(0))
-        last[:] = state, rich, out
+        if type(net) is SubnetS:
+            left, right = after
+            if left is not net.left:
+                _changed_data(net.left, left, out)
+            if right is not net.right:
+                _changed_data(net.right, right, out)
+        elif after[0] is not net:
+            _changed_data(net, after[0], out)
+        last[0], last[1], last[2] = net, rich, out
         return out
 
-    return changed
+    return changes
 
 
-def _check_sn_monotone(changed, state, rich, target):
-    for ip, b, a in changed(state, rich, target):
-        if a.sn < b.sn:
-            return (ip, b.sn, a.sn)
+def _node_data_suite(node_check):
+    """A step suite holding when ``node_check(ip, before, after)`` holds
+    of every node data record that a step replaces.  Made per run, over
+    the run's change list."""
+
+    def suite(changes):
+        def over(changed):
+            w = None
+            for ip, b, a in changed:
+                w = _least(w, node_check(ip, b, a))
+            return w
+
+        def check(state, rich, target):
+            return over(changes(_net(state), rich, root_parts(_net(target))))
+
+        def on_parts(state, rich):
+            return over(changes(state[0], rich, rich.target[0]))
+
+        check.parts = on_parts
+        return check
+
+    return suite
+
+
+def _sn_monotone(ip, b, a):
+    if a.sn < b.sn:
+        return (ip, b.sn, a.sn)
     return None
 
 
-def _check_nsqn_monotone(changed, state, rich, target):
-    for ip, b, a in changed(state, rich, target):
-        rt0, rt1 = b.rt, a.rt
-        if rt1 is rt0:
-            continue
-        for dip in sorted(known_dests(rt0) & known_dests(rt1)):
-            if net_seqno(rt1, dip) < net_seqno(rt0, dip):
-                return (ip, dip, net_seqno(rt0, dip), net_seqno(rt1, dip))
+def _nsqn_monotone(ip, b, a):
+    rt0, rt1 = b.rt, a.rt
+    if rt1 is rt0:
+        return None
+    for dip in sorted(known_dests(rt0) & known_dests(rt1)):
+        if net_seqno(rt1, dip) < net_seqno(rt0, dip):
+            return (ip, dip, net_seqno(rt0, dip), net_seqno(rt1, dip))
     return None
 
 
-def _check_rerr_grounded(changed, state, rich, target):
+def _check_rerr_grounded(state, rich, target=None):
     a = rich.detail
     if isinstance(a, CastA) and isinstance(a.msg, Rerr):
         if a.dests and not a.msg.dests:
             return (rich.origin, tuple(sorted(a.dests)))
     return None
+
+
+# it reads only the step's origin and detail, which both entries share
+_check_rerr_grounded.parts = _check_rerr_grounded
 
 
 STATE_SUITES = {
@@ -342,10 +390,11 @@ STATE_SUITES = {
     "dispatch-msg": _check_dispatch_msg,
 }
 
+# name -> a function of the run's change list that makes the check
 STEP_SUITES = {
-    "sn-monotone": _check_sn_monotone,
-    "nsqn-monotone": _check_nsqn_monotone,
-    "rerr-grounded": _check_rerr_grounded,
+    "sn-monotone": _node_data_suite(_sn_monotone),
+    "nsqn-monotone": _node_data_suite(_nsqn_monotone),
+    "rerr-grounded": lambda changes: _check_rerr_grounded,
 }
 
 ALL_SUITES = tuple(STATE_SUITES) + tuple(STEP_SUITES)
@@ -387,12 +436,14 @@ def state_checks(table: ProcessTable, names=None):
 def step_checks(table: ProcessTable, names=None):
     """Ordered (name, (state, step, target) -> witness|None) pairs.
 
+    Each check also has the entry ``check.parts(state, step)``, for a
+    step whose target is given as parts (see the step suites above).
     The checks of one call share one change list (see ``_change_list``),
     so each call's checks belong to one run.
     """
     picked = split_suites(names)[1]
-    changed = _change_list()
-    return [(n, partial(STEP_SUITES[n], changed)) for n in picked]
+    changes = _change_list()
+    return [(n, STEP_SUITES[n](changes)) for n in picked]
 
 
 def check_state_invariants(state, table: ProcessTable, names=None) -> Verdict:

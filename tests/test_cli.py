@@ -276,3 +276,88 @@ def test_closed_stdout_ends_quietly(command, unbuffered):
     assert "Traceback" not in done.stderr
     assert "Exception ignored" not in done.stderr
     assert done.returncode == 1
+
+
+class TestReplayCommand:
+    """``aodvcheck replay`` re-derives a counterexample file."""
+
+    def write_cx(self, tmp_path, capsys, variant="base"):
+        out = tmp_path / f"cx.{variant}.json"
+        code, _ = run_cli(["explore", STALE_LINKS, "--variant", variant,
+                           "--out", str(out)], capsys)
+        assert code == EXIT_VIOLATION
+        return out
+
+    def assert_usage_error(self, argv, capsys):
+        code, out = run_cli(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out.err.startswith("error: ")
+        assert out.err.count("\n") == 1
+        assert "Traceback" not in out.err
+        assert "final:" not in out.out
+
+    @pytest.mark.parametrize("variant", ["base", "fwd-rrep", "fwd-rreq"])
+    def test_written_file_replays(self, tmp_path, capsys, variant):
+        out = self.write_cx(tmp_path, capsys, variant)
+        doc = json.loads(out.read_text())
+        assert doc["variant"] == variant
+        code, got = run_cli(["replay", str(out), STALE_LINKS], capsys)
+        assert code == 0, got.err
+        assert f"(variant {variant})" in got.out
+        assert got.out.splitlines()[-1] == f"final: {doc['digest']}"
+
+    def test_tampered_digest_is_rejected(self, tmp_path, capsys):
+        out = self.write_cx(tmp_path, capsys)
+        doc = json.loads(out.read_text())
+        doc["steps"][5]["digest"] = "0" * 32
+        out.write_text(json.dumps(doc))
+        self.assert_usage_error(["replay", str(out), STALE_LINKS], capsys)
+
+    def test_tampered_final_digest_is_rejected(self, tmp_path, capsys):
+        out = self.write_cx(tmp_path, capsys)
+        doc = json.loads(out.read_text())
+        doc["digest"] = "0" * 32
+        out.write_text(json.dumps(doc))
+        self.assert_usage_error(["replay", str(out), STALE_LINKS], capsys)
+
+    def test_foreign_scenario_is_rejected(self, tmp_path, capsys):
+        out = self.write_cx(tmp_path, capsys)
+        for other in ("pair2.json", "chain3.json"):
+            self.assert_usage_error(
+                ["replay", str(out), os.path.join(SCENARIOS, other)], capsys)
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        "[]",
+        json.dumps({"format": "aodvcheck-cx-1"}),
+        json.dumps({"format": CX_FORMAT}),
+        json.dumps({"format": CX_FORMAT, "variant": "base", "suite": "s",
+                    "kind": "step", "witness": [], "digest": "d",
+                    "steps": [{"origin": 1, "action": "tau", "key": True,
+                               "digest": "d"}]}),
+        json.dumps({"format": CX_FORMAT, "variant": "nope", "suite": "s",
+                    "kind": "step", "witness": [], "digest": "d",
+                    "steps": []}),
+    ])
+    def test_malformed_file_is_rejected(self, tmp_path, capsys, text):
+        out = tmp_path / "cx.json"
+        out.write_text(text)
+        self.assert_usage_error(["replay", str(out), STALE_LINKS], capsys)
+
+    def test_unreadable_file_is_rejected(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["replay", str(tmp_path / "missing.json"), STALE_LINKS], capsys)
+
+    def test_scenario_with_several_initial_states_is_rejected(
+            self, tmp_path, capsys, monkeypatch):
+        import aodvcheck.cli as cli
+        out = self.write_cx(tmp_path, capsys)
+
+        class TwoInits(EnvNet):
+            def __init__(self, net, env):
+                super().__init__(net, env)
+                (s,) = self.init
+                self.init = frozenset([s, (s[0], None)])
+
+        monkeypatch.setattr(cli, "EnvNet", TwoInits)
+        self.assert_usage_error(["replay", str(out), STALE_LINKS], capsys)

@@ -12,7 +12,7 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from aodvcheck.awn import (TAU, CastA, ConnectA, DisconnectA, ModelError,
-                           NewpktA)
+                           NewpktA, join_parts, part_maker, root_parts)
 from aodvcheck.canon import FrozenMap, bdigest, digest, value_key
 from aodvcheck.explore import (DEFAULT_STATE_CAP, Counterexample, EnvMenu,
                                EnvNet, EnvState, ResourceCapError,
@@ -170,6 +170,48 @@ class TestRootRecords:
 # by full name: the package re-exports the function ``explore`` under the
 # module's own name
 explore_mod = importlib.import_module("aodvcheck.explore")
+
+
+def stale_links_net() -> EnvNet:
+    sc = load_scenario(os.path.join(
+        ROOT, "bench", "scenarios", "pair2_links_stale.json"))
+    return EnvNet(closed_net(sc.tree, sc.cfg), sc.env)
+
+
+def one_node_net() -> EnvNet:
+    # the root is a NodeS, one part, not a SubnetS
+    return EnvNet(closed_net(tree_of([(1, [])]), BASE),
+                  env_menu(newpkts=[(1, "x", 2, 1), (1, "y", 1, 1)]))
+
+
+class TestPartsMatchRecords:
+    """Successors handed over as parts against the built records."""
+
+    @pytest.mark.parametrize("net,bound,states", [
+        (lambda: scenario_net("chain3.json"), 8, 369),
+        (lambda: scenario_net("fig1.json"), None, 12938),
+        (stale_links_net, 58, 10829),
+        (one_node_net, None, 89),
+    ], ids=["chain3", "fig1", "pair2_links_stale", "one-node"])
+    def test_parts_build_the_records_targets(self, net, bound, states):
+        auto = net()
+        rep = explore(auto, bound=bound, keep_states=True)
+        assert rep.states == states
+        key = explore_mod._numbering()
+        for state in rep.state_index.values():
+            got = explore_mod._sorted_steps(auto, state,
+                                            part_maker(state[0]))
+            want = auto.rich_steps(state)
+            assert [key(*r.target) for r in got] == \
+                   [key(root_parts(w.target[0]), w.target[1]) for w in want]
+            for r, w in zip(got, want):
+                parts, env = r.target
+                built = (join_parts(parts), env)
+                assert built == w.target
+                assert bdigest(built) == bdigest(w.target)
+                assert env is w.target[1]
+                assert (r.origin, r.detail, r.action) == \
+                       (w.origin, w.detail, w.action)
 
 
 class TestPendingCounterexamples:
