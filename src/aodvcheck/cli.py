@@ -37,7 +37,7 @@ from .network import closed_net, net_data, tree_addresses
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import Schedule, ScheduleError, run
 from .trace import TRACE_FORMAT, dump_record, load_trace, write_trace
-from .variants import VariantError, with_variant
+from .variants import VariantError, mutations_of, with_variant
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -152,6 +152,15 @@ def _load(args) -> Scenario:
     return sc
 
 
+def _print_scenario(name: str, cfg, tail: str = "") -> None:
+    """The report's first line, and a line naming the mutations when
+    any is on, so that a failure is not read as the protocol's own."""
+    print(f"scenario: {name} (variant {cfg.name}){tail}")
+    mutations = mutations_of(cfg)
+    if mutations:
+        print("mutations:", " ".join(mutations))
+
+
 def _json_steps(steps) -> list:
     return [{"origin": st.origin, "action": st.action,
              "digest": st.digest, "key": st.key}
@@ -170,7 +179,7 @@ def _cmd_explore(args) -> int:
     kwargs = dict(suites=sc.suites, bound=bound)
     if args.state_cap is not None:
         kwargs["state_cap"] = args.state_cap
-    print(f"scenario: {sc.name} (variant {sc.cfg.name})")
+    _print_scenario(sc.name, sc.cfg)
     try:
         rep = check_theorem1(sc.tree, sc.env, sc.cfg, **kwargs)
         cap = None
@@ -274,7 +283,7 @@ def _cmd_replay(args) -> int:
     if final != doc["digest"]:
         raise ReplayError("counterexample does not replay: its final state "
                           "has another digest")
-    print(f"scenario: {sc.name} (variant {cfg.name})")
+    _print_scenario(sc.name, cfg)
     print(f"replayed: {len(steps)} step(s) to the {doc['suite']} "
           f"({doc['kind']}) violation")
     print(f"final: {final}")
@@ -296,7 +305,7 @@ def _run_schedule(sc: Scenario, args, dump_sigma=False):
 def _cmd_simulate(args) -> int:
     sc = _load(args)
     res, sched = _run_schedule(sc, args, dump_sigma=args.dump_sigma)
-    print(f"scenario: {sc.name} (variant {sc.cfg.name}) seed {sched.seed}")
+    _print_scenario(sc.name, sc.cfg, f" seed {sched.seed}")
     print(f"steps: {res.steps}  stop: {res.stop}")
     for at, ip, data in res.delivered:
         print(f"delivered: {data!r} at node {ip} (step {at})")
@@ -327,6 +336,11 @@ def _read_trace(path: str) -> list:
     if found != TRACE_FORMAT:
         raise TraceFileError(f"trace format {found!r} is not {TRACE_FORMAT!r}; "
                              "re-run simulate to write a current trace")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise TraceFileError(f"trace record {i} is not an object")
+        if not isinstance(rec.get("final", ""), str):
+            raise TraceFileError(f"trace record {i} has no valid 'final'")
     return records
 
 

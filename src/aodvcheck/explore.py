@@ -30,11 +30,13 @@ sides take), the environment successor, and the step's origin, detail
 and closed action.  The parts are interned subtrees that already carry
 their numbers, so the successor is keyed without being built; its root
 state ``(network, environment)`` is built only when the key is new, and
-about three in four successors are not.  The step suites take the same
-parts (see ``monitor.step_checks``).  Replay, ``_rebuild`` and the
-simulator expand states with the default maker, which builds each
-target; the steps and their order are the same either way, since one
-composition code builds both.
+about three in four successors are not.  The suites see network states
+and root parts, never the pair: a step suite takes the source network,
+the step and the target's parts, and a state suite the network of a new
+state (see ``monitor``).  Replay, ``_rebuild`` and the simulator expand
+states with the default maker, which builds each target; the steps and
+their order are the same either way, since one composition code builds
+both.
 """
 from __future__ import annotations
 
@@ -362,17 +364,17 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     pairs.  ``allow`` filters transitions by their action.  ``bound``
     limits the number of expansion layers (states deeper than it are not
     created).  ``state_suites``/``step_suites`` are (name, check) pairs
-    where a check returns a witness tuple or None; a step check is
-    called as ``check(state, step, target)``, or as ``check.parts(state,
-    step)`` if it has that entry (see ``monitor.step_checks``).  Raises
+    where a check returns a witness tuple or None.  A state check is
+    called on a state's network, ``check(net)``; a step check as
+    ``check(net, step, after)``, with the source's network and the
+    target's root parts (see ``monitor.step_checks``).  Raises
     ResourceCapError when more than ``state_cap`` states would be stored.
 
     Each state is expanded with ``part_maker``, so its successors come
     as parts: every step's target is ``(root parts, environment)``.  The
     search keys a successor by those parts and builds it only when the
-    key is new; a step check without a ``parts`` entry is given a step
-    whose target it builds.  Per transition the step suites run first,
-    in their order, and then the state suites of a new target.
+    key is new.  Per transition the step suites run first, in their
+    order, and then the state suites of a new target.
     """
     suites = tuple(n for n, _ in state_suites) + tuple(n for n, _ in step_suites)
     report = ExplorationReport(suites=suites)
@@ -381,8 +383,6 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     index = report.state_index    # key -> state, only when keep_states
     pending: list = []            # (suite, kind, witness, anchor key, extra)
     inits: dict = {}              # key -> initial state
-    step_entries = [(name, getattr(check, "parts", None) or _on_built(check))
-                    for name, check in step_suites]
 
     frontier = []
     for s in sorted(auto.init, key=value_key):
@@ -395,7 +395,7 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             index[k] = s
         frontier.append((s, k))
         for name, check in state_suites:
-            w = check(s)
+            w = check(s[0])
             if w is not None:
                 pending.append((name, "state", tuple(w), k, None))
 
@@ -406,7 +406,8 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             break
         next_frontier = []
         for state, key in frontier:
-            steps = _sorted_steps(auto, state, part_maker(state[0]))
+            net = state[0]
+            steps = _sorted_steps(auto, state, part_maker(net))
             for rank, r in enumerate(steps):
                 if allow is not None and not allow(r.action):
                     continue
@@ -422,17 +423,18 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
                             auto, inits, visited, pending)
                         raise ResourceCapError(report)
                     visited[tkey] = (key, rank)
-                    target = (join_parts(parts), env)
+                    tnet = join_parts(parts)
+                    target = (tnet, env)
                     if keep_states:
                         index[tkey] = target
                     next_frontier.append((target, tkey))
-                for name, on_parts in step_entries:
-                    w = on_parts(state, r)
+                for name, check in step_suites:
+                    w = check(net, r, parts)
                     if w is not None:
                         pending.append((name, "step", tuple(w), key, rank))
                 if is_new:
                     for name, check in state_suites:
-                        w = check(target)
+                        w = check(tnet)
                         if w is not None:
                             pending.append(
                                 (name, "state", tuple(w), tkey, None))
@@ -445,18 +447,6 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     report.states = len(visited)
     report.counterexamples = _finish(auto, inits, visited, pending)
     return report
-
-
-def _on_built(check):
-    """A ``parts`` entry for a step check that takes a built target."""
-
-    def on_parts(state, r):
-        parts, env = r.target
-        target = (join_parts(parts), env)
-        return check(state, RichStep(r.origin, r.detail, r.action, target),
-                     target)
-
-    return on_parts
 
 
 def _finish(auto, inits, visited, pending) -> tuple:
@@ -484,17 +474,25 @@ def reachable(auto, allow=None, bound=None,
 
 def invariant(auto, pred, allow=None, bound=None,
               state_cap=DEFAULT_STATE_CAP) -> ExplorationReport:
-    """Does ``pred`` hold on every reachable state?"""
-    check = lambda s: None if pred(s) else ("predicate false",)
+    """Does ``pred`` hold on every reachable state?
+
+    ``pred`` is given each state's network, not its environment.
+    """
+    check = lambda net: None if pred(net) else ("predicate false",)
     return explore(auto, allow=allow, bound=bound, state_cap=state_cap,
                    state_suites=[("invariant", check)])
 
 
 def step_invariant(auto, pred, allow=None, bound=None,
                    state_cap=DEFAULT_STATE_CAP) -> ExplorationReport:
-    """Does ``pred(state, action, successor)`` hold on every transition?"""
-    check = (lambda s, r, t:
-             None if pred(s, r.action, t) else ("predicate false",))
+    """Does ``pred(net, action, successor)`` hold on every transition?
+
+    ``net`` and ``successor`` are the network states of the transition's
+    source and target, without their environments.
+    """
+    check = (lambda net, r, after:
+             None if pred(net, r.action, join_parts(after))
+             else ("predicate false",))
     return explore(auto, allow=allow, bound=bound, state_cap=state_cap,
                    step_suites=[("step-invariant", check)])
 
@@ -505,8 +503,7 @@ def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
     """Explore a closed network under ``env`` and check the full suite.
 
     The explored states carry the environment alongside the network;
-    the monitor checks take such states as they are and look only at
-    the network part.
+    the monitor checks see only the network part.
     """
     if table is None:
         table = build_table(cfg)

@@ -19,8 +19,11 @@ Step suites:
 
 Suite checkers return ``None`` when satisfied and a witness tuple of
 plain ints/strings when not, so violations serialize directly into
-trace records.  A check takes a network state, or an explorer state
-``(network, environment)`` as it is, and looks only at the network.
+trace records.  A state check takes a network state.  A step check is
+``check(net, step, after)``: ``net`` is the source network state,
+``step`` the ``RichStep`` taken (a check reads only its ``origin`` and
+``detail``) and ``after`` the target's root parts, in the shape of
+``awn.root_parts``, so that an explorer need not build the target.
 
 The paper proves invariants of a single node and lifts them to a whole
 network, where such an invariant holds of every node.  dispatch-msg is
@@ -128,15 +131,6 @@ def loop_free(sigma: GlobalView, nodes) -> Verdict:
 # ---------------------------------------------------------------------------
 # state suites
 
-def _net(state):
-    """The network part of an explorer state ``(network, environment)``.
-
-    Suites take a network state or an explorer state alike; a network
-    state is a node or a subnet, never a tuple.
-    """
-    return state[0] if type(state) is tuple else state
-
-
 # Routing-table suites are memoized on a signature of the routing
 # tables: (address, table digest) per node, in tree order.  Most
 # transitions shuffle queues or scratch variables without touching any
@@ -168,12 +162,11 @@ def _rt_sig(state) -> tuple:
 
 
 def _rt_cached(tag: str, raw):
-    def check(table, state):
-        state = _net(state)
-        sig = (tag, _rt_sig(state))
+    def check(table, net):
+        sig = (tag, _rt_sig(net))
         w = _rt_verdicts.get(sig, _MISSING)
         if w is _MISSING:
-            w = raw(state)
+            w = raw(net)
             if len(_rt_verdicts) < _MEMO_CAP:
                 _rt_verdicts[sig] = w
         return w
@@ -258,23 +251,18 @@ def _dispatch_verdict(x):
     return w
 
 
-def _check_dispatch_msg(table, state):
-    state = _net(state)
-    if type(state) is SubnetS:
-        return _least(_dispatch_verdict(state.left),
-                      _dispatch_verdict(state.right))
-    return _dispatch_verdict(state)
+def _check_dispatch_msg(table, net):
+    if type(net) is SubnetS:
+        return _least(_dispatch_verdict(net.left),
+                      _dispatch_verdict(net.right))
+    return _dispatch_verdict(net)
 
 
 # ---------------------------------------------------------------------------
 # step suites
 #
-# A step suite has two entry points: ``check(state, step, target)``,
-# which takes a built target as the simulator has it, and
-# ``check.parts(state, step)``, which an explorer calls with a step whose
-# target is ``(root parts, environment)`` (see ``awn.root_parts``), so
-# that it need not build the target.  Both entries share the suite's
-# core.
+# A step check is ``check(net, step, after)``, ``after`` being the
+# target's root parts (see the module docstring).
 #
 # sn-monotone and nsqn-monotone are node-data suites: a check of one
 # node's data record before and after a step, lifted to the network the
@@ -337,19 +325,12 @@ def _node_data_suite(node_check):
     the run's change list."""
 
     def suite(changes):
-        def over(changed):
+        def check(net, rich, after):
             w = None
-            for ip, b, a in changed:
+            for ip, b, a in changes(net, rich, after):
                 w = _least(w, node_check(ip, b, a))
             return w
 
-        def check(state, rich, target):
-            return over(changes(_net(state), rich, root_parts(_net(target))))
-
-        def on_parts(state, rich):
-            return over(changes(state[0], rich, rich.target[0]))
-
-        check.parts = on_parts
         return check
 
     return suite
@@ -371,16 +352,12 @@ def _nsqn_monotone(ip, b, a):
     return None
 
 
-def _check_rerr_grounded(state, rich, target=None):
+def _check_rerr_grounded(net, rich, after):
     a = rich.detail
     if isinstance(a, CastA) and isinstance(a.msg, Rerr):
         if a.dests and not a.msg.dests:
             return (rich.origin, tuple(sorted(a.dests)))
     return None
-
-
-# it reads only the step's origin and detail, which both entries share
-_check_rerr_grounded.parts = _check_rerr_grounded
 
 
 STATE_SUITES = {
@@ -424,22 +401,22 @@ def split_suites(names=None) -> tuple:
 
 
 def state_checks(table: ProcessTable, names=None):
-    """Ordered (name, state -> witness|None) pairs for the given suites.
+    """Ordered (name, net -> witness|None) pairs for the given suites.
 
-    A check takes a network state or an explorer state ``(network,
-    environment)``.
+    A check takes a network state, never an explorer's ``(network,
+    environment)`` pair.
     """
     picked = split_suites(names)[0]
     return [(n, partial(STATE_SUITES[n], table)) for n in picked]
 
 
 def step_checks(table: ProcessTable, names=None):
-    """Ordered (name, (state, step, target) -> witness|None) pairs.
+    """Ordered (name, (net, step, after) -> witness|None) pairs.
 
-    Each check also has the entry ``check.parts(state, step)``, for a
-    step whose target is given as parts (see the step suites above).
-    The checks of one call share one change list (see ``_change_list``),
-    so each call's checks belong to one run.
+    ``net`` is the source network state and ``after`` the target's root
+    parts (see the module docstring).  The checks of one call share one
+    change list (see ``_change_list``), so each call's checks belong to
+    one run.
     """
     picked = split_suites(names)[1]
     changes = _change_list()
@@ -457,9 +434,12 @@ def check_state_invariants(state, table: ProcessTable, names=None) -> Verdict:
 
 def check_step_invariants(step_triple, table: ProcessTable,
                           names=None) -> Verdict:
-    state, rich, target = step_triple
+    """First failing step suite on ``(net, step, target)``, or a passing
+    verdict; ``net`` and ``target`` are network states."""
+    net, rich, target = step_triple
+    after = root_parts(target)
     for name, fn in step_checks(table, names):
-        witness = fn(state, rich, target)
+        witness = fn(net, rich, after)
         if witness is not None:
             return Verdict(False, name, witness)
     return Verdict(True)

@@ -8,16 +8,15 @@ whose only openness to the world is new-packet injection and topology
 changes.
 
 The second half projects data back out of network states: ``net_data``
-gives each node's data record, and ``lift_global`` turns a predicate on
-such a (totalized) view into a predicate on network states.
+gives each node's data record, and ``GlobalView`` totalizes such a
+record map over all addresses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .awn import (Automaton, ModelError, NetAutomaton, NodeS, ProcState,
-                  SeqAutomaton, SubnetS, closed, network_node, parallel,
-                  subnet)
+from .awn import (ModelError, NetAutomaton, NodeS, ProcState, SeqAutomaton,
+                  SubnetS, closed, network_node, parallel, subnet)
 from .canon import cache_attr
 from .protocol import BASE, VariantConfig, aodv_init, build_table, queue_table
 
@@ -145,15 +144,3 @@ class GlobalView:
 
     def addresses(self) -> tuple:
         return tuple(sorted(self._data))
-
-    def items(self):
-        return ((ip, self._data[ip]) for ip in self.addresses())
-
-
-def lift_global(pred):
-    """Predicate on a GlobalView, lifted to network states."""
-
-    def check(state) -> bool:
-        return pred(GlobalView(net_data(state)))
-
-    return check

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .awn import (ConnectA, DeliverAtA, DisconnectA, NewpktA, NetMenu,
-                  EMPTY_MENU)
+                  EMPTY_MENU, root_parts)
 from .canon import EMPTY_MAP, FrozenMap, digest, value_key
 from .messages import Newpkt
 from .monitor import Verdict, state_checks, step_checks
@@ -148,8 +148,9 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
             delivered.append((i, r.action.ip, r.action.data))
 
         violated = False
+        after = root_parts(target)
         for name, fn in tchecks:
-            w = fn(state, r, target)
+            w = fn(state, r, after)
             if w is not None:
                 result.verdict = Verdict(False, name, tuple(w))
                 records.append({"violation": {"suite": name, "kind": "step",

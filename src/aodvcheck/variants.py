@@ -57,8 +57,12 @@ def apply_mutations(cfg: VariantConfig, mutations) -> VariantConfig:
     return cfg
 
 
+def mutations_of(cfg: VariantConfig) -> tuple:
+    """The mutations switched on in ``cfg``, in catalogue order."""
+    return tuple(m for m, switch in _MUTATION_SWITCHES.items()
+                 if getattr(cfg, switch))
+
+
 def with_variant(cfg: VariantConfig, name: str) -> VariantConfig:
     """The variant ``name`` with the mutations applied to ``cfg``."""
-    kept = [m for m, switch in _MUTATION_SWITCHES.items()
-            if getattr(cfg, switch)]
-    return apply_mutations(get_variant(name), kept)
+    return apply_mutations(get_variant(name), mutations_of(cfg))

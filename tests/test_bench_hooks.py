@@ -51,3 +51,29 @@ def test_instrument_installs_and_uninstalls(spans):
     finally:
         tracer.uninstall()
     assert _namespaces() == before
+
+
+def test_traced_search_builds_only_new_states(spans, monkeypatch):
+    # The tracer wraps every suite; the search must still hand the step
+    # suites the successor's parts, and build a root state only when it
+    # is new, as it does untraced.
+    explore = importlib.import_module("aodvcheck.explore")
+    scenario = importlib.import_module("aodvcheck.scenario")
+    built = [0]
+    join_parts = explore.join_parts
+
+    def counting(parts):
+        built[0] += 1
+        return join_parts(parts)
+
+    monkeypatch.setattr(explore, "join_parts", counting)
+    tracer = spans.Tracer()
+    try:
+        spans.instrument(tracer)
+        sc = scenario.load_scenario(os.path.join(ROOT, "scenarios",
+                                                 "chain3.json"))
+        rep = explore.check_theorem1(sc.tree, sc.env, sc.cfg, bound=20)
+        assert tracer.span("monitor.sn-monotone")[0] == rep.transitions
+    finally:
+        tracer.uninstall()
+    assert built[0] == rep.states - 1 == 5627

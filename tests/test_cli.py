@@ -226,6 +226,23 @@ def test_graph_rejects_an_unreadable_trace(tmp_path, capsys):
         assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("record,message", [
+    (5, "trace record 1 is not an object"),
+    ({"final": 5}, "trace record 1 has no valid 'final'"),
+], ids=["not-an-object", "final-not-a-string"])
+def test_graph_rejects_a_malformed_trace_record(tmp_path, capsys, record,
+                                                message):
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    trace = str(tmp_path / "t.ndjson")
+    run_cli(["simulate", pair2, "--out", trace], capsys)
+    records = load_trace(trace)
+    write_trace(trace, records[:1] + [record] + records[1:])
+    code, out = run_cli(["graph", pair2, "--trace", trace], capsys)
+    assert code == EXIT_USAGE
+    assert out.err == f"error: {message}\n"
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("command", ["explore", "simulate", "graph"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
     # explore writes only a counterexample, so it gets a failing scenario
@@ -251,6 +268,20 @@ def test_variant_option_keeps_the_scenario_mutations(tmp_path, capsys):
     assert code == EXIT_VIOLATION
     assert "(variant fwd-rrep)" in out.out
     assert json.loads(cx.read_text())["variant"] == "fwd-rrep"
+
+
+def test_mutations_are_named_after_the_scenario_line(tmp_path, capsys):
+    stale = write_scenario(tmp_path, {**STALE_PAIR, "schedule": {
+        "steps": 20, "events": {"0": ["newpkt", 1, "a", 2]}}})
+    cx = str(tmp_path / "cx.json")
+    for argv in (["explore", stale, "--out", cx], ["replay", cx, stale],
+                 ["simulate", stale, "--out", str(tmp_path / "t.ndjson")]):
+        _, out = run_cli(argv, capsys)
+        assert out.out.splitlines()[1] == "mutations: accept-stale-update"
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    for argv in (["explore", pair2], ["simulate", pair2]):
+        _, out = run_cli(argv, capsys)
+        assert "mutations:" not in out.out
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from aodvcheck.awn import ArriveA, ConnectA, DisconnectA, NetMenu, NewpktA
+from aodvcheck.awn import (ArriveA, ConnectA, DisconnectA, NetMenu, NewpktA,
+                          root_parts)
 from aodvcheck.canon import digest, value_key
 from aodvcheck.explore import (EnvNet, EnvState, check_theorem1, env_menu,
                                explore, reachable)
@@ -87,8 +88,9 @@ def naive_search(auto, table, bound):
             for a, t in opened:
                 if not isinstance(a, ArriveA):
                     rich = SimpleNamespace(origin=None, detail=a)
+                    after = root_parts(t)
                     faults |= {n for n, f in tchecks
-                               if f(net_s, rich, t) is not None}
+                               if f(net_s, rich, after) is not None}
             for a, t in closed_oracle(auto.net, net_s, menu):
                 edges += 1
                 target = (t, _env_after(env_s, a))

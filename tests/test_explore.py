@@ -265,7 +265,7 @@ class TestDeterminism:
                (b.states, b.transitions, b.depth, b.complete)
 
     def test_counterexample_traces_are_identical(self):
-        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        pred = lambda s: 2 not in net_data(s)[1].rt
         a = invariant(one_shot(), pred)
         b = invariant(one_shot(), pred)
         (ca,), (cb,) = a.counterexamples, b.counterexamples
@@ -329,7 +329,7 @@ class TestInvariantDrivers:
         assert rep.holds and rep.complete
 
     def test_false_invariant_yields_replayable_counterexample(self):
-        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        pred = lambda s: 2 not in net_data(s)[1].rt
         rep = invariant(one_shot(), pred)
         assert not rep.holds
         (cx,) = rep.counterexamples
@@ -337,11 +337,11 @@ class TestInvariantDrivers:
         assert cx.suite == "invariant"
         end = replay(one_shot(), cx)
         assert digest(value_key(end)) == cx.digest
-        assert not pred(end)
+        assert not pred(end[0])
         assert cx.depth == len(cx.steps)
 
     def test_counterexample_steps_are_branch_ranks(self):
-        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        pred = lambda s: 2 not in net_data(s)[1].rt
         (cx,) = invariant(one_shot(), pred).counterexamples
         auto = one_shot()
         (state,) = auto.init
@@ -352,7 +352,7 @@ class TestInvariantDrivers:
 
     @pytest.mark.parametrize("at", [0, -1])
     def test_replay_rejects_tampered_step_digest(self, at):
-        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        pred = lambda s: 2 not in net_data(s)[1].rt
         (cx,) = invariant(one_shot(), pred).counterexamples
         steps = list(cx.steps)
         steps[at] = dc_replace(steps[at], digest="0" * 32)
@@ -361,7 +361,7 @@ class TestInvariantDrivers:
             replay(one_shot(), bad)
 
     def test_replay_rejects_rank_out_of_range(self):
-        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        pred = lambda s: 2 not in net_data(s)[1].rt
         (cx,) = invariant(one_shot(), pred).counterexamples
         steps = (dc_replace(cx.steps[0], key=99),) + cx.steps[1:]
         with pytest.raises(ModelError, match="rank 99"):
@@ -376,7 +376,7 @@ class TestInvariantDrivers:
         assert cx.steps[-1].action.startswith("newpkt")
 
     def test_violations_collected_without_early_stop(self):
-        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        pred = lambda s: 2 not in net_data(s)[1].rt
         check = lambda s: None if pred(s) else ("found",)
         rep = explore(one_shot(), state_suites=[("probe", check)],
                       stop_on_violation=False)
@@ -508,7 +508,7 @@ class TestTheorem1Driver:
         assert rep.suites == ("loop-freedom",)
 
     def test_replay_rejects_foreign_counterexample(self):
-        pred = lambda s: 2 not in net_data(s[0])[1].rt
+        pred = lambda s: 2 not in net_data(s)[1].rt
         rep = invariant(one_shot(), pred)
         (cx,) = rep.counterexamples
         other = pair_net(env_menu(newpkts=[(2, "y", 1, 1)]))

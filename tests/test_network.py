@@ -3,7 +3,7 @@ import pytest
 
 from aodvcheck.awn import ModelError, NodeS, SubnetS
 from aodvcheck.network import (GlobalView, Node, Par, build_net, closed_net,
-                               lift_global, net_data, node_states, proc_state,
+                               net_data, node_states, proc_state,
                                queue_contents, tree_addresses, tree_nodes,
                                tree_of, well_formed)
 from aodvcheck.protocol import BASE, aodv_init, build_table
@@ -111,14 +111,3 @@ class TestProjection:
         assert view[1].ip == 1
         assert view[9] == aodv_init(9)
         assert view.addresses() == (1,)
-
-    def test_global_view_items_sorted(self):
-        view = GlobalView({3: aodv_init(3), 1: aodv_init(1)})
-        assert [ip for ip, _ in view.items()] == [1, 3]
-
-    def test_lift_global(self):
-        auto = closed_net(tree_of([(1, [2]), (2, [1])]))
-        s = single_init(auto)
-        every_sn_one = lift_global(
-            lambda sigma: all(d.sn == 1 for _, d in sigma.items()))
-        assert every_sn_one(s)
