@@ -26,10 +26,14 @@ and no object identity.
 
 Node and subnet states are hash-consed below the root: each automaton
 interns the states it builds, so equal subtree states are one object
-(see ``_MEMO_CAP``).  The network layers' memos and the monitors'
-per-subtree caches thus hold one entry per distinct value.  Interning
-relies on equal states digesting equal (see ``canon.bdigest``), and it
-changes no step, order or digest, only which object stands for a value.
+(see ``_MEMO_CAP``), and numbers each state as it first interns it.  A
+state's number, its ``_n``, stands for its ``bdigest`` value among the
+automaton's states: node states are numbered by digest, subnet states by
+the pair of their children's numbers.  The network layers' memos key on
+these numbers, and the monitors' per-subtree caches hold one entry per
+distinct value.  Interning relies on equal states digesting equal (see
+``canon.bdigest``), and it changes no step, order or digest, only which
+object stands for a value.
 
 The composition rules of the network layers are written once, in the
 node's and the subnet's ``_rich_steps``.  These take a record builder,
@@ -44,20 +48,23 @@ target with its environment successor, so each step of the closed
 system is built exactly once.
 
 Root targets are built by whoever calls the closed network.  By default
-its maker is the root state's own class, so a caller such as the
-simulator or a counterexample replay gets plain ``SubnetS`` or ``NodeS``
-targets.  A search passes ``part_maker(root)`` instead, and gets each
-target as its parts (``root_parts``): a subnet's two children, or a node
-state whole.  Those parts are already-interned subtrees, so the search
-can key a successor by them and build the root state (``join_parts``)
-only when the key is new.
+a subnet root's maker is ``SubnetS`` and a node root's its automaton's
+interning one, so a caller such as the simulator or a counterexample
+replay gets plain ``SubnetS`` targets over interned children, or
+interned ``NodeS`` targets.  A search passes ``part_maker(closed)``
+instead, and gets each target as its parts (``root_parts``): a subnet's
+two children, or a node state whole.  Either way every part is an
+interned subtree that carries its number, so the search can key a
+successor by its parts' numbers and build the root state
+(``join_parts``) only when the key is new.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .canon import EMPTY_MAP, FrozenMap, bdigest, struct_digest, value_key
+from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, struct_digest,
+                    value_key)
 
 EMPTY = frozenset()
 
@@ -536,10 +543,6 @@ class ParAutomaton(Automaton):
         return tuple(out)
 
 
-def parallel(left: Automaton, right: Automaton) -> ParAutomaton:
-    return ParAutomaton(left, right)
-
-
 # ---------------------------------------------------------------------------
 # network layers
 #
@@ -640,13 +643,19 @@ def _is_newpkt(msg: Any) -> bool:
 # equal to one of them is replaced by it before anything digests it or
 # caches on it.  A subtree value is then one object, digested once and
 # carrying one set of the monitors' caches, however many global states
-# share it.  Node states are keyed by value; subnet states by the
-# identities of their children, which are interned already.  Root
-# targets are built plain: a table at the root would keep every
-# explored state alive, as a root memo would, so the root's table holds
-# only its initial states.  Each memo and table stops growing at this
-# many entries: a state that is not interned equals its canonical twin,
-# so only memory and time depend on it.
+# share it.  Each new canonical state is numbered as it enters its
+# table, and the memos key on that number, ``_n``.  Node states are
+# interned by value but numbered by digest: a ``ProcState`` compares its
+# term by identity, so node states compare finer than they digest, and
+# a number must stand for one digest value.  Subnet states are interned
+# and numbered by the pair of their children's numbers, which are set
+# already.  Subnet root targets are built plain: a table at the root
+# would keep every explored state alive, as a root memo would, so that
+# table holds only its initial states.  A node root interns its targets,
+# so that they carry numbers too; a one-node network has few states.
+# The tables have no cap, since the numbers must be exact; each memo
+# stops growing at this many entries, which only memory and time depend
+# on.
 _MEMO_CAP = 1 << 20
 
 # actions of one side of a subnet that the other side takes no part in
@@ -657,16 +666,16 @@ class MemoNetAutomaton(NetAutomaton):
     """A node or subnet layer: ``rich_steps`` memoizes ``_rich_steps``.
 
     Its states are interned in ``_states``, its table of canonical
-    states (see ``_MEMO_CAP``).  ``_rich_steps`` interns the targets it
-    builds unless it is given another ``make``, as the closed layer does
-    for the root.
+    states, and each carries its number as ``_n`` (see ``_MEMO_CAP``).
+    ``_rich_steps`` interns the targets it builds unless it is given
+    another ``make``, as the closed layer does for a subnet root.
     """
 
     _steps_memo: dict
     _states: dict
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
-        mkey = (bdigest(state), menu)
+        mkey = (state._n, menu)
         hit = self._steps_memo.get(mkey)
         if hit is not None:
             return hit
@@ -690,14 +699,23 @@ class NodeAutomaton(MemoNetAutomaton):
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
         self._states: dict = {}   # node state -> its canonical instance
+        self._digests: dict = {}  # digest of a canonical state -> its number
         self.init = frozenset(self._node(ip, i, frozenset(nbrs))
                               for i in inner.init)
 
     def _node(self, ip: int, inner, nbrs: frozenset) -> NodeS:
-        """The canonical node state of this value, keyed by the value."""
+        """The canonical node state of this value, keyed by the value.
+
+        A new one is numbered by its digest: states that digest alike
+        share a number (see ``_MEMO_CAP``).
+        """
         s = NodeS(ip, inner, nbrs)
-        t = self._states
-        return t.setdefault(s, s) if len(t) < _MEMO_CAP else t.get(s, s)
+        got = self._states.get(s)
+        if got is None:
+            got = self._states[s] = s
+            nums = self._digests
+            cache_attr(s, "_n", nums.setdefault(bdigest(s), len(nums)))
+        return got
 
     def _rich_steps(self, state: NodeS, menu: NetMenu,
                     build=RichStep, make=None) -> tuple:
@@ -765,7 +783,7 @@ class NodeAutomaton(MemoNetAutomaton):
     def cast_delivery(self, state: NodeS, msg, dests: frozenset) -> tuple:
         if state.ip not in dests:
             return (state,)
-        mkey = (bdigest(state), msg)
+        mkey = (state._n, msg)
         hit = self._cast_memo.get(mkey)
         if hit is not None:
             return hit
@@ -788,26 +806,24 @@ class SubnetAutomaton(MemoNetAutomaton):
         self.addresses = left.addresses | right.addresses
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
-        # (id(left), id(right)) -> the canonical subnet state over those
-        # children, which holds them alive, so their ids are not reused
+        # (left._n, right._n) -> the canonical subnet state over children
+        # with those numbers
         self._states: dict = {}
         self.init = frozenset(
             self._pair(l, r) for l in left.init for r in right.init
         )
 
     def _pair(self, left, right) -> SubnetS:
-        """The canonical subnet state over these children.
+        """The canonical subnet state over children numbered like these.
 
-        Keyed by identity, a pair of equal children that are not the
-        same objects (one of the children's tables is full) misses the
-        table; the state built then is still correct.
+        Keyed by the children's numbers, so children that digest alike
+        give one state, whose own number is its place in the table.
         """
-        key = (id(left), id(right))
+        key = (left._n, right._n)
         s = self._states.get(key)
         if s is None:
-            s = SubnetS(left, right)
-            if len(self._states) < _MEMO_CAP:
-                self._states[key] = s
+            s = self._states[key] = SubnetS(left, right)
+            cache_attr(s, "_n", len(self._states) - 1)
         return s
 
     def _rich_steps(self, state: SubnetS, menu: NetMenu,
@@ -852,7 +868,7 @@ class SubnetAutomaton(MemoNetAutomaton):
         return tuple(out)
 
     def cast_delivery(self, state: SubnetS, msg, dests: frozenset) -> tuple:
-        mkey = (bdigest(state), msg, dests)
+        mkey = (state._n, msg, dests)
         hit = self._cast_memo.get(mkey)
         if hit is not None:
             return hit
@@ -873,18 +889,20 @@ class ClosedAutomaton(NetAutomaton):
 
     The network below is the root of the tree, so its steps are taken
     from its unmemoized body (see ``_MEMO_CAP``), which builds each
-    record with ``build`` after relabelling casts as Tau, and interns
-    none of the root states it makes.  A caller that wraps the closed
-    network passes its own ``build`` here instead of rebuilding the
-    records it gets back, and may pass a ``make`` for the root targets,
-    such as ``part_maker(state)``; by default they are plain states of
-    the root's class.
+    record with ``build`` after relabelling casts as Tau.  A caller that
+    wraps the closed network passes its own ``build`` here instead of
+    rebuilding the records it gets back, and may pass a ``make`` for the
+    root targets, such as ``part_maker(closed)``.  By default a subnet
+    root's targets are plain ``SubnetS`` states and a node root's are
+    interned by its automaton, so that each root part carries a number.
     """
 
     def __init__(self, net: MemoNetAutomaton):
         self.net = net
         self.addresses = net.addresses
         self.init = net.init
+        # None lets a node root intern its targets with its own ``_node``
+        self._make = SubnetS if isinstance(net, SubnetAutomaton) else None
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU,
                    build=RichStep, make=None) -> tuple:
@@ -900,14 +918,14 @@ class ClosedAutomaton(NetAutomaton):
             return build(origin, detail, action, target)
 
         return self.net._rich_steps(state, menu, close,
-                                    type(state) if make is None else make)
+                                    self._make if make is None else make)
 
 
 # A root state's parts.  A search keys a state by them and compares a
 # step's source and target part by part: a step leaves every part it
 # does not touch the same object, and the parts below the root are
 # interned.  A subnet root's parts are its two children; a node root is
-# one part, itself.
+# one part, itself, which its automaton interns (see ``ClosedAutomaton``).
 
 
 def root_parts(state) -> tuple:
@@ -921,13 +939,12 @@ def _subnet_parts(left, right) -> tuple:
     return left, right
 
 
-def _node_parts(ip, inner, nbrs) -> tuple:
-    return (NodeS(ip, inner, nbrs),)
-
-
-def part_maker(state):
-    """The ``make`` that gives the root successors of ``state`` as parts."""
-    return _subnet_parts if type(state) is SubnetS else _node_parts
+def part_maker(closed: ClosedAutomaton):
+    """The ``make`` that gives the root successors of ``closed`` as parts."""
+    if isinstance(closed.net, SubnetAutomaton):
+        return _subnet_parts
+    node = closed.net._node
+    return lambda ip, inner, nbrs: (node(ip, inner, nbrs),)
 
 
 def join_parts(parts):
@@ -935,15 +952,3 @@ def join_parts(parts):
     if len(parts) == 2:
         return SubnetS(*parts)
     return parts[0]
-
-
-def network_node(ip: int, inner: Automaton, nbrs: frozenset) -> NodeAutomaton:
-    return NodeAutomaton(ip, inner, frozenset(nbrs))
-
-
-def subnet(left: NetAutomaton, right: NetAutomaton) -> SubnetAutomaton:
-    return SubnetAutomaton(left, right)
-
-
-def closed(net: NetAutomaton) -> ClosedAutomaton:
-    return ClosedAutomaton(net)

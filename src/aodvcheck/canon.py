@@ -4,11 +4,12 @@ Every state, message and action in the model can be turned into a nested
 tuple of plain ints/strings (``value_key``) and into a 16-byte structural
 digest (``bdigest``).  Keys make sets and maps of model values sortable
 in a reproducible order and feed the state digests written to trace
-files.  Structural digests identify values everywhere else: the node
-memos, counterexample files (the initial state's digest), and the
-explorer, which numbers the leaves of each state by their digests and
-keys its visited set by those numbers.  Nothing here may depend on
-object identity or on Python's randomized string hashing.
+files.  Structural digests identify values everywhere else:
+counterexample files (the initial state's digest), the monitors'
+caches, and the node automata, which number the node states they intern
+by digest, so that the memos and the explorer's visited set, keyed by
+those numbers, tell states apart as digests do.  Nothing here may
+depend on object identity or on Python's randomized string hashing.
 
 A model value's encoding is defined once, by its fields: a frozen
 dataclass is encoded as its class name followed by the encodings of its

@@ -27,6 +27,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 
 from .awn import ModelError
 from .canon import bdigest, digest, value_key
@@ -139,8 +140,19 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_scenario(path: str) -> Scenario:
+    """``load_scenario``, with each warning it gives as one stderr line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return load_scenario(path)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def _load(args) -> Scenario:
-    sc = load_scenario(args.scenario)
+    sc = _read_scenario(args.scenario)
     if args.variant is not None:
         sc = Scenario(sc.name, sc.tree, with_variant(sc.cfg, args.variant),
                       sc.env, sc.sched, sc.suites, sc.bound)
@@ -264,7 +276,7 @@ def _tuplify(x):
 
 def _cmd_replay(args) -> int:
     doc = _read_counterexample(args.counterexample)
-    sc = load_scenario(args.scenario)
+    sc = _read_scenario(args.scenario)
     cfg = with_variant(sc.cfg, doc["variant"])
     auto = EnvNet(closed_net(sc.tree, cfg), sc.env)
     # the file records no initial state, so the scenario must have one

@@ -15,12 +15,12 @@ retains per state only a short key plus its parent's key and a branch
 rank; counterexample paths are rebuilt afterwards by replaying those
 ranks from the initial state.
 
-A state's key is made of run-local numbers of its root parts (see
-``_numbering``): a network state is a tree of subnets over node states,
-and a step renews only one spine of it, so a successor's key costs a
-few dict lookups on subtrees the run has already numbered instead of a
-digest of the whole state.  Leaves are numbered by their ``bdigest``,
-so keys are as exact as digests; the numbers never leave the run.
+A state's key packs the numbers of its root parts and of its
+environment state (see ``_key``).  Each automaton numbers a subtree as
+it interns it (see :mod:`aodvcheck.awn`), and ``EnvNet`` its
+environment states, so a key costs a few attribute reads instead of a
+digest of the whole state.  A number stands for one ``bdigest`` value
+among its automaton's states, so keys are as exact as digests.
 
 The search builds root states itself, and only new ones.  It expands a
 state with ``awn.part_maker`` as the target maker, so the closed layer
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .awn import (ConnectA, DisconnectA, ModelError, NetMenu, RichStep,
-                  NewpktA, SubnetS, join_parts, part_maker, root_parts)
+                  NewpktA, join_parts, part_maker, root_parts)
 from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, digest,
                     value_key)
 from .messages import Newpkt
@@ -110,7 +110,8 @@ class EnvNet:
     Environment states are interned: the successor of an environment
     state under an injection or a link event is computed once per
     (state, action) pair and shared, so every explored state holds one
-    of a handful of ``EnvState`` objects, each digested once.  Both
+    of a handful of ``EnvState`` objects.  Each is numbered, as its
+    ``_n``, by its place in the table, for the explorer's keys.  Both
     tables belong to this instance, so a run's caches go with it.
     """
 
@@ -124,7 +125,11 @@ class EnvNet:
         self._menus = {}
 
     def _intern(self, env_state: EnvState) -> EnvState:
-        return self._envs.setdefault(env_state, env_state)
+        got = self._envs.get(env_state)
+        if got is None:
+            got = self._envs[env_state] = env_state
+            cache_attr(got, "_n", len(self._envs) - 1)
+        return got
 
     def _env_after(self, env_s: EnvState, action) -> EnvState:
         key = (env_s, action)
@@ -265,8 +270,9 @@ def _sorted_steps(auto, state, make=None) -> tuple:
     the state: the step functions list successors in the order they
     build them, which no hash seed affects, and ``make`` changes only
     how each target is handed over (see ``EnvNet.rich_steps``), not which
-    targets there are or their order.  Search and replay must both
-    expand states here.
+    targets there are or their order.  Nor do the automata's numbers,
+    which only name states.  Search and replay must both expand states
+    here.
     """
     return auto.rich_steps(state, make)
 
@@ -284,61 +290,25 @@ def _rank_path(visited, key) -> tuple:
 
 
 # A key's numbers are its digits in this radix.  It exceeds any number
-# a run assigns (no run nears 2**40 subtrees), so a key is exact; its
+# an automaton assigns (none nears 2**40 states), so a key is exact; its
 # low bits are not zero, so every digit reaches the low bits of the
 # key's hash, which a dict probes first.
 _RADIX = (1 << 40) + 0x9E3779B1
 
 
-def _numbering():
-    """A fresh run's key function: ``key(parts, env)``, numbers packed.
+def _key(parts, env) -> int:
+    """The key of the state made of root ``parts`` and ``env``.
 
-    A state ``(network, environment)`` is keyed by the numbers of the
-    network's root parts (``awn.root_parts``) and of its environment
-    state, so a successor handed over as parts is keyed without being
-    built.  A leaf, any part that is not a ``SubnetS``, is numbered by
-    its ``bdigest``; a subnet below the root by the pair of its
-    children's numbers.  Numbers count up from 0 in the order the run
-    meets new subtrees, so equal subtrees get equal numbers.  A key
-    packs its numbers into one int in radix ``_RADIX`` (at most 40 bytes
-    for three parts, against 64 for a tuple of them), which is exact
-    because the states of one automaton share one shape.
-
-    Numbers are cached on the subtree objects (every part of an explored
-    state is a dataclass instance), past their frozen ``__setattr__`` and
-    without touching their ``__dict__`` (see ``canon.cache_attr``).  Runs
-    share those objects through automaton memos, so each cached number
-    is tagged with its run's ``tag`` object and any other run's number
-    is ignored.
+    It packs the parts' numbers and the environment state's, in that
+    order, into one int in radix ``_RADIX`` (at most 40 bytes for three
+    numbers, against 64 for a tuple of them).  Each number is unique
+    among its automaton's states, and each place in a key belongs to one
+    automaton, so keys are exact.
     """
-    tag = object()
-    ids: dict = {}   # leaf digest or packed pair of numbers -> number
-
-    def number(x) -> int:
-        if getattr(x, "_st", None) is tag:
-            return x._sn
-        if type(x) is SubnetS:
-            k = number(x.left) * _RADIX + number(x.right)
-        else:
-            k = bdigest(x)
-        n = ids.get(k)
-        if n is None:
-            n = ids[k] = len(ids)
-        cache_attr(x, "_sn", n)
-        cache_attr(x, "_st", tag)
-        return n
-
-    # ``number`` with its first test inlined: nearly every part a search
-    # keys is numbered already
-    def key(parts, env) -> int:
-        k = 0
-        for part in parts:
-            k = k * _RADIX + (part._sn if getattr(part, "_st", None) is tag
-                              else number(part))
-        return k * _RADIX + (env._sn if getattr(env, "_st", None) is tag
-                             else number(env))
-
-    return key
+    k = 0
+    for part in parts:
+        k = k * _RADIX + part._n
+    return k * _RADIX + env._n
 
 
 def _rebuild(auto, state, ranks) -> tuple:
@@ -378,7 +348,6 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     """
     suites = tuple(n for n, _ in state_suites) + tuple(n for n, _ in step_suites)
     report = ExplorationReport(suites=suites)
-    skey = _numbering()
     visited: dict = {}            # key -> (parent key | None, branch rank)
     index = report.state_index    # key -> state, only when keep_states
     pending: list = []            # (suite, kind, witness, anchor key, extra)
@@ -386,7 +355,7 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
 
     frontier = []
     for s in sorted(auto.init, key=value_key):
-        k = skey(root_parts(s[0]), s[1])
+        k = _key(root_parts(s[0]), s[1])
         if k in visited:
             continue
         visited[k] = (None, None)
@@ -399,6 +368,7 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             if w is not None:
                 pending.append((name, "state", tuple(w), k, None))
 
+    make = part_maker(auto.net)
     while frontier:
         if pending and stop_on_violation:
             break
@@ -407,13 +377,13 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
         next_frontier = []
         for state, key in frontier:
             net = state[0]
-            steps = _sorted_steps(auto, state, part_maker(net))
+            steps = _sorted_steps(auto, state, make)
             for rank, r in enumerate(steps):
                 if allow is not None and not allow(r.action):
                     continue
                 report.transitions += 1
                 parts, env = r.target
-                tkey = skey(parts, env)
+                tkey = _key(parts, env)
                 is_new = tkey not in visited
                 if is_new:
                     if len(visited) >= state_cap:

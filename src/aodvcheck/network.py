@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .awn import (ModelError, NetAutomaton, NodeS, ProcState, SeqAutomaton,
-                  SubnetS, closed, network_node, parallel, subnet)
+from .awn import (ClosedAutomaton, ModelError, NetAutomaton, NodeAutomaton,
+                  NodeS, ParAutomaton, ProcState, SeqAutomaton,
+                  SubnetAutomaton, SubnetS)
 from .canon import cache_attr
 from .protocol import BASE, VariantConfig, aodv_init, build_table, queue_table
 
@@ -70,7 +71,7 @@ def node_automaton(ip: int, nbrs: frozenset, table, qtable) -> NetAutomaton:
         [ProcState(aodv_init(ip), table["aodv"], table)]))
     queue = SeqAutomaton(qtable, frozenset(
         [ProcState((), qtable["qmsg"], qtable)]))
-    return network_node(ip, parallel(proto, queue), nbrs)
+    return NodeAutomaton(ip, ParAutomaton(proto, queue), nbrs)
 
 
 def build_net(tree: NetTree, cfg: VariantConfig = BASE,
@@ -84,14 +85,14 @@ def build_net(tree: NetTree, cfg: VariantConfig = BASE,
     def build(t):
         if isinstance(t, Node):
             return node_automaton(t.ip, t.nbrs, table, qtable)
-        return subnet(build(t.left), build(t.right))
+        return SubnetAutomaton(build(t.left), build(t.right))
 
     return build(tree)
 
 
 def closed_net(tree: NetTree, cfg: VariantConfig = BASE,
                table=None) -> NetAutomaton:
-    return closed(build_net(tree, cfg, table))
+    return ClosedAutomaton(build_net(tree, cfg, table))
 
 
 def node_states(state) -> dict:

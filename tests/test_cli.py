@@ -12,7 +12,8 @@ from aodvcheck.cli import (CX_FORMAT, EXIT_CAP, EXIT_USAGE, EXIT_VIOLATION,
                            main)
 from aodvcheck.explore import Counterexample, EnvNet, TraceStep, replay
 from aodvcheck.network import closed_net
-from aodvcheck.scenario import load_scenario
+from aodvcheck.network import tree_nodes
+from aodvcheck.scenario import load_scenario, parse_scenario
 from aodvcheck.trace import TRACE_FORMAT, load_trace, write_trace
 
 SRC = os.path.dirname(os.path.dirname(aodvcheck.__file__))
@@ -185,6 +186,33 @@ def test_counterexample_file_replays_by_rank(tmp_path, capsys):
     cx = Counterexample(doc["suite"], doc["kind"], tuple(doc["witness"]),
                         bdigest(init), steps, doc["digest"])
     assert digest(value_key(replay(auto, cx))) == doc["digest"]
+
+
+# node 2 does not list node 1; the loader adds the link both ways
+ONE_SIDED = [{"ip": 1, "nbrs": [2]}, {"ip": 2, "nbrs": []}]
+SYMMETRIZED = "symmetrizing link 1-2: 2 did not list 1"
+
+
+def test_one_sided_link_is_symmetrized_with_a_warning():
+    with pytest.warns(UserWarning, match=SYMMETRIZED):
+        sc = parse_scenario({"nodes": ONE_SIDED})
+    assert dict(tree_nodes(sc.tree)) == {1: frozenset([2]),
+                                         2: frozenset([1])}
+
+
+def test_symmetrizing_warning_is_one_stderr_line(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, {
+        **STALE_PAIR, "nodes": ONE_SIDED,
+        "schedule": {"seed": 0, "steps": 20,
+                     "events": {"0": ["newpkt", 1, "a", 2]}}})
+    out = str(tmp_path / "cx.json")
+    for argv, want in [(["explore", scenario, "--out", out], EXIT_VIOLATION),
+                       (["replay", out, scenario], 0),
+                       (["simulate", scenario], 0),
+                       (["graph", scenario], 0)]:
+        code, got = run_cli(argv, capsys)
+        assert code == want, got.err
+        assert got.err == f"warning: {SYMMETRIZED}\n"
 
 
 def test_graph_validates_a_current_trace(tmp_path, capsys):

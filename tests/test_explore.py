@@ -96,10 +96,10 @@ class TestStoreExactness:
         assert len(reachable(auto)) == states
 
     def test_runs_do_not_share_numbers(self):
-        # Later runs on one automaton meet subtree objects that earlier
-        # runs numbered, since its memos hand out the same node states
-        # again; a shallower first run numbers them in another order
-        # than a fresh run would.  The other automaton shares the table.
+        # Later runs on one automaton meet the subtree objects, and the
+        # numbers, that its tables gave out in earlier runs, here in the
+        # order a shallower first run met them; the other automaton
+        # shares the process table but numbers its own states.
         sc = load_scenario(os.path.join(ROOT, "scenarios", "chain3.json"))
         table = build_table(sc.cfg)
         auto = scenario_net("chain3.json", table)
@@ -197,10 +197,10 @@ class TestPartsMatchRecords:
         auto = net()
         rep = explore(auto, bound=bound, keep_states=True)
         assert rep.states == states
-        key = explore_mod._numbering()
+        key = explore_mod._key
         for state in rep.state_index.values():
             got = explore_mod._sorted_steps(auto, state,
-                                            part_maker(state[0]))
+                                            part_maker(auto.net))
             want = auto.rich_steps(state)
             assert [key(*r.target) for r in got] == \
                    [key(root_parts(w.target[0]), w.target[1]) for w in want]

@@ -2,8 +2,9 @@
 
 Each node and subnet automaton below the root keeps a table of the
 states it has built, and hands out the one built first whenever a new
-state equals it.  These tests check that reached subtrees are shared
-that way, that the interned object digests like the state it replaces,
+state equals it, and numbers each state it interns.  These tests check
+that reached subtrees are shared that way, that the interned object
+digests like the state it replaces, that the numbers stand for digests,
 that root states enter no table, and that tables belong to one network.
 """
 import gc
@@ -91,6 +92,23 @@ def test_interned_states_digest_as_built(path, bound):
     assert rep.complete == (bound is None)
     # many builds were answered by an object built before
     assert calls[0] > 2 * len(canonical) > 0
+
+
+@pytest.mark.parametrize("path,bound", [(CHAIN3, 8), (FIG1, None)])
+def test_numbers_stand_for_digests(path, bound):
+    # The explorer keys states by these numbers, so each must stand for
+    # one digest value among its table's states, and each digest value
+    # for one number.  Node states compare finer than they digest, so
+    # numbering them by value would break this.
+    auto = env_net(path)
+    explore(auto, bound=bound)
+    tables = [a._states.values() for a in automata(auto)]
+    tables.append(auto._envs.values())
+    for states in tables:
+        numbers = {s._n for s in states}
+        assert numbers == set(range(len(numbers)))
+        pairs = {(s._n, bdigest(s)) for s in states}
+        assert len(pairs) == len(numbers) == len({d for _, d in pairs})
 
 
 def test_root_states_enter_no_table():

@@ -7,12 +7,13 @@ oracle.
 """
 import pytest
 
-from aodvcheck.awn import (Assign, Broadcast, Call, CastA, ConnectA, Deliver,
-                           DeliverA, DeliverAtA, DisconnectA, Guard,
-                           ModelError, NetMenu, ProcState, ProcessTable,
-                           Receive, ReceiveA, Send, SendA, TAU, Unicast,
-                           choice, closed, label_process, network_node,
-                           parallel, seq, seq_steps, subnet, SeqAutomaton)
+from aodvcheck.awn import (Assign, Broadcast, Call, CastA, ClosedAutomaton,
+                           ConnectA, Deliver, DeliverA, DeliverAtA,
+                           DisconnectA, Guard, ModelError, NetMenu,
+                           NodeAutomaton, ParAutomaton, ProcState,
+                           ProcessTable, Receive, ReceiveA, Send, SendA,
+                           SubnetAutomaton, TAU, Unicast, choice,
+                           label_process, seq, seq_steps, SeqAutomaton)
 from aodvcheck.canon import value_key
 from aodvcheck.protocol import queue_table
 
@@ -201,8 +202,8 @@ def combo_table():
 class TestParallel:
     def test_agrees_with_oracle(self):
         table = combo_table()
-        auto = parallel(SeqAutomaton(table, frozenset([ProcState((), table["eat"], table)])),
-                        SeqAutomaton(table, frozenset([ProcState((), table["q"], table)])))
+        auto = ParAutomaton(SeqAutomaton(table, frozenset([ProcState((), table["eat"], table)])),
+                            SeqAutomaton(table, frozenset([ProcState((), table["q"], table)])))
         menus = [EMPTY, frozenset(["a"]), frozenset(["a", "b"])]
         states = crawl(auto.steps, auto.init, menus, 4)
         assert len(states) > 4
@@ -212,8 +213,8 @@ class TestParallel:
 
     def test_receive_send_becomes_internal(self):
         table = combo_table()
-        auto = parallel(SeqAutomaton(table, frozenset([ProcState((), table["eat"], table)])),
-                        SeqAutomaton(table, frozenset([ProcState((), table["q"], table)])))
+        auto = ParAutomaton(SeqAutomaton(table, frozenset([ProcState((), table["eat"], table)])),
+                            SeqAutomaton(table, frozenset([ProcState((), table["q"], table)])))
         (s0,) = auto.init
         # queue takes "a" from outside
         (s1,) = [t for a, t in auto.steps(s0, frozenset(["a"]))
@@ -229,7 +230,7 @@ class TestParallel:
 
 def _node(table, name, ip, nbrs, data):
     inner = SeqAutomaton(table, frozenset([ProcState(data, table[name], table)]))
-    return network_node(ip, inner, frozenset(nbrs))
+    return NodeAutomaton(ip, inner, frozenset(nbrs))
 
 
 def net_menus():
@@ -287,7 +288,7 @@ class TestSubnetLayer:
         table = chatter_table()
         left = _node(table, "t", 1, {2}, (1, ()))
         right = _node(table, "t", 2, {1}, (2, ()))
-        return subnet(left, right)
+        return SubnetAutomaton(left, right)
 
     def test_agrees_with_oracle(self):
         auto = self._both()
@@ -318,7 +319,7 @@ class TestSubnetLayer:
         dtable = deaf_table()
         speaker = _node(table, "t", 1, {2}, (1, ()))
         deaf = _node(dtable, "z", 2, {1}, 0)
-        auto = subnet(speaker, deaf)
+        auto = SubnetAutomaton(speaker, deaf)
         (s,) = auto.init
         casts = [a for a, _ in auto.steps(s) if isinstance(a, CastA)]
         assert casts == []  # node 2 is in range but cannot take the message
@@ -329,7 +330,7 @@ class TestSubnetLayer:
         table = chatter_table()
         speaker = _node(table, "t", 1, frozenset(), (1, ()))
         other = _node(table, "t", 2, frozenset(), (2, ()))
-        auto = subnet(speaker, other)
+        auto = SubnetAutomaton(speaker, other)
         (s,) = auto.init
         found = []
         for _, mid in auto.steps(s):
@@ -346,7 +347,7 @@ class TestClosedLayer:
         table = chatter_table()
         left = _node(table, "t", 1, {2}, (1, ()))
         right = _node(table, "t", 2, {1}, (2, ()))
-        return closed(subnet(left, right))
+        return ClosedAutomaton(SubnetAutomaton(left, right))
 
     def test_agrees_with_oracle(self):
         auto = self._closed()
