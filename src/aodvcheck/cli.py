@@ -19,6 +19,10 @@ replay), 3 the state cap was hit before any suite was violated (a
 violation found before the cap is reported and written as usual, with
 exit code 1).  A reader that closes standard output early (``| head``)
 ends the run quietly, with exit code 1 and no traceback.
+
+A long ``explore`` run reports its progress on standard error, at the
+end of a layer and at most once every ``PROGRESS_EVERY_S`` seconds, as
+``progress: depth D  states S  transitions T  peak RSS M MB``.
 """
 from __future__ import annotations
 
@@ -26,7 +30,9 @@ import argparse
 import contextlib
 import json
 import os
+import resource
 import sys
+import time
 import warnings
 
 from .awn import ModelError
@@ -45,6 +51,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_BROKEN_PIPE = 1  # what Python itself returns on EPIPE
+
+PROGRESS_EVERY_S = 5.0
+_clock = time.monotonic  # read by name, so that tests can set the time
 
 # Counterexample files list each step by its branch rank and the digest
 # of the state it reaches; see ``explore.replay``.
@@ -185,10 +194,33 @@ def _listify(x):
     return x
 
 
+def _progress():
+    """An ``on_layer`` callback for ``explore`` that prints progress lines.
+
+    A line is printed at the end of a layer once ``PROGRESS_EVERY_S``
+    seconds have passed since the run started or since the last line.
+    """
+    last = _clock()
+
+    def on_layer(rep):
+        nonlocal last
+        now = _clock()
+        if now - last < PROGRESS_EVERY_S:
+            return
+        last = now
+        # ru_maxrss is in KiB on Linux
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"progress: depth {rep.depth}  states {rep.states}  "
+              f"transitions {rep.transitions}  peak RSS {rss_mb:.1f} MB",
+              file=sys.stderr, flush=True)
+
+    return on_layer
+
+
 def _cmd_explore(args) -> int:
     sc = _load(args)
     bound = args.bound if args.bound is not None else sc.bound
-    kwargs = dict(suites=sc.suites, bound=bound)
+    kwargs = dict(suites=sc.suites, bound=bound, on_layer=_progress())
     if args.state_cap is not None:
         kwargs["state_cap"] = args.state_cap
     _print_scenario(sc.name, sc.cfg)

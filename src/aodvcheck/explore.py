@@ -11,9 +11,16 @@ sorted by canonical key, and each state's successors are taken in the
 order the step functions build them (see :mod:`aodvcheck.awn`), so
 reports and counterexamples are reproducible byte for byte, independent
 of hash seeds.  To keep millions of states affordable, the search
-retains per state only a short key plus its parent's key and a branch
-rank; counterexample paths are rebuilt afterwards by replaying those
-ranks from the initial state.
+numbers states in the order it first reaches them and keeps per state
+only its key, in a dict that maps it to ``None``, and its parent's
+number and its branch rank, in two packed ``array`` columns indexed by
+that number (8 bytes a state); counterexample paths are rebuilt
+afterwards by walking the parent column back to an initial state and
+replaying the ranks from there.  A frontier holds only the states
+themselves: each layer's states are numbered consecutively, so a
+state's number is its layer's first number plus its place in the
+frontier.  The layer at the depth bound is numbered and checked but not
+kept, since it is never expanded.
 
 A state's key packs the numbers of its root parts and of its
 environment state (see ``_key``).  Each automaton numbers a subtree as
@@ -40,6 +47,7 @@ both.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -253,7 +261,8 @@ class ExplorationReport:
     capped: bool = False
     suites: tuple = ()
     counterexamples: tuple = ()
-    # visited key -> state, filled only when ``keep_states``
+    # packed key (see ``_key``) -> state, for every state the search
+    # numbered, filled only when ``keep_states``
     state_index: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -277,16 +286,20 @@ def _sorted_steps(auto, state, make=None) -> tuple:
     return auto.rich_steps(state, make)
 
 
-def _rank_path(visited, key) -> tuple:
-    """Parent chain of (init_key, branch ranks leading to key)."""
-    ranks = []
+def _rank_path(parents, ranks, index) -> tuple:
+    """The initial state's number and the branch ranks leading to ``index``.
+
+    ``parents`` and ``ranks`` are the search's columns; an initial state
+    is its own parent.
+    """
+    path = []
     while True:
-        parent, rank = visited[key]
-        if parent is None:
-            ranks.reverse()
-            return key, ranks
-        ranks.append(rank)
-        key = parent
+        parent = parents[index]
+        if parent == index:
+            path.reverse()
+            return index, path
+        path.append(ranks[index])
+        index = parent
 
 
 # A key's numbers are its digits in this radix.  It exceeds any number
@@ -327,18 +340,21 @@ def _rebuild(auto, state, ranks) -> tuple:
 
 def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             state_suites=(), step_suites=(), stop_on_violation=True,
-            keep_states=False) -> ExplorationReport:
+            keep_states=False, on_layer=None) -> ExplorationReport:
     """Breadth-first reachability with invariant checking.
 
     ``auto`` is an ``EnvNet``: its states are ``(network, environment)``
     pairs.  ``allow`` filters transitions by their action.  ``bound``
     limits the number of expansion layers (states deeper than it are not
-    created).  ``state_suites``/``step_suites`` are (name, check) pairs
-    where a check returns a witness tuple or None.  A state check is
-    called on a state's network, ``check(net)``; a step check as
-    ``check(net, step, after)``, with the source's network and the
-    target's root parts (see ``monitor.step_checks``).  Raises
-    ResourceCapError when more than ``state_cap`` states would be stored.
+    created; those at it are checked but not expanded).
+    ``state_suites``/``step_suites`` are (name, check) pairs where a
+    check returns a witness tuple or None.  A state check is called on a
+    state's network, ``check(net)``; a step check as ``check(net, step,
+    after)``, with the source's network and the target's root parts (see
+    ``monitor.step_checks``).  Raises ResourceCapError when more than
+    ``state_cap`` states would be stored.  ``on_layer``, if given, is
+    called with the report each time a layer of new states is finished;
+    its ``depth``, ``states`` and ``transitions`` then count that layer.
 
     Each state is expanded with ``part_maker``, so its successors come
     as parts: every step's target is ``(root parts, environment)``.  The
@@ -348,34 +364,47 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     """
     suites = tuple(n for n, _ in state_suites) + tuple(n for n, _ in step_suites)
     report = ExplorationReport(suites=suites)
-    visited: dict = {}            # key -> (parent key | None, branch rank)
+    # The store.  States are numbered from 0 in the order they are first
+    # reached, which is the order of ``visited``; the columns are indexed
+    # by those numbers.
+    visited: dict = {}            # key -> None
+    parents = array("I")          # number -> parent's (own, if initial)
+    ranks = array("I")            # number -> rank of the step reaching it
     index = report.state_index    # key -> state, only when keep_states
-    pending: list = []            # (suite, kind, witness, anchor key, extra)
-    inits: dict = {}              # key -> initial state
+    pending: list = []            # (suite, kind, witness, anchor number, extra)
+    inits: list = []              # number -> initial state
 
-    frontier = []
+    frontier = []                 # the layer to expand, in number order
     for s in sorted(auto.init, key=value_key):
         k = _key(root_parts(s[0]), s[1])
         if k in visited:
             continue
-        visited[k] = (None, None)
-        inits[k] = s
+        n = len(visited)
+        visited[k] = None
+        parents.append(n)
+        ranks.append(0)
+        inits.append(s)
         if keep_states:
             index[k] = s
-        frontier.append((s, k))
+        frontier.append(s)
         for name, check in state_suites:
             w = check(s[0])
             if w is not None:
-                pending.append((name, "state", tuple(w), k, None))
+                pending.append((name, "state", tuple(w), n, None))
 
     make = part_maker(auto.net)
-    while frontier:
+    first = 0                     # the number of the frontier's first state
+    layer = len(visited)          # how many states the last layer has
+    while layer:
         if pending and stop_on_violation:
             break
         if bound is not None and report.depth >= bound:
             break
+        # the layer at the bound is numbered and checked, never expanded
+        keep = bound is None or report.depth + 1 < bound
+        next_first = len(visited)
         next_frontier = []
-        for state, key in frontier:
+        for source, state in enumerate(frontier, first):
             net = state[0]
             steps = _sorted_steps(auto, state, make)
             for rank, r in enumerate(steps):
@@ -386,51 +415,58 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
                 tkey = _key(parts, env)
                 is_new = tkey not in visited
                 if is_new:
-                    if len(visited) >= state_cap:
-                        report.states = len(visited)
+                    target = len(visited)
+                    if target >= state_cap:
+                        report.states = target
                         report.capped = True
                         report.counterexamples = _finish(
-                            auto, inits, visited, pending)
+                            auto, inits, parents, ranks, pending)
                         raise ResourceCapError(report)
-                    visited[tkey] = (key, rank)
+                    visited[tkey] = None
+                    parents.append(source)
+                    ranks.append(rank)
                     tnet = join_parts(parts)
-                    target = (tnet, env)
+                    if keep:
+                        next_frontier.append((tnet, env))
                     if keep_states:
-                        index[tkey] = target
-                    next_frontier.append((target, tkey))
+                        index[tkey] = (tnet, env)
                 for name, check in step_suites:
                     w = check(net, r, parts)
                     if w is not None:
-                        pending.append((name, "step", tuple(w), key, rank))
+                        pending.append((name, "step", tuple(w), source, rank))
                 if is_new:
                     for name, check in state_suites:
                         w = check(tnet)
                         if w is not None:
                             pending.append(
-                                (name, "state", tuple(w), tkey, None))
-        if next_frontier:
+                                (name, "state", tuple(w), target, None))
+        layer = len(visited) - next_first
+        if layer:
             report.depth += 1
-        frontier = next_frontier
+            if on_layer is not None:
+                report.states = len(visited)
+                on_layer(report)
+        first, frontier = next_first, next_frontier
     else:
         report.complete = True
 
     report.states = len(visited)
-    report.counterexamples = _finish(auto, inits, visited, pending)
+    report.counterexamples = _finish(auto, inits, parents, ranks, pending)
     return report
 
 
-def _finish(auto, inits, visited, pending) -> tuple:
+def _finish(auto, inits, parents, ranks, pending) -> tuple:
     """Pending counterexamples (see ``Counterexample``) for ``pending``."""
     out = []
     for suite, kind, witness, anchor, extra in pending:
-        init_key, ranks = _rank_path(visited, anchor)
+        start, path = _rank_path(parents, ranks, anchor)
         if extra is not None:
-            ranks.append(extra)
-        init = inits[init_key]
-        ranks = tuple(ranks)
+            path.append(extra)
+        init = inits[start]
+        path = tuple(path)
         out.append(Counterexample._pending(
-            suite, kind, witness, bdigest(init), ranks,
-            lambda init=init, ranks=ranks: _rebuild(auto, init, ranks)))
+            suite, kind, witness, bdigest(init), path,
+            lambda init=init, path=path: _rebuild(auto, init, path)))
     return tuple(out)
 
 
@@ -469,11 +505,13 @@ def step_invariant(auto, pred, allow=None, bound=None,
 
 def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
                    suites=None, bound=None, state_cap=DEFAULT_STATE_CAP,
-                   stop_on_violation=True, table=None) -> ExplorationReport:
+                   stop_on_violation=True, table=None,
+                   on_layer=None) -> ExplorationReport:
     """Explore a closed network under ``env`` and check the full suite.
 
     The explored states carry the environment alongside the network;
-    the monitor checks see only the network part.
+    the monitor checks see only the network part.  ``on_layer`` is
+    passed on to ``explore``.
     """
     if table is None:
         table = build_table(cfg)
@@ -481,7 +519,7 @@ def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
     return explore(auto, state_suites=state_checks(table, suites),
                    step_suites=step_checks(table, suites),
                    bound=bound, state_cap=state_cap,
-                   stop_on_violation=stop_on_violation)
+                   stop_on_violation=stop_on_violation, on_layer=on_layer)
 
 
 def replay(auto, cx: Counterexample):

@@ -1,6 +1,8 @@
 """Command-line front end: reproducible output and input rejection."""
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -147,6 +149,35 @@ def test_state_cap_without_a_violation_writes_nothing(tmp_path, capsys):
     assert out.err.startswith("state cap hit")
     assert "result:" not in out.out
     assert not out_file.exists()
+
+
+def test_progress_lines_go_to_stderr_only(tmp_path, capsys, monkeypatch):
+    # Each clock reading is 3 s after the last, and the printer reads it
+    # once when the run starts and once per finished layer, so a line
+    # is due at every second layer.  A clock that never moves prints
+    # none, and the report and counterexample bytes are the same.
+    import aodvcheck.cli as cli
+    runs = []
+    for step in (0, 3):
+        monkeypatch.setattr(cli, "_clock", itertools.count(0, step).__next__)
+        out_file = tmp_path / f"cx.{step}.json"
+        code, out = run_cli(["explore", STALE_LINKS, "--out", str(out_file)],
+                            capsys)
+        assert code == EXIT_VIOLATION
+        runs.append((out.out.replace(str(out_file), "CX"), out.err,
+                     out_file.read_bytes()))
+    (quiet_out, quiet_err, quiet_cx), (out, err, cx) = runs
+    assert (out, cx) == (quiet_out, quiet_cx)
+    assert quiet_err == ""
+    pattern = re.compile(r"progress: depth (\d+)  states (\d+)  "
+                         r"transitions (\d+)  peak RSS \d+\.\d MB")
+    rows = [tuple(map(int, pattern.fullmatch(line).groups()))
+            for line in err.splitlines()]
+    assert [d for d, _, _ in rows] == list(range(2, 59, 2))
+    for count in (1, 2):
+        values = [row[count] for row in rows]
+        assert values == sorted(values)
+    assert "states: 10829  transitions: 27993  depth: 58" in out
 
 
 def test_package_runs_as_a_module():

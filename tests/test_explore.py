@@ -1,9 +1,9 @@
 """Exploration engine: oracle comparison, determinism, caps, replay.
 
 The oracle is a plain dictionary-based breadth-first search keyed by
-full canonical keys; the engine under test keeps only run-local subtree
-numbers and parent pointers, so agreement here exercises the whole
-compression scheme.
+full canonical keys; the engine under test keeps only keys packed from
+run-local subtree numbers and, per state number, a parent number and a
+branch rank, so agreement here exercises the whole compression scheme.
 """
 import importlib
 import os
@@ -304,6 +304,40 @@ class TestBounds:
         assert rep.depth == 3
         assert not rep.complete
 
+    def test_violation_in_the_bound_layer_is_reported(self):
+        # the layer at the bound is numbered and checked, though it is
+        # never expanded and so not kept as a frontier
+        pred = lambda s: 2 not in net_data(s)[1].rt
+        (free,) = invariant(one_shot(), pred).counterexamples
+        d = free.depth
+        assert d > 1
+        rep = invariant(one_shot(), pred, bound=d)
+        assert rep.depth == d and not rep.complete
+        (cx,) = rep.counterexamples
+        assert cx.depth == d
+        end = replay(one_shot(), cx)
+        assert digest(value_key(end)) == cx.digest == free.digest
+        assert not pred(end[0])
+
+    def test_layer_callback_sees_each_finished_layer(self):
+        seen = []
+        rep = check_theorem1(
+            PAIR, env_menu(newpkts=[(1, "x", 2, 1)]), bound=12,
+            on_layer=lambda r: seen.append((r.depth, r.states,
+                                            r.transitions)))
+        assert rep.depth == 12
+        assert [d for d, _, _ in seen] == list(range(1, 13))
+        for count in (1, 2):
+            values = [row[count] for row in seen]
+            assert values == sorted(values)
+        assert seen[-1] == (rep.depth, rep.states, rep.transitions)
+
+    def test_layer_callback_skips_the_empty_last_expansion(self):
+        seen = []
+        rep = explore(one_shot(), on_layer=lambda r: seen.append(r.depth))
+        assert rep.complete
+        assert seen == list(range(1, rep.depth + 1))
+
 
 class TestStateCap:
     def test_cap_raises_with_partial_report(self):
@@ -318,6 +352,34 @@ class TestStateCap:
         assert rep.capped
         assert rep.states == 50
         assert not rep.complete
+
+    def test_cap_in_the_bound_layer_keeps_earlier_violations(self):
+        # one_shot's layers past depth 30 hold two states each, and from
+        # depth 31 on each layer has violating states; the cap falls
+        # between the two states of the bound layer
+        pred = lambda s: 2 not in net_data(s)[1].rt
+        found = []
+
+        def probe(net):
+            if pred(net):
+                return None
+            found.append(1)
+            return ("found",)
+
+        bound = 34
+        below = explore(one_shot(), bound=bound - 1).states
+        with pytest.raises(ResourceCapError) as caught:
+            explore(one_shot(), state_suites=[("probe", probe)],
+                    bound=bound, state_cap=below + 1,
+                    stop_on_violation=False)
+        rep = caught.value.report
+        assert rep.capped and rep.states == below + 1
+        assert len(rep.counterexamples) == len(found) > 1
+        assert max(cx.depth for cx in rep.counterexamples) == bound
+        for cx in rep.counterexamples:
+            end = replay(one_shot(), cx)
+            assert digest(value_key(end)) == cx.digest
+            assert not pred(end[0])
 
     def test_default_cap_is_ten_million(self):
         assert DEFAULT_STATE_CAP == 10_000_000
