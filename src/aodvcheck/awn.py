@@ -589,15 +589,16 @@ class RichStep(NamedTuple):
     action: Action
     target: Any
 
-    # The simulator sorts sibling steps by this key, with steps that no
-    # node takes (origin None) first, as origin -1.
+    # The simulator orders sibling steps by this key, with steps that no
+    # node takes (origin None) first, as origin -1.  The target is left
+    # out: ``simulate.sibling_order`` keys a target only where two
+    # siblings tie here.
     def canon_key(self) -> tuple:
         return (
             "step",
             -1 if self.origin is None else self.origin,
             value_key(self.detail),
             value_key(self.action),
-            value_key(self.target),
         )
 
 
@@ -863,7 +864,9 @@ class SubnetAutomaton(MemoNetAutomaton):
                         add(build(None, act, act, pair(ltarget, rtarget)))
             elif isinstance(al, (ConnectA, DisconnectA)):
                 for _, _, ar, rtarget in rsteps:
-                    if ar == al:
+                    # the type test spares a dataclass ``__eq__`` call
+                    # per record of another class
+                    if type(ar) is type(al) and ar == al:
                         add(build(None, al, al, pair(ltarget, rtarget)))
         return tuple(out)
 

@@ -3,21 +3,23 @@
 Every state, message and action in the model can be turned into a nested
 tuple of plain ints/strings (``value_key``) and into a 16-byte structural
 digest (``bdigest``).  Keys make sets and maps of model values sortable
-in a reproducible order and feed the state digests written to trace
-files.  Structural digests identify values everywhere else:
-counterexample files (the initial state's digest), the monitors'
-caches, and the node automata, which number the node states they intern
-by digest, so that the memos and the explorer's visited set, keyed by
-those numbers, tell states apart as digests do.  Nothing here may
-depend on object identity or on Python's randomized string hashing.
+in a reproducible order: they order the simulator's sibling steps and
+the explorer's initial states, and give the digests of the states a
+counterexample file lists (``digest``).  Structural digests identify
+values everywhere else: the states in simulation traces, a
+counterexample's initial state, the monitors' caches, and the node
+automata, which number the node states they intern by digest, so that
+the memos and the explorer's visited set, keyed by those numbers, tell
+states apart as digests do.  Nothing here may depend on object identity
+or on Python's randomized string hashing.
 
 A model value's encoding is defined once, by its fields: a frozen
 dataclass is encoded as its class name followed by the encodings of its
 compared fields, in declaration order, for the key and the digest
 alike.  Only values whose identity is not their fields supply
 ``canon_key``/``canon_digest`` hooks: a process state (its control term
-counts by location), a network step (the simulator's sort key) and
-``FrozenMap``, which is not a dataclass.
+counts by location), a network step (the simulator's sort key, which
+leaves out the target) and ``FrozenMap``, which is not a dataclass.
 
 ``bdigest`` dispatches on the exact type of its argument through one
 table of encoders, filled the first time each class is seen: one for

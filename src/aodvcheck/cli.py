@@ -13,12 +13,13 @@ the same byte for byte on every run, whatever the hash seed.
 Exit codes: 0 all checks passed (a reported depth-bound truncation
 still exits 0) or a counterexample replayed, 1 a suite was violated, 2
 usage, scenario, trace-file or counterexample-file errors (including
-out-of-range numeric options, a trace written in another format, an
-output file that cannot be written and a counterexample that does not
-replay), 3 the state cap was hit before any suite was violated (a
-violation found before the cap is reported and written as usual, with
-exit code 1).  A reader that closes standard output early (``| head``)
-ends the run quietly, with exit code 1 and no traceback.
+out-of-range numeric options, a trace written in another format or
+under other mutations than the scenario's, an output file that cannot
+be written and a counterexample that does not replay), 3 the state cap
+was hit before any suite was violated (a violation found before the cap
+is reported and written as usual, with exit code 1).  A reader that
+closes standard output early (``| head``) ends the run quietly, with
+exit code 1 and no traceback.
 
 A long ``explore`` run reports its progress on standard error, at the
 end of a layer and at most once every ``PROGRESS_EVERY_S`` seconds, as
@@ -390,6 +391,14 @@ def _read_trace(path: str) -> list:
 
 def _cmd_graph(args) -> int:
     sc = _load(args)
+    records = _read_trace(args.trace) if args.trace else None
+    if records is not None:
+        recorded = records[0].get("mutations")
+        mutations = list(mutations_of(sc.cfg))
+        if recorded != mutations:
+            raise TraceFileError(f"trace was written with mutations "
+                                 f"{recorded!r}, the scenario has "
+                                 f"{mutations!r}")
     res, sched = _run_schedule(sc, args)
     sigma = net_data(res.final_state)
     nodes = frozenset(tree_addresses(sc.tree))
@@ -399,12 +408,12 @@ def _cmd_graph(args) -> int:
     for dip in dips:
         g = rt_graph(sigma, dip, nodes)
         graphs[str(dip)] = sorted([a, b] for a, b in g.arcs)
-    final = digest(value_key(res.final_state))
+    final = bdigest(res.final_state).hex()
     doc = {"scenario": sc.name, "variant": sc.cfg.name, "seed": sched.seed,
            "final": final, "graphs": graphs}
-    if args.trace:
+    if records is not None:
         recorded = None
-        for rec in _read_trace(args.trace):
+        for rec in records:
             if "final" in rec:
                 recorded = rec["final"]
         doc["trace_final"] = recorded

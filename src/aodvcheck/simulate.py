@@ -8,21 +8,30 @@ give byte-identical traces.
 
 Every executed step is monitored against the chosen invariant suites;
 a violation stops the run and is recorded in the trace.
+
+The generator draws from the sibling steps in one fixed order,
+``sibling_order``.  Only steps that tie on their own key are ordered by
+their targets, so a state is encoded as a key only where that decides
+a draw; each trace record names the state it reaches by its ``bdigest``.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .awn import (ConnectA, DeliverAtA, DisconnectA, NewpktA, NetMenu,
                   EMPTY_MENU, root_parts)
-from .canon import EMPTY_MAP, FrozenMap, digest, value_key
+from .canon import EMPTY_MAP, FrozenMap, bdigest, value_key
+from .canon import digest  # noqa: F401  (bench/spans.py patches this name)
 from .messages import Newpkt
 from .monitor import Verdict, state_checks, step_checks
 from .network import NetTree, closed_net, net_data, tree_nodes
 from .protocol import BASE, VariantConfig, build_table
 from .trace import TRACE_FORMAT, render_action, sigma_dict
+from .variants import mutations_of
 
 
 class ScheduleError(Exception):
@@ -55,6 +64,25 @@ def _parse_event(spec):
         _, a, b = spec
         return ConnectA(a, b) if op == "connect" else DisconnectA(a, b)
     raise ScheduleError(f"unknown event kind {op!r}")
+
+
+def sibling_order(steps) -> list:
+    """``steps`` sorted by ``RichStep.canon_key``, then by target key.
+
+    The result is that of one stable sort by ``(r.canon_key(),
+    value_key(r.target))``, but a target is keyed only when its step's
+    key ties with another's: the steps are sorted stably by their keys,
+    then each run of equal keys by its targets.
+    """
+    out: list = []
+    first = itemgetter(0)
+    for _, run in groupby(sorted(((r.canon_key(), r) for r in steps),
+                                 key=first), key=first):
+        run = [r for _, r in run]
+        if len(run) > 1:
+            run.sort(key=lambda r: value_key(r.target))
+        out += run
+    return out
 
 
 def _event_menu(action) -> NetMenu:
@@ -94,6 +122,7 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
     nodes = [[ip, sorted(nbrs)] for ip, nbrs in tree_nodes(tree)]
     records = [{"format": TRACE_FORMAT, "kind": "simulate",
                 "scenario": scenario_name, "variant": cfg.name,
+                "mutations": list(mutations_of(cfg)),
                 "seed": sched.seed, "max_steps": sched.max_steps,
                 "nodes": nodes, "suites": sorted(n for n, _ in schecks)
                 + sorted(n for n, _ in tchecks)}]
@@ -126,21 +155,21 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
                 raise ScheduleError(
                     f"event {render_action(forced)} cannot fire at step {i}")
         else:
-            choices = list(auto.rich_steps(state, EMPTY_MENU))
+            choices = auto.rich_steps(state, EMPTY_MENU)
             if not choices:
                 if events:
                     i = min(events)  # quiescent: jump to the next event
                     continue
                 result.stop = "quiescent"
                 break
-        choices.sort(key=lambda r: r.canon_key())
+        choices = sibling_order(choices)
         r = choices[rng.randrange(len(choices))]
         target = r.target
         executed += 1
 
         rec = {"step": i, "origin": r.origin,
                "action": render_action(r.detail),
-               "digest": digest(value_key(target))}
+               "digest": bdigest(target).hex()}
         if dump_sigma:
             rec["sigma"] = sigma_dict(net_data(target))
         records.append(rec)
@@ -171,7 +200,7 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
     result.steps = executed
     result.delivered = tuple(delivered)
     result.pending_events = tuple(sorted(events.items()))
-    records.append({"final": digest(value_key(state)), "stop": result.stop,
+    records.append({"final": bdigest(state).hex(), "stop": result.stop,
                     "steps": executed,
                     "delivered": [list(d) for d in delivered],
                     "holds": result.holds})

@@ -1,10 +1,11 @@
 """Readable action strings and line-delimited JSON trace files.
 
 Trace files begin with a header record carrying everything needed to
-reproduce the run (scenario, variant, seed), followed by one record per
-step: the acting node, a rendered action, and a digest of the canonical
-state reached.  Records hold only integers and strings, so files are
-byte-identical across platforms and runs.
+reproduce the run (scenario, variant, mutations, seed), followed by one
+record per step: the acting node, a rendered action, and the hex of the
+reached state's structural digest (``canon.bdigest``).  Records hold
+only integers and strings, so files are byte-identical across platforms
+and runs.
 """
 from __future__ import annotations
 
@@ -14,9 +15,10 @@ from .awn import (ArriveA, BroadcastA, CastA, ConnectA, DeliverA, DeliverAtA,
                   DisconnectA, GroupcastA, NewpktA, ReceiveA, SendA, TauA,
                   UnicastA, UnicastFailA)
 
-# The format also names the state encoding behind the recorded digests:
-# a trace whose header carries another format cannot be checked by them.
-TRACE_FORMAT = "aodvcheck-trace-2"
+# The format also names the state encoding behind the recorded digests,
+# here ``bdigest``: a trace whose header carries another format cannot be
+# checked by them.
+TRACE_FORMAT = "aodvcheck-trace-3"
 
 
 def render_action(a) -> str:

@@ -4,12 +4,13 @@ from dataclasses import replace
 from aodvcheck.awn import EMPTY_MENU, NetMenu, NewpktA, NodeS, SubnetS
 from aodvcheck.canon import EMPTY_MAP, FrozenMap
 from aodvcheck.messages import Newpkt
+from aodvcheck.simulate import sibling_order
 
 
 def canonical_steps(auto, state, menu=EMPTY_MENU):
     """Rich steps in canonical order; pass menu=None for env-closed automata."""
     rs = auto.rich_steps(state) if menu is None else auto.rich_steps(state, menu)
-    return sorted(rs, key=lambda r: r.canon_key())
+    return sibling_order(rs)
 
 
 def run_to_quiescence(auto, state, menu=EMPTY_MENU, limit=5000):

@@ -259,6 +259,7 @@ def test_graph_validates_a_current_trace(tmp_path, capsys):
 
 @pytest.mark.parametrize("header", [
     {"format": "aodvcheck-trace-1", "kind": "simulate"},
+    {"format": "aodvcheck-trace-2"},
     {"kind": "simulate"},
     [],
 ], ids=json.dumps)
@@ -272,6 +273,28 @@ def test_graph_rejects_a_trace_in_another_format(tmp_path, capsys, header):
     assert code == EXIT_USAGE
     assert out.err.startswith("error: trace format")
     assert out.out == ""
+
+
+def test_graph_rejects_a_trace_of_other_mutations(tmp_path, capsys):
+    # a trace of the mutated scenario checked against the unmutated one
+    stale = {"nodes": PAIR, "mutate": ["accept-stale-update"],
+             "schedule": {"seed": 0, "steps": 30,
+                          "events": {"0": ["newpkt", 1, "x", 2]}}}
+    mutated = write_scenario(tmp_path, stale, "stale")
+    del stale["mutate"]
+    plain = write_scenario(tmp_path, stale, "plain")
+    trace = str(tmp_path / "t.ndjson")
+    code, _ = run_cli(["simulate", mutated, "--out", trace], capsys)
+    assert code == 0
+    assert load_trace(trace)[0]["mutations"] == ["accept-stale-update"]
+    code, out = run_cli(["graph", plain, "--trace", trace], capsys)
+    assert code == EXIT_USAGE
+    assert out.err == ("error: trace was written with mutations "
+                       "['accept-stale-update'], the scenario has []\n")
+    assert out.out == ""
+    code, out = run_cli(["graph", mutated, "--trace", trace], capsys)
+    assert code == 0
+    assert json.loads(out.out)["validated"] is True
 
 
 def test_graph_rejects_an_unreadable_trace(tmp_path, capsys):

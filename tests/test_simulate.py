@@ -5,18 +5,24 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from aodvcheck.awn import ConnectA, DisconnectA, NewpktA, TAU
-from aodvcheck.canon import digest, value_key
+from aodvcheck import simulate
+from aodvcheck.awn import (EMPTY_MENU, ConnectA, DisconnectA, NewpktA,
+                           RichStep, TAU)
+from aodvcheck.canon import bdigest, value_key
+from aodvcheck.explore import EnvNet, explore
 from aodvcheck.messages import Rreq
-from aodvcheck.simulate import Schedule, ScheduleError, run, schedule
-from aodvcheck.network import tree_of
+from aodvcheck.simulate import (Schedule, ScheduleError, run, schedule,
+                                sibling_order)
+from aodvcheck.network import closed_net, tree_of
 from aodvcheck.protocol import BASE
 from aodvcheck.scenario import load_scenario
 from aodvcheck.trace import (TRACE_FORMAT, dump_record, load_trace,
                              render_action, write_trace)
 from aodvcheck.variants import VARIANTS, apply_mutations
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIR = tree_of([(1, [2]), (2, [1])])
 CHAIN = tree_of([(1, [2]), (2, [1, 3]), (3, [2])])
 
@@ -77,9 +83,7 @@ class TestDrawOrder:
         "6573ad9fb63f5a0d6755ba9f30c1b77e26536dea9b7caa9f3b96ad6cc0cabd84")
 
     def test_chain3_draw_order_is_pinned(self):
-        sc = load_scenario(os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "scenarios", "chain3.json"))
+        sc = load_scenario(os.path.join(ROOT, "scenarios", "chain3.json"))
         cfgs = [VARIANTS[n] for n in sorted(VARIANTS)]
         cfgs.append(apply_mutations(BASE, ["accept-stale-update"]))
         h = hashlib.sha256()
@@ -93,6 +97,97 @@ class TestDrawOrder:
         assert h.hexdigest() == self.DRAWS_SHA256
 
 
+def assert_one_sort_order(steps, got):
+    """``got`` is ``steps`` in one sort by the step's key, then the target's."""
+    want = sorted(steps, key=lambda r: (r.canon_key(), value_key(r.target)))
+    assert list(map(id, got)) == list(map(id, want))
+
+
+def sibling_sets(name, bound=None):
+    """Every sibling set the simulator can sort on a scenario's states.
+
+    For each state the explorer reaches, the closed network's steps
+    under the environment's menu, under no menu, and under the menu of
+    each event of the scenario's schedule.
+    """
+    sc = load_scenario(os.path.join(ROOT, "scenarios", name))
+    auto = EnvNet(closed_net(sc.tree, sc.cfg), sc.env)
+    rep = explore(auto, bound=bound, keep_states=True)
+    assert bound is not None or rep.complete
+    menus = [EMPTY_MENU]
+    if sc.sched is not None:
+        menus += [simulate._event_menu(ev)
+                  for _, ev in sorted(sc.sched.events.items())]
+    closed = auto.net
+    for net_s, env_s in rep.state_index.values():
+        yield closed.rich_steps(net_s, auto.menu_for(env_s))
+        for menu in menus:
+            yield closed.rich_steps(net_s, menu)
+
+
+def tied(steps) -> set:
+    """The ids of the steps whose own key another step shares."""
+    seen: dict = {}
+    for r in steps:
+        seen.setdefault(r.canon_key(), []).append(id(r))
+    return {i for ids in seen.values() if len(ids) > 1 for i in ids}
+
+
+class TestSiblingOrder:
+    @pytest.mark.parametrize("name,bound", [("pair2.json", None),
+                                            ("fig1.json", None),
+                                            ("chain3.json", 8)])
+    def test_equals_one_sort_by_key_and_target(self, name, bound):
+        for steps in sibling_sets(name, bound):
+            assert_one_sort_order(steps, sibling_order(steps))
+
+    def test_simulator_draws_in_the_one_sort_order(self, monkeypatch):
+        # chain3 has no tied siblings within depth 16; its simulated runs
+        # go deeper and meet them
+        ties = []
+
+        def checked(steps):
+            got = sibling_order(steps)
+            assert_one_sort_order(steps, got)
+            ties.append(len(tied(steps)))
+            return got
+
+        monkeypatch.setattr(simulate, "sibling_order", checked)
+        sc = load_scenario(os.path.join(ROOT, "scenarios", "chain3.json"))
+        for seed in range(3):
+            run(sc.tree, Schedule(seed, 200, sc.sched.events), sc.cfg)
+        assert any(ties) and not all(ties)
+
+    @given(st.lists(st.tuples(st.sampled_from([None, 1, 2]),
+                              st.integers(0, 2), st.integers(0, 1),
+                              st.one_of(st.integers(0, 3),
+                                        st.text("ab", max_size=2))),
+                    max_size=12))
+    def test_equals_one_sort_on_drawn_records(self, rows):
+        steps = [RichStep(*row) for row in rows]
+        assert_one_sort_order(steps, sibling_order(steps))
+
+    def test_keys_only_the_targets_of_tied_steps(self, monkeypatch):
+        keyed = []
+        real = simulate.value_key
+
+        def counting(x):
+            keyed.append(id(x))
+            return real(x)
+
+        monkeypatch.setattr(simulate, "value_key", counting)
+        unique = tied_steps = 0
+        for steps in sibling_sets("pair2.json"):
+            keyed.clear()
+            sibling_order(steps)
+            ties = tied(steps)
+            assert sorted(keyed) == sorted(id(r.target) for r in steps
+                                           if id(r) in ties)
+            unique += len(steps) - len(ties)
+            tied_steps += len(ties)
+        assert unique > 0 and tied_steps > 0
+
+
 class TestRunOutcomes:
     def test_quiescent_run_delivers_payload(self):
         res = run(PAIR, pair_schedule())
@@ -104,7 +199,7 @@ class TestRunOutcomes:
     def test_final_record_matches_result(self):
         res = run(PAIR, pair_schedule())
         last = res.records[-1]
-        assert last["final"] == digest(value_key(res.final_state))
+        assert last["final"] == bdigest(res.final_state).hex()
         assert last["stop"] == "quiescent"
         assert last["holds"] is True
         assert last["delivered"] == [list(d) for d in res.delivered]
@@ -116,6 +211,7 @@ class TestRunOutcomes:
         assert head["kind"] == "simulate"
         assert head["scenario"] == "pair"
         assert head["variant"] == "base"
+        assert head["mutations"] == []
         assert head["seed"] == 3
         assert head["nodes"] == [[1, [2]], [2, [1]]]
         assert "loop-freedom" in head["suites"]
