@@ -26,14 +26,16 @@ and no object identity.
 
 Node and subnet states are hash-consed below the root: each automaton
 interns the states it builds, so equal subtree states are one object
-(see ``_MEMO_CAP``), and numbers each state as it first interns it.  A
-state's number, its ``_n``, stands for its ``bdigest`` value among the
-automaton's states: node states are numbered by digest, subnet states by
-the pair of their children's numbers.  The network layers' memos key on
-these numbers, and the monitors' per-subtree caches hold one entry per
-distinct value.  Interning relies on equal states digesting equal (see
-``canon.bdigest``), and it changes no step, order or digest, only which
-object stands for a value.
+(see ``_MEMO_CAP``), and numbers each state by its place in its table
+as it first interns it.  A state's number, its ``_n``, stands for its
+value among the automaton's states, and so for its ``bdigest`` value,
+since reached states are equal exactly when they digest equal (see
+``ProcState``).  Node states are interned by value, subnet states by the
+pair of their children's numbers.  The network layers' memos key on
+these numbers and on the identity of the menu (see ``NetMenu``), and the
+monitors' per-subtree caches hold one entry per distinct value.
+Interning changes no step, order or digest, only which object stands
+for a value.
 
 The composition rules of the network layers are written once, in the
 node's and the subnet's ``_rich_steps``.  These take a record builder,
@@ -63,8 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, struct_digest,
-                    value_key)
+from .canon import EMPTY_MAP, FrozenMap, cache_attr, struct_digest, value_key
+from .canon import bdigest  # noqa: F401  (bench/spans.py patches this name)
 
 EMPTY = frozenset()
 
@@ -92,9 +94,12 @@ class Label:
 # process terms
 #
 # Terms compare by identity: each process body is built (and labelled)
-# exactly once, so two equal-looking terms are the same object.  Guard
-# tests return a finite iterable of successor data states; assignments
-# and message builders are plain functions of the data state.
+# exactly once, so two equal-looking terms are the same object.  A call
+# is the exception: it compares by the name it calls, since a body may
+# call one process from many places and every such call stands for the
+# same control location.  Guard tests return a finite iterable of
+# successor data states; assignments and message builders are plain
+# functions of the data state.
 
 
 @dataclass(eq=False, frozen=True)
@@ -163,7 +168,7 @@ class Choice:
     right: "ProcessTerm"
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(frozen=True)
 class Call:
     name: str
 
@@ -426,9 +431,14 @@ class ProcState:
     term: ProcessTerm
     table: "ProcessTable" = field(compare=False, repr=False, default=None)
 
-    # The term compares by identity, so both encodings use the control
-    # locations it stands for instead; ``value_key`` and ``bdigest``
-    # cache the results on the instance.
+    # Both encodings use the control locations the term stands for,
+    # and cache the results on the instance; ``value_key`` and
+    # ``bdigest`` cannot read a term, which holds functions.  Two states
+    # of one table compare equal exactly when they encode equal: a call
+    # compares by name, ``label_process`` gives every other prefix but a
+    # choice's branch heads a location of its own, and a process is
+    # never at a branch head, only at the choice.  A node automaton
+    # numbers its states by value on the strength of this.
     def _locs(self) -> tuple:
         return tuple(
             sorted((l.pname, l.offset) for l in self.table.labels(self.term))
@@ -551,8 +561,18 @@ class ParAutomaton(Automaton):
 # injections allowed per node, and topology events under consideration.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetMenu:
+    """What a layer's context offers it: see the comment above.
+
+    Menus compare and hash by identity.  The step memos below the root
+    key on ``(state number, menu)``, and an identity key hashes in C,
+    with no call into the menu or its link events; a menu equal in value
+    to one seen before but not the same object costs only a memo miss.
+    A run hands out one object per menu value (``EnvNet.menu_for``), and
+    the closed layer one stripped menu per menu it is given.
+    """
+
     messages: tuple = ()
     newpkts: FrozenMap = EMPTY_MAP  # ip -> tuple of new-packet messages
     links: tuple = ()               # ConnectA / DisconnectA actions
@@ -642,21 +662,21 @@ def _is_newpkt(msg: Any) -> bool:
 # subnet automaton keeps a table of the states it has built (its
 # initial states, step targets and cast deliveries), and a new state
 # equal to one of them is replaced by it before anything digests it or
-# caches on it.  A subtree value is then one object, digested once and
-# carrying one set of the monitors' caches, however many global states
-# share it.  Each new canonical state is numbered as it enters its
-# table, and the memos key on that number, ``_n``.  Node states are
-# interned by value but numbered by digest: a ``ProcState`` compares its
-# term by identity, so node states compare finer than they digest, and
-# a number must stand for one digest value.  Subnet states are interned
-# and numbered by the pair of their children's numbers, which are set
-# already.  Subnet root targets are built plain: a table at the root
-# would keep every explored state alive, as a root memo would, so that
-# table holds only its initial states.  A node root interns its targets,
-# so that they carry numbers too; a one-node network has few states.
-# The tables have no cap, since the numbers must be exact; each memo
-# stops growing at this many entries, which only memory and time depend
-# on.
+# caches on it.  A subtree value is then one object, digested at most
+# once and carrying one set of the monitors' caches, however many
+# global states share it.  Each new canonical state is numbered by its
+# place as it enters its table, and the memos key on that number,
+# ``_n``, and on the menu object, which compares by identity (see
+# ``NetMenu``), so a memo lookup hashes two small values in C.  Node
+# states are interned and numbered by value, which tells them apart as
+# their digests would (see ``ProcState``); subnet states by the pair of
+# their children's numbers, which are set already.  Subnet root targets
+# are built plain: a table at the root would keep every explored state
+# alive, as a root memo would, so that table holds only its initial
+# states.  A node root interns its targets, so that they carry numbers
+# too; a one-node network has few states.  The tables have no cap,
+# since the numbers must be exact; each memo stops growing at this many
+# entries, which only memory and time depend on.
 _MEMO_CAP = 1 << 20
 
 # actions of one side of a subnet that the other side takes no part in
@@ -700,22 +720,21 @@ class NodeAutomaton(MemoNetAutomaton):
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
         self._states: dict = {}   # node state -> its canonical instance
-        self._digests: dict = {}  # digest of a canonical state -> its number
         self.init = frozenset(self._node(ip, i, frozenset(nbrs))
                               for i in inner.init)
 
     def _node(self, ip: int, inner, nbrs: frozenset) -> NodeS:
         """The canonical node state of this value, keyed by the value.
 
-        A new one is numbered by its digest: states that digest alike
-        share a number (see ``_MEMO_CAP``).
+        A new one is numbered by its place in the table.  Node states
+        are equal exactly when they digest equal (see ``ProcState``), so
+        nothing here digests them.
         """
         s = NodeS(ip, inner, nbrs)
         got = self._states.get(s)
         if got is None:
             got = self._states[s] = s
-            nums = self._digests
-            cache_attr(s, "_n", nums.setdefault(bdigest(s), len(nums)))
+            cache_attr(s, "_n", len(self._states) - 1)
         return got
 
     def _rich_steps(self, state: NodeS, menu: NetMenu,
@@ -817,8 +836,8 @@ class SubnetAutomaton(MemoNetAutomaton):
     def _pair(self, left, right) -> SubnetS:
         """The canonical subnet state over children numbered like these.
 
-        Keyed by the children's numbers, so children that digest alike
-        give one state, whose own number is its place in the table.
+        Keyed by the children's numbers, so equal children give one
+        state, whose own number is its place in the table.
         """
         key = (left._n, right._n)
         s = self._states.get(key)
@@ -910,10 +929,15 @@ class ClosedAutomaton(NetAutomaton):
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU,
                    build=RichStep, make=None) -> tuple:
         # with no messages on offer no node can emit an arrival; a menu
-        # that offers none is passed on as it is, so that the memo keys
-        # below share it
+        # that offers none is passed on as it is, and one that offers
+        # some is replaced by one stripped copy, kept on it, so that the
+        # memos below, keyed by menu identity, meet one object per menu
         if menu.messages:
-            menu = NetMenu((), menu.newpkts, menu.links)
+            stripped = getattr(menu, "_closed", None)
+            if stripped is None:
+                stripped = NetMenu((), menu.newpkts, menu.links)
+                cache_attr(menu, "_closed", stripped)
+            menu = stripped
 
         def close(origin, detail, action, target):
             if type(action) is CastA:

@@ -7,11 +7,12 @@ in a reproducible order: they order the simulator's sibling steps and
 the explorer's initial states, and give the digests of the states a
 counterexample file lists (``digest``).  Structural digests identify
 values everywhere else: the states in simulation traces, a
-counterexample's initial state, the monitors' caches, and the node
-automata, which number the node states they intern by digest, so that
-the memos and the explorer's visited set, keyed by those numbers, tell
-states apart as digests do.  Nothing here may depend on object identity
-or on Python's randomized string hashing.
+counterexample's initial state and the monitors' caches.  The node
+automata number the node states they intern by value, which tells
+reached states apart as digests do (see ``bdigest``), so the memos and
+the explorer's visited set, keyed by those numbers, digest nothing.
+Nothing here may depend on object identity or on Python's randomized
+string hashing.
 
 A model value's encoding is defined once, by its fields: a frozen
 dataclass is encoded as its class name followed by the encodings of its
@@ -262,9 +263,14 @@ def bdigest(x: Any) -> bytes:
     states in :mod:`aodvcheck.awn` relies on this direction: it replaces
     a built state by an equal one built before, whose digest must be
     the same.
-    The converse does not hold: a ``ProcState`` compares its control
-    term by identity but digests the locations the term stands for, so
-    two process states can digest equal and still compare unequal.
+    The converse holds on the model's reached states too, and the node
+    automata rely on it when they number node states by value: a
+    ``ProcState`` digests the locations its control term stands for, and
+    two terms of one table that a process can be at stand for the same
+    locations only when they compare equal, a call comparing by the name
+    it calls (see ``ProcState`` in :mod:`aodvcheck.awn`).  Values outside
+    the model, such as two process terms built apart, can still digest
+    equal and compare unequal.
     """
     enc = _encoders.get(type(x))
     if enc is None:

@@ -26,8 +26,9 @@ A state's key packs the numbers of its root parts and of its
 environment state (see ``_key``).  Each automaton numbers a subtree as
 it interns it (see :mod:`aodvcheck.awn`), and ``EnvNet`` its
 environment states, so a key costs a few attribute reads instead of a
-digest of the whole state.  A number stands for one ``bdigest`` value
-among its automaton's states, so keys are as exact as digests.
+digest of the whole state.  A number stands for one value among its
+automaton's states, and reached states are equal exactly when they
+digest equal (see ``canon.bdigest``), so keys are as exact as digests.
 
 The search builds root states itself, and only new ones.  It expands a
 state with ``awn.part_maker`` as the target maker, so the closed layer
@@ -119,18 +120,22 @@ class EnvNet:
     state under an injection or a link event is computed once per
     (state, action) pair and shared, so every explored state holds one
     of a handful of ``EnvState`` objects.  Each is numbered, as its
-    ``_n``, by its place in the table, for the explorer's keys.  Both
-    tables belong to this instance, so a run's caches go with it.
+    ``_n``, by its place in the table, for the explorer's keys.  Menus
+    are interned too, by value, and each environment state keeps its
+    own: the step memos of the automata key on menu identity (see
+    ``awn.NetMenu``), so environment states that offer the same menu
+    must offer the same object.  The tables belong to this instance, so
+    a run's caches go with it.
     """
 
     def __init__(self, net, env: EnvMenu):
         self.net = net
         self.env = env
         self._envs: dict = {}    # EnvState -> its one shared instance
-        self._after: dict = {}   # (EnvState, action) -> shared successor
+        self._after: dict = {}   # (EnvState number, action) -> successor
+        self._menus: dict = {}   # (newpkts, links) -> its one NetMenu
         env0 = self._intern(EnvState(env.newpkts, 0))
         self.init = frozenset((s, env0) for s in net.init)
-        self._menus = {}
 
     def _intern(self, env_state: EnvState) -> EnvState:
         got = self._envs.get(env_state)
@@ -140,7 +145,7 @@ class EnvNet:
         return got
 
     def _env_after(self, env_s: EnvState, action) -> EnvState:
-        key = (env_s, action)
+        key = (env_s._n, action)
         env2 = self._after.get(key)
         if env2 is None:
             if isinstance(action, NewpktA):
@@ -155,17 +160,19 @@ class EnvNet:
         return env2
 
     def menu_for(self, env_state: EnvState) -> NetMenu:
-        menu = self._menus.get(env_state)
+        """The one menu object of the offers of ``env_state``."""
+        menu = getattr(env_state, "_menu", None)
         if menu is not None:
             return menu
         per_ip: dict = {}
         for (ip, data, dip) in env_state.remaining:
             per_ip.setdefault(ip, []).append(Newpkt(data, dip))
+        newpkts = FrozenMap({ip: tuple(v) for ip, v in per_ip.items()})
         links = self.env.links[env_state.pos:env_state.pos + 1]
-        menu = NetMenu((), FrozenMap({ip: tuple(v)
-                                      for ip, v in per_ip.items()}),
-                       links)
-        self._menus[env_state] = menu
+        menu = self._menus.get((newpkts, links))
+        if menu is None:
+            menu = self._menus[newpkts, links] = NetMenu((), newpkts, links)
+        cache_attr(env_state, "_menu", menu)
         return menu
 
     def rich_steps(self, state, make=None) -> tuple:

@@ -268,72 +268,40 @@ def _check_dispatch_msg(table, net):
 # node's data record before and after a step, lifted to the network the
 # way dispatch-msg is.  A step's source and target share every subtree
 # the step did not touch, and subtrees are interned, so the lifting
-# compares the two part by part and walks only the parts that are not
-# the same object, down to the nodes whose data record was replaced.
-# When several nodes fail, the witness of least address wins.
-
-
-def _changed_data(before, after, out):
-    """Append (ip, before, after) for each node whose data record was
-    replaced between two subtrees that are not the same object."""
-    if type(before) is SubnetS:
-        if before.left is not after.left:
-            _changed_data(before.left, after.left, out)
-        if before.right is not after.right:
-            _changed_data(before.right, after.right, out)
-        return
-    # proc_state(x).data, inlined: this runs for most transitions
-    b, a = before.inner[0].data, after.inner[0].data
-    if a is not b:
-        out.append((before.ip, b, a))
-
-
-def _change_list():
-    """A run's change list: ``changes(net, step, after)`` -> (ip, before,
-    after) data records, for a step from network state ``net`` to one
-    with the root parts ``after``.
-
-    The node-data suites of one run share the list of one transition:
-    it is made by the first of them to ask and kept, with the step it
-    was made for, until another step is checked.  Holding the step and
-    its source keeps them alive, so their identities cannot be reused
-    meanwhile.
-    """
-    last = [None, None, None]   # source network, step, its change list
-
-    def changes(net, rich, after) -> list:
-        if last[1] is rich and last[0] is net:
-            return last[2]
-        out = []
-        if type(net) is SubnetS:
-            left, right = after
-            if left is not net.left:
-                _changed_data(net.left, left, out)
-            if right is not net.right:
-                _changed_data(net.right, right, out)
-        elif after[0] is not net:
-            _changed_data(net, after[0], out)
-        last[0], last[1], last[2] = net, rich, out
-        return out
-
-    return changes
+# compares the two part by part and recurses only into the parts that
+# are not the same object, down to the nodes whose data record was
+# replaced.  When several nodes fail, the witness of least address wins.
 
 
 def _node_data_suite(node_check):
-    """A step suite holding when ``node_check(ip, before, after)`` holds
-    of every node data record that a step replaces.  Made per run, over
-    the run's change list."""
+    """The step check holding when ``node_check(ip, before, after)``
+    holds of every node data record that a step replaces."""
 
-    def suite(changes):
-        def check(net, rich, after):
+    def diff(before, after):
+        # the least witness below two subtrees that are not one object
+        if type(before) is SubnetS:
             w = None
-            for ip, b, a in changes(net, rich, after):
-                w = _least(w, node_check(ip, b, a))
+            if before.left is not after.left:
+                w = diff(before.left, after.left)
+            if before.right is not after.right:
+                w = _least(w, diff(before.right, after.right))
             return w
+        # proc_state(x).data, inlined: this runs for most transitions
+        b, a = before.inner[0].data, after.inner[0].data
+        return None if a is b else node_check(before.ip, b, a)
 
-        return check
+    def check(net, rich, after):
+        if type(net) is SubnetS:
+            left, right = after
+            w = None
+            if left is not net.left:
+                w = diff(net.left, left)
+            if right is not net.right:
+                w = _least(w, diff(net.right, right))
+            return w
+        return None if after[0] is net else diff(net, after[0])
 
-    return suite
+    return check
 
 
 def _sn_monotone(ip, b, a):
@@ -367,11 +335,10 @@ STATE_SUITES = {
     "dispatch-msg": _check_dispatch_msg,
 }
 
-# name -> a function of the run's change list that makes the check
 STEP_SUITES = {
     "sn-monotone": _node_data_suite(_sn_monotone),
     "nsqn-monotone": _node_data_suite(_nsqn_monotone),
-    "rerr-grounded": lambda changes: _check_rerr_grounded,
+    "rerr-grounded": _check_rerr_grounded,
 }
 
 ALL_SUITES = tuple(STATE_SUITES) + tuple(STEP_SUITES)
@@ -414,13 +381,11 @@ def step_checks(table: ProcessTable, names=None):
     """Ordered (name, (net, step, after) -> witness|None) pairs.
 
     ``net`` is the source network state and ``after`` the target's root
-    parts (see the module docstring).  The checks of one call share one
-    change list (see ``_change_list``), so each call's checks belong to
-    one run.
+    parts (see the module docstring).  The checks keep no state, so one
+    list may serve any number of runs.
     """
     picked = split_suites(names)[1]
-    changes = _change_list()
-    return [(n, STEP_SUITES[n](changes)) for n in picked]
+    return [(n, STEP_SUITES[n]) for n in picked]
 
 
 def check_state_invariants(state, table: ProcessTable, names=None) -> Verdict:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .awn import (ClosedAutomaton, ModelError, NetAutomaton, NodeAutomaton,
-                  NodeS, ParAutomaton, ProcState, SeqAutomaton,
+from .awn import (Call, ClosedAutomaton, ModelError, NetAutomaton,
+                  NodeAutomaton, NodeS, ParAutomaton, ProcState, SeqAutomaton,
                   SubnetAutomaton, SubnetS)
 from .canon import cache_attr
 from .protocol import BASE, VariantConfig, aodv_init, build_table, queue_table
@@ -67,10 +67,13 @@ def tree_of(nodes) -> NetTree:
 
 
 def node_automaton(ip: int, nbrs: frozenset, table, qtable) -> NetAutomaton:
+    # Each process starts as a call of its body, the term it is at
+    # whenever it loops back, so that its initial state compares equal
+    # to any later state with the same data.
     proto = SeqAutomaton(table, frozenset(
-        [ProcState(aodv_init(ip), table["aodv"], table)]))
+        [ProcState(aodv_init(ip), Call("aodv"), table)]))
     queue = SeqAutomaton(qtable, frozenset(
-        [ProcState((), qtable["qmsg"], qtable)]))
+        [ProcState((), Call("qmsg"), qtable)]))
     return NodeAutomaton(ip, ParAutomaton(proto, queue), nbrs)
 
 

@@ -529,6 +529,17 @@ class TestEnvThreading:
         ((_, env0),) = auto.init
         assert auto.menu_for(env0) is auto.menu_for(env0)
 
+    def test_env_states_offering_one_menu_share_it(self):
+        # A budget of 2 and a budget of 1 offer the same injection.  The
+        # step memos key on menu identity, so both must get one object.
+        auto = pair_net(env_menu(newpkts=[(1, "x", 2, 2)]))
+        (s0,) = auto.init
+        (r,) = [r for r in auto.rich_steps(s0)
+                if isinstance(r.action, NewpktA)]
+        env0, env1 = s0[1], r.target[1]
+        assert env0 != env1
+        assert auto.menu_for(env0) is auto.menu_for(env1)
+
     def test_equal_environments_are_one_object(self):
         # Injecting at 1 then 2, or at 2 then 1, uses up the same budget.
         auto = pair_net(env_menu(newpkts=[(1, "x", 2, 1), (2, "y", 1, 1)]))

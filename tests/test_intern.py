@@ -4,8 +4,12 @@ Each node and subnet automaton below the root keeps a table of the
 states it has built, and hands out the one built first whenever a new
 state equals it, and numbers each state it interns.  These tests check
 that reached subtrees are shared that way, that the interned object
-digests like the state it replaces, that the numbers stand for digests,
-that root states enter no table, and that tables belong to one network.
+digests like the state it replaces, that reached process states are
+equal exactly when they digest equal, that the numbers stand for
+digests, that root states enter no table, and that tables belong to one
+network.  The step memos key on menu identity, so the last tests check
+that a menu equal in value to another gives the same steps, and that
+the closed layer strips a menu of its messages once.
 """
 import gc
 import os
@@ -13,16 +17,19 @@ import weakref
 
 import pytest
 
-from aodvcheck.awn import NodeAutomaton, NodeS, SubnetAutomaton, SubnetS
-from aodvcheck.canon import bdigest
+from aodvcheck.awn import (DisconnectA, NetMenu, NodeAutomaton, NodeS,
+                           SubnetAutomaton, SubnetS)
+from aodvcheck.canon import FrozenMap, bdigest
 from aodvcheck.explore import EnvNet, explore
-from aodvcheck.network import closed_net
+from aodvcheck.messages import Newpkt
+from aodvcheck.network import build_net, closed_net, tree_of
 from aodvcheck.protocol import build_table
 from aodvcheck.scenario import load_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHAIN3 = "scenarios/chain3.json"
 FIG1 = "scenarios/fig1.json"
+PAIR2 = "scenarios/pair2.json"
 STALE_LINKS = "bench/scenarios/pair2_links_stale.json"
 
 
@@ -94,12 +101,36 @@ def test_interned_states_digest_as_built(path, bound):
     assert calls[0] > 2 * len(canonical) > 0
 
 
+@pytest.mark.parametrize("path,bound",
+                         [(PAIR2, None), (FIG1, None), (CHAIN3, 8)])
+def test_process_states_are_equal_iff_they_digest_equal(path, bound):
+    # Node automata number node states by value, which tells them apart
+    # as digests do only if their protocol and queue states are equal
+    # exactly when they digest equal.  Calls compare by name for this:
+    # a queue reaches its loop through several ``Call("qmsg")`` objects.
+    auto = env_net(path)
+    explore(auto, bound=bound)
+    digests: dict = {}   # process state value -> digests of its objects
+    objects = set()
+    for a in automata(auto):
+        if isinstance(a, NodeAutomaton):
+            for s in a._states:
+                for proc in s.inner:
+                    digests.setdefault(proc, set()).add(bdigest(proc))
+                    objects.add(id(proc))
+    # many values are held by several objects
+    assert len(objects) > len(digests) > 20
+    assert all(len(d) == 1 for d in digests.values())
+    assert len(set.union(*digests.values())) == len(digests)
+
+
 @pytest.mark.parametrize("path,bound", [(CHAIN3, 8), (FIG1, None)])
 def test_numbers_stand_for_digests(path, bound):
     # The explorer keys states by these numbers, so each must stand for
     # one digest value among its table's states, and each digest value
-    # for one number.  Node states compare finer than they digest, so
-    # numbering them by value would break this.
+    # for one number.  Node states are numbered by value, so this holds
+    # because reached node states are equal exactly when they digest
+    # equal (see the test above).
     auto = env_net(path)
     explore(auto, bound=bound)
     tables = [a._states.values() for a in automata(auto)]
@@ -136,3 +167,39 @@ def test_two_networks_share_no_interned_state():
     # the two still reach equal states
     assert (set(reps[0].state_index.values())
             == set(reps[1].state_index.values()))
+
+
+def _pair_net():
+    return build_net(tree_of([(1, [2]), (2, [1])]))
+
+
+def _busy_menu():
+    return NetMenu((("hi", 9),), FrozenMap({1: (Newpkt("x", 2),)}),
+                   (DisconnectA(1, 2),))
+
+
+def test_menus_equal_in_value_give_equal_steps():
+    # A menu compares by identity, so a copy misses the memo, and must
+    # then be answered with the same records.
+    subnet = _pair_net()
+    (s,) = subnet.init
+    for auto, state in ((subnet.left, s.left), (subnet, s)):
+        m1, m2 = _busy_menu(), _busy_menu()
+        assert m1 != m2
+        first = auto.rich_steps(state, m1)
+        size = len(auto._steps_memo)
+        again = auto.rich_steps(state, m2)
+        assert len(auto._steps_memo) == size + 1
+        assert again == first and again is not first
+        assert len(first) > 3
+
+
+def test_closed_layer_strips_a_menu_once():
+    net = closed_net(tree_of([(1, [2]), (2, [1])]))
+    (s,) = net.init
+    menu = _busy_menu()
+    first = net.rich_steps(s, menu)
+    nodes = (net.net.left, net.net.right)
+    sizes = [len(a._steps_memo) for a in nodes]
+    assert net.rich_steps(s, menu) == first
+    assert [len(a._steps_memo) for a in nodes] == sizes

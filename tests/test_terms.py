@@ -2,8 +2,8 @@
 import pytest
 
 from aodvcheck.awn import (Assign, Broadcast, Call, Choice, Deliver, Guard,
-                           Label, ModelError, ProcessTable, Receive, Send,
-                           Unicast, choice, label_process, seq)
+                           Label, ModelError, ProcessTable, ProcState,
+                           Receive, Send, Unicast, choice, label_process, seq)
 
 
 def _asgn():
@@ -123,3 +123,25 @@ class TestLabelSets:
         table = ProcessTable({"q": q, "p": p})
         assert sorted((l.pname, l.offset) for l in table.all_labels()) == [
             ("p", 0), ("q", 0), ("q", 1)]
+
+
+class TestCallEquality:
+    # Every call of a process stands for its entry location, so calls
+    # compare by the name they call; other terms compare by identity.
+    def test_calls_of_one_name_are_equal(self):
+        a, b = Call("x"), Call("x")
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert Call("x") != Call("y")
+
+    def test_process_states_at_equal_calls_are_equal(self):
+        table = ProcessTable({"x": label_process("x", seq(_asgn(), Call("x")))})
+        a = ProcState(("d", 1), Call("x"), table)
+        b = ProcState(("d", 1), Call("x"), table)
+        assert a.term is not b.term
+        assert a == b and hash(a) == hash(b)
+        assert a != ProcState(("d", 2), Call("x"), table)
+
+    def test_other_terms_compare_by_identity(self):
+        a, b = _asgn(), _asgn()
+        assert a != b
