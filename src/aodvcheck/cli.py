@@ -13,9 +13,10 @@ the same byte for byte on every run, whatever the hash seed.
 Exit codes: 0 all checks passed (a reported depth-bound truncation
 still exits 0) or a counterexample replayed, 1 a suite was violated, 2
 usage, scenario, trace-file or counterexample-file errors (including
-out-of-range numeric options, a trace written in another format or
-under other mutations than the scenario's, an output file that cannot
-be written and a counterexample that does not replay), 3 the state cap
+out-of-range numeric options, a trace or counterexample written in
+another format or under other mutations than the scenario's, an output
+file that cannot be written and a counterexample that does not
+replay), 3 the state cap
 was hit before any suite was violated (a violation found before the cap
 is reported and written as usual, with exit code 1).  A reader that
 closes standard output early (``| head``) ends the run quietly, with
@@ -57,8 +58,9 @@ PROGRESS_EVERY_S = 5.0
 _clock = time.monotonic  # read by name, so that tests can set the time
 
 # Counterexample files list each step by its branch rank and the digest
-# of the state it reaches; see ``explore.replay``.
-CX_FORMAT = "aodvcheck-cx-2"
+# of the state it reaches (see ``explore.replay``), and name the
+# mutations the scenario switched on.
+CX_FORMAT = "aodvcheck-cx-3"
 
 
 class TraceFileError(Exception):
@@ -255,7 +257,8 @@ def _cmd_explore(args) -> int:
     print(f"witness: {cx.witness}")
     out = args.out or f"{sc.name}.cx.json"
     doc = {"format": CX_FORMAT, "scenario": sc.name,
-           "variant": sc.cfg.name, "suite": cx.suite, "kind": cx.kind,
+           "variant": sc.cfg.name, "mutations": list(mutations_of(sc.cfg)),
+           "suite": cx.suite, "kind": cx.kind,
            "witness": _listify(cx.witness), "depth": cx.depth,
            "digest": cx.digest, "steps": _json_steps(cx.steps)}
     with _writing(out), open(out, "w") as fh:
@@ -266,8 +269,8 @@ def _cmd_explore(args) -> int:
 
 
 # the fields of a counterexample file that replay reads, with their types
-_CX_FIELDS = {"variant": str, "suite": str, "kind": str, "witness": list,
-              "digest": str, "steps": list}
+_CX_FIELDS = {"variant": str, "mutations": list, "suite": str, "kind": str,
+              "witness": list, "digest": str, "steps": list}
 _CX_STEP_FIELDS = {"origin": (int, type(None)), "action": str, "key": int,
                    "digest": str}
 
@@ -310,6 +313,11 @@ def _tuplify(x):
 def _cmd_replay(args) -> int:
     doc = _read_counterexample(args.counterexample)
     sc = _read_scenario(args.scenario)
+    mutations = list(mutations_of(sc.cfg))
+    if doc["mutations"] != mutations:
+        raise ReplayError(f"counterexample was written with mutations "
+                          f"{doc['mutations']!r}, the scenario has "
+                          f"{mutations!r}")
     cfg = with_variant(sc.cfg, doc["variant"])
     auto = EnvNet(closed_net(sc.tree, cfg), sc.env)
     # the file records no initial state, so the scenario must have one

@@ -443,19 +443,41 @@ class TestReplayCommand:
         "not json",
         "[]",
         json.dumps({"format": "aodvcheck-cx-1"}),
+        json.dumps({"format": "aodvcheck-cx-2"}),
         json.dumps({"format": CX_FORMAT}),
-        json.dumps({"format": CX_FORMAT, "variant": "base", "suite": "s",
+        json.dumps({"format": CX_FORMAT, "variant": "base",
+                    "mutations": ["accept-stale-update"], "suite": "s",
                     "kind": "step", "witness": [], "digest": "d",
                     "steps": [{"origin": 1, "action": "tau", "key": True,
                                "digest": "d"}]}),
-        json.dumps({"format": CX_FORMAT, "variant": "nope", "suite": "s",
+        json.dumps({"format": CX_FORMAT, "variant": "nope",
+                    "mutations": ["accept-stale-update"], "suite": "s",
                     "kind": "step", "witness": [], "digest": "d",
                     "steps": []}),
+        json.dumps({"format": "aodvcheck-cx-2", "variant": "base",
+                    "suite": "s", "kind": "step", "witness": [],
+                    "digest": "d", "steps": []}),
     ])
     def test_malformed_file_is_rejected(self, tmp_path, capsys, text):
         out = tmp_path / "cx.json"
         out.write_text(text)
         self.assert_usage_error(["replay", str(out), STALE_LINKS], capsys)
+
+    def test_file_of_other_mutations_is_rejected(self, tmp_path, capsys):
+        # the stale-update counterexample replayed on the plain protocol
+        out = self.write_cx(tmp_path, capsys)
+        assert json.loads(out.read_text())["mutations"] == [
+            "accept-stale-update"]
+        with open(STALE_LINKS) as fh:
+            plain = json.load(fh)
+        del plain["mutate"]
+        scenario = tmp_path / "plain.json"
+        scenario.write_text(json.dumps(plain))
+        code, got = run_cli(["replay", str(out), str(scenario)], capsys)
+        assert code == EXIT_USAGE
+        assert got.err == ("error: counterexample was written with mutations "
+                           "['accept-stale-update'], the scenario has []\n")
+        assert got.out == ""
 
     def test_unreadable_file_is_rejected(self, tmp_path, capsys):
         self.assert_usage_error(

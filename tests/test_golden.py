@@ -43,16 +43,18 @@ def test_first_stale_update_violation():
     assert (cx.suite, cx.depth) == ("nsqn-monotone", 58)
 
 
-# sha256 of the ``aodvcheck explore --out`` file, recorded before the
-# visited set was keyed by subtree numbers; a store rewrite must not
-# change which counterexample is found or how it is written.
+# sha256 of the ``aodvcheck explore --out`` file.  The pins were first
+# recorded before the visited set was keyed by subtree numbers, and
+# re-recorded when format ``aodvcheck-cx-3`` added the mutation list,
+# the only change to the files; a store rewrite must not change which
+# counterexample is found or how it is written.
 @pytest.mark.parametrize("variant,sha256", [
     ("base",
-     "eba83a6f4c92606a9215198993f96eb06c309de4cab06fb8a7f6300f903aa7b8"),
+     "a1035d30cf6f56f05e8d5c49f30bebce4667ffc19850ec0694a859320d2f57b6"),
     ("fwd-rrep",
-     "1f527f613ad552637bae8b158ea538f1c2d1302881810fa2c54b195de271f491"),
+     "957dd4f4ea5c774fbc05654681eb8c6f901d8aa76d862fa9ab0b0eb0aa51844d"),
     ("fwd-rreq",
-     "b11b70dc19eeb04ea793678a28c88d68372ff683733d79530ee909f1aa5a762a"),
+     "b82171d16faf2ca802c45685050ea6e6cabab4b7e43e477f55797100becc361b"),
 ])
 def test_counterexample_file_bytes(tmp_path, capsys, variant, sha256):
     out = tmp_path / "cx.json"
