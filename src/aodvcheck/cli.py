@@ -16,11 +16,10 @@ usage, scenario, trace-file or counterexample-file errors (including
 out-of-range numeric options, a trace or counterexample written in
 another format or under other mutations than the scenario's, an output
 file that cannot be written and a counterexample that does not
-replay), 3 the state cap
-was hit before any suite was violated (a violation found before the cap
-is reported and written as usual, with exit code 1).  A reader that
-closes standard output early (``| head``) ends the run quietly, with
-exit code 1 and no traceback.
+replay), 3 the state cap was hit before any suite was violated (a
+violation found before the cap is reported and written as usual, with
+exit code 1).  A reader that closes standard output early (``| head``)
+ends the run quietly, with exit code 1 and no traceback.
 
 A long ``explore`` run reports its progress on standard error, at the
 end of a layer and at most once every ``PROGRESS_EVERY_S`` seconds, as

@@ -141,7 +141,3 @@ class TestCallEquality:
         assert a.term is not b.term
         assert a == b and hash(a) == hash(b)
         assert a != ProcState(("d", 2), Call("x"), table)
-
-    def test_other_terms_compare_by_identity(self):
-        a, b = _asgn(), _asgn()
-        assert a != b
