@@ -3,8 +3,9 @@
 A change that does not mean to change the semantics must reproduce
 these numbers exactly: states, transitions and depth of the complete
 explorations of ``pair2`` and ``fig1``, where the stale-update
-mutation on a pair with a link flap first fails, and the bytes of the
-counterexample file the command line writes for it.
+mutation on a pair with a link flap first fails, the bytes of the
+counterexample file the command line writes for it, and the bytes of
+the trace it writes for a seeded simulation of the mutated chain.
 """
 import hashlib
 import os
@@ -61,6 +62,25 @@ def test_counterexample_file_bytes(tmp_path, capsys, variant, sha256):
     code = main(["explore",
                  os.path.join(ROOT, "bench/scenarios/pair2_links_stale.json"),
                  "--variant", variant, "--out", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_VIOLATION
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# sha256 of the ``aodvcheck simulate --out`` trace of the stale-update
+# chain, with and without ``--dump-sigma``.  The pins were recorded
+# before the trace records were built lazily from the walked path; a
+# change to how the simulator keeps its trace must not change its bytes.
+@pytest.mark.parametrize("flags,sha256", [
+    ((), "57426299bce15eba75e76eea959ad4c81ee84e9784d142b4e3dd7ae446a410c1"),
+    (("--dump-sigma",),
+     "ed79ac746912a80962b98017c332989b98e035a8d8b0146a3c4ae3b9ec604e6d"),
+])
+def test_simulate_trace_bytes(tmp_path, capsys, flags, sha256):
+    out = tmp_path / "trace.jsonl"
+    code = main(["simulate",
+                 os.path.join(ROOT, "bench/scenarios/chain3_stale.json"),
+                 *flags, "--out", str(out)])
     capsys.readouterr()
     assert code == EXIT_VIOLATION
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
