@@ -348,7 +348,8 @@ def split_suites(names=None) -> tuple:
     """Partition requested suite names into (state, step) name tuples.
 
     ``None`` selects every suite; an empty selection is an error, since
-    checking nothing would pass any model.
+    checking nothing would pass any model, and so is a suite named
+    twice, which would run twice.
     """
     if names is None:
         return tuple(STATE_SUITES), tuple(STEP_SUITES)
@@ -357,6 +358,8 @@ def split_suites(names=None) -> tuple:
                          f"(known: {', '.join(ALL_SUITES)})")
     state, step = [], []
     for name in names:
+        if name in state or name in step:
+            raise SuiteError(f"suite {name!r} is selected twice")
         if name in STATE_SUITES:
             state.append(name)
         elif name in STEP_SUITES:

@@ -12,12 +12,18 @@ a violation stops the run and is recorded in the trace.
 The generator draws from the sibling steps in one fixed order,
 ``sibling_order``.  Only steps that tie on their own key are ordered by
 their targets, so a state is encoded as a key only where that decides
-a draw; each trace record names the state it reaches by its ``bdigest``.
+a draw.
+
+A run keeps only the path it walked.  Its trace records, where each
+step names the state it reaches by its ``bdigest``, are built from that
+path the first time ``SimResult.records`` is read, so a run whose trace
+nobody writes digests no state.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
@@ -94,8 +100,18 @@ def _event_menu(action) -> NetMenu:
 
 @dataclass
 class SimResult:
+    """The outcome of one run and the path it walked.
+
+    ``path`` holds one ``(step index, RichStep)`` per executed step.
+    ``records``, the trace, is built from the header, the path, the
+    violation and the final state the first time it is read, and kept:
+    a run that writes no trace digests no state.
+    """
     final_state: object
-    records: list = field(repr=False, default_factory=list)
+    header: dict = field(repr=False, default_factory=dict)
+    path: list = field(repr=False, default_factory=list)
+    violation: Optional[dict] = None  # body of the trace's violation record
+    dump_sigma: bool = False
     verdict: Optional[Verdict] = None
     stop: str = ""
     steps: int = 0
@@ -105,6 +121,31 @@ class SimResult:
     @property
     def holds(self) -> bool:
         return self.verdict is None
+
+    @cached_property
+    def records(self) -> list:
+        # A run stops at its first violation, so that record follows
+        # the last step's; a run whose initial state fails ends there.
+        records = [self.header]
+        for i, r in self.path:
+            rec = {"step": i, "origin": r.origin,
+                   "action": render_action(r.detail),
+                   "digest": bdigest(r.target).hex()}
+            if self.dump_sigma:
+                rec["sigma"] = sigma_dict(net_data(r.target))
+            records.append(rec)
+        if self.violation is not None:
+            records.append({"violation": self.violation})
+            if self.violation["step"] < 0:
+                return records
+        final = {"final": bdigest(self.final_state).hex(), "stop": self.stop,
+                 "steps": self.steps,
+                 "delivered": [list(d) for d in self.delivered],
+                 "holds": self.holds}
+        if self.dump_sigma:
+            final["sigma"] = sigma_dict(net_data(self.final_state))
+        records.append(final)
+        return records
 
 
 def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
@@ -120,26 +161,30 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
     events = dict(sched.events)
 
     nodes = [[ip, sorted(nbrs)] for ip, nbrs in tree_nodes(tree)]
-    records = [{"format": TRACE_FORMAT, "kind": "simulate",
-                "scenario": scenario_name, "variant": cfg.name,
-                "mutations": list(mutations_of(cfg)),
-                "seed": sched.seed, "max_steps": sched.max_steps,
-                "nodes": nodes, "suites": sorted(n for n, _ in schecks)
-                + sorted(n for n, _ in tchecks)}]
-    result = SimResult(final_state=state, records=records)
+    header = {"format": TRACE_FORMAT, "kind": "simulate",
+              "scenario": scenario_name, "variant": cfg.name,
+              "mutations": list(mutations_of(cfg)),
+              "seed": sched.seed, "max_steps": sched.max_steps,
+              "nodes": nodes, "suites": sorted(n for n, _ in schecks)
+              + sorted(n for n, _ in tchecks)}
+    result = SimResult(final_state=state, header=header,
+                       dump_sigma=dump_sigma)
+    path = result.path
+
+    def fail(name, kind, w, at):
+        result.verdict = Verdict(False, name, tuple(w))
+        result.violation = {"suite": name, "kind": kind, "witness": list(w),
+                            "step": at}
 
     def check_state(s, at):
         for name, fn in schecks:
             w = fn(s)
             if w is not None:
-                result.verdict = Verdict(False, name, tuple(w))
-                records.append({"violation": {"suite": name, "kind": "state",
-                                              "witness": list(w), "step": at}})
+                fail(name, "state", w, at)
                 return False
         return True
 
     if not check_state(state, -1):
-        result.final_state = state
         result.stop = "violation"
         return result
 
@@ -166,13 +211,7 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
         r = choices[rng.randrange(len(choices))]
         target = r.target
         executed += 1
-
-        rec = {"step": i, "origin": r.origin,
-               "action": render_action(r.detail),
-               "digest": bdigest(target).hex()}
-        if dump_sigma:
-            rec["sigma"] = sigma_dict(net_data(target))
-        records.append(rec)
+        path.append((i, r))
         if isinstance(r.action, DeliverAtA):
             delivered.append((i, r.action.ip, r.action.data))
 
@@ -181,9 +220,7 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
         for name, fn in tchecks:
             w = fn(state, r, after)
             if w is not None:
-                result.verdict = Verdict(False, name, tuple(w))
-                records.append({"violation": {"suite": name, "kind": "step",
-                                              "witness": list(w), "step": i}})
+                fail(name, "step", w, i)
                 violated = True
                 break
         state = target
@@ -200,10 +237,4 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
     result.steps = executed
     result.delivered = tuple(delivered)
     result.pending_events = tuple(sorted(events.items()))
-    records.append({"final": bdigest(state).hex(), "stop": result.stop,
-                    "steps": executed,
-                    "delivered": [list(d) for d in delivered],
-                    "holds": result.holds})
-    if dump_sigma:
-        records[-1]["sigma"] = sigma_dict(net_data(state))
     return result

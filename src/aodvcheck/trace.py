@@ -3,9 +3,14 @@
 Trace files begin with a header record carrying everything needed to
 reproduce the run (scenario, variant, mutations, seed), followed by one
 record per step: the acting node, a rendered action, and the hex of the
-reached state's structural digest (``canon.bdigest``).  Records hold
-only integers and strings, so files are byte-identical across platforms
-and runs.
+reached state's structural digest (``canon.bdigest``), then a violation
+record if a suite failed and a final record.  Records hold only
+integers and strings, so files are byte-identical across platforms and
+runs.
+
+A simulation run does not build its records as it goes: it keeps the
+steps it walked, and ``simulate.SimResult.records`` renders and digests
+them the first time the trace is read.
 """
 from __future__ import annotations
 

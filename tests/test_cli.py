@@ -112,6 +112,27 @@ def test_empty_suite_option_is_a_usage_error(capsys):
     assert "result:" not in out.out
 
 
+@pytest.mark.parametrize("command", ["explore", "simulate", "graph"])
+def test_repeated_suite_option_is_a_usage_error(capsys, command):
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    code, out = run_cli([command, pair2, "--suite",
+                         "loop-freedom,loop-freedom"], capsys)
+    assert code == EXIT_USAGE
+    assert out.err == ("error: suite 'loop-freedom' is selected twice\n")
+    assert out.out == ""
+
+
+def test_scenario_naming_a_suite_twice_is_a_usage_error(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, {
+        "nodes": PAIR, "suites": ["quality", "quality"],
+        "schedule": {"events": {"0": ["newpkt", 1, "x", 2]}}})
+    code, out = run_cli(["simulate", scenario], capsys)
+    assert code == EXIT_USAGE
+    assert out.err.startswith("error: ")
+    assert "'quality' is selected twice" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_smallest_numeric_options_are_accepted(tmp_path, capsys):
     pair2 = os.path.join(SCENARIOS, "pair2.json")
     code, out = run_cli(["explore", pair2, "--bound", "0",

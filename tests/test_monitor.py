@@ -500,6 +500,10 @@ class TestSuiteWiring:
         with pytest.raises(SuiteError, match="unknown suite"):
             split_suites(["loop-fredom"])
 
+    def test_repeated_suite_rejected(self):
+        with pytest.raises(SuiteError, match="'quality' is selected twice"):
+            split_suites(["quality", "loop-freedom", "quality"])
+
     def test_checks_are_named_pairs(self):
         table = build_table(BASE)
         assert [n for n, _ in state_checks(table)] == list(split_suites()[0])

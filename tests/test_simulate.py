@@ -246,6 +246,54 @@ class TestRunOutcomes:
         assert res.holds
 
 
+class TestLazyRecords:
+    # A run keeps its walked path; the trace is built from it on the
+    # first read of ``records``, and only then are states digested.
+    def counting(self, monkeypatch, name):
+        calls = []
+        real = getattr(simulate, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, name, counted)
+        return calls
+
+    def test_run_digests_nothing_per_step(self, monkeypatch):
+        digests = self.counting(monkeypatch, "bdigest")
+        rendered = self.counting(monkeypatch, "render_action")
+        res = run(PAIR, pair_schedule())
+        assert res.steps == len(res.path) > 0
+        assert digests == [] and rendered == []
+        records = res.records
+        assert len(digests) == len(res.path) + 1
+        assert len(rendered) == len(res.path)
+        digests.clear()
+        rendered.clear()
+        assert res.records is records
+        assert digests == [] and rendered == []
+
+    def test_path_holds_the_executed_steps(self):
+        res = run(PAIR, pair_schedule())
+        steps = [r for r in res.records if "action" in r]
+        assert [(rec["step"], rec["origin"], rec["action"],
+                 rec["digest"]) for rec in steps] == [
+            (i, r.origin, render_action(r.detail), bdigest(r.target).hex())
+            for i, r in res.path]
+        assert res.path[-1][1].target is res.final_state
+
+    def test_failing_initial_state_ends_at_its_violation(self, monkeypatch):
+        real = simulate.state_checks
+        monkeypatch.setattr(simulate, "state_checks", lambda table, names: [
+            ("always", lambda s: (0,))] + real(table, names))
+        res = run(PAIR, pair_schedule(), dump_sigma=True)
+        assert res.stop == "violation" and res.path == []
+        assert res.records[1:] == [{"violation": {
+            "suite": "always", "kind": "state", "witness": [0],
+            "step": -1}}]
+
+
 class TestViolationStop:
     # under the stale-accepting update, this seed walks node 2 into
     # advertising destination 3 with a regressed net sequence number
