@@ -512,7 +512,7 @@ def step_invariant(auto, pred, allow=None, bound=None,
 
 def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
                    suites=None, bound=None, state_cap=DEFAULT_STATE_CAP,
-                   stop_on_violation=True, table=None,
+                   stop_on_violation=True,
                    on_layer=None) -> ExplorationReport:
     """Explore a closed network under ``env`` and check the full suite.
 
@@ -520,8 +520,7 @@ def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
     the monitor checks see only the network part.  ``on_layer`` is
     passed on to ``explore``.
     """
-    if table is None:
-        table = build_table(cfg)
+    table = build_table(cfg)
     auto = EnvNet(closed_net(tree, cfg, table), env)
     return explore(auto, state_suites=state_checks(table, suites),
                    step_suites=step_checks(table, suites),

@@ -66,14 +66,20 @@ def tree_of(nodes) -> NetTree:
     return out
 
 
+# Each process starts as a call of its body, the term it is at whenever
+# it loops back, so that its initial state compares equal to any later
+# state with the same data.  The calls are built once: a table's label
+# memo is keyed by term identity and tables are shared between runs, so
+# a fresh call per run would add an entry to it on every run.
+_AODV_START = Call("aodv")
+_QUEUE_START = Call("qmsg")
+
+
 def node_automaton(ip: int, nbrs: frozenset, table, qtable) -> NetAutomaton:
-    # Each process starts as a call of its body, the term it is at
-    # whenever it loops back, so that its initial state compares equal
-    # to any later state with the same data.
     proto = SeqAutomaton(table, frozenset(
-        [ProcState(aodv_init(ip), Call("aodv"), table)]))
+        [ProcState(aodv_init(ip), _AODV_START, table)]))
     queue = SeqAutomaton(qtable, frozenset(
-        [ProcState((), Call("qmsg"), qtable)]))
+        [ProcState((), _QUEUE_START, qtable)]))
     return NodeAutomaton(ip, ParAutomaton(proto, queue), nbrs)
 
 

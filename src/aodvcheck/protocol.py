@@ -6,14 +6,15 @@ originates a route request for queued data without one.  The five
 handler processes do the actual work and every path through them clears
 the working variables and loops back to ``aodv``.
 
-``build_table`` assembles the table for a given :class:`VariantConfig`;
-the default configuration is the unmodified protocol.  Each switch is
-read by one function: ``use_rreq_id`` and ``forward_handled_rreqs`` by
-``rreq_message_kind``, ``use_precursors`` by ``route_entry_kind``,
-``forward_all_rreps`` by ``_rrep_body`` and ``accept_stale_update`` by
-``_updater``.  The rest follows from the fields of the two formats: an
-id in requests decides ``_request_id``, a handled flag adds the relaying
-of answered requests, and precursors in routes groupcast route errors.
+``build_table`` assembles the table for a given :class:`VariantConfig`,
+once per configuration and process; the default configuration is the
+unmodified protocol.  Each switch is read by one function:
+``use_rreq_id`` and ``forward_handled_rreqs`` by ``rreq_message_kind``,
+``use_precursors`` by ``route_entry_kind``, ``forward_all_rreps`` by
+``_rrep_body`` and ``accept_stale_update`` by ``_updater``.  The rest
+follows from the fields of the two formats: an id in requests decides
+``_request_id``, a handled flag adds the relaying of answered requests,
+and precursors in routes groupcast route errors.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import cache
 from typing import Any
 
 from .awn import (Assign, Broadcast, Call, Deliver, Groupcast, Guard,
-                  ProcessTable, Receive, Send, Unicast, choice,
+                  ModelError, ProcessTable, Receive, Send, Unicast, choice,
                   label_process, seq)
 from .canon import EMPTY_MAP, FrozenMap
 from .canon import value_key  # noqa: F401  (bench/spans.py patches this name)
@@ -145,6 +146,10 @@ BASE = VariantConfig()
 
 def rreq_message_kind(cfg: VariantConfig):
     if not cfg.use_rreq_id:
+        if cfg.forward_handled_rreqs:
+            # RreqNoId has no handled flag to carry
+            raise ModelError("use_rreq_id=False with forward_handled_rreqs="
+                             "True has no route-request message kind")
         return RreqNoId
     if cfg.forward_handled_rreqs:
         return RreqFlagged
@@ -497,6 +502,23 @@ def _rerr_body(cfg):
 
 
 def build_table(cfg: VariantConfig = BASE) -> ProcessTable:
+    """The labelled process table of ``cfg``, built once per process.
+
+    Every run of one configuration shares the table, and with it the
+    label memo and ``monitor.dispatch_locations`` it keeps.  That is
+    safe because the table holds no run state: its label memo is keyed
+    by its own terms, and a run's automata, step memos and intern tables
+    are built per run.  The configurations form a small fixed set (the
+    named variants, with or without mutations), so the memo stays
+    small.  It is keyed on the configuration's value, so ``build_table()``
+    and ``build_table(cfg=BASE)`` give one table; a build that raises
+    is not kept.
+    """
+    return _labelled_table(cfg)
+
+
+@cache
+def _labelled_table(cfg: VariantConfig) -> ProcessTable:
     bodies = {
         "aodv": _main_body(cfg),
         "newpkt": _newpkt_body(cfg),

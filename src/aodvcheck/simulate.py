@@ -149,10 +149,17 @@ class SimResult:
 
 
 def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
-        suites=None, dump_sigma=False, table=None,
-        scenario_name=None) -> SimResult:
-    if table is None:
-        table = build_table(cfg)
+        suites=None, dump_sigma=False, scenario_name=None) -> SimResult:
+    """Run ``sched`` on the closed network of ``tree`` under ``cfg``.
+
+    Each run builds its own automata, with their step memos and intern
+    tables, its own monitor checks and its own generator, so every seed
+    starts with a cold node memo.  What it shares with other runs of
+    ``cfg`` in the process is the labelled process table, which
+    ``build_table`` builds once per configuration and which holds no
+    run state.
+    """
+    table = build_table(cfg)
     auto = closed_net(tree, cfg, table)
     (state,) = auto.init
     rng = random.Random(sched.seed)

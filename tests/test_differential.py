@@ -122,6 +122,6 @@ def test_explorer_matches_oracle_search(case):
     assert (rep.states, rep.transitions, rep.depth) == \
            (len(seen), edges, depth)
 
-    verdict = check_theorem1(tree, env, cfg, bound=bound, table=table)
+    verdict = check_theorem1(tree, env, cfg, bound=bound)
     assert verdict.holds == (not faults)
     assert {cx.suite for cx in verdict.counterexamples} == faults

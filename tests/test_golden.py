@@ -15,22 +15,38 @@ import pytest
 from aodvcheck.cli import EXIT_VIOLATION, main
 from aodvcheck.explore import check_theorem1
 from aodvcheck.scenario import load_scenario
+from aodvcheck.variants import with_variant
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _check(path):
+def _check(path, variant=None):
     sc = load_scenario(os.path.join(ROOT, path))
-    return check_theorem1(sc.tree, sc.env, sc.cfg, suites=sc.suites,
+    cfg = sc.cfg if variant is None else with_variant(sc.cfg, variant)
+    return check_theorem1(sc.tree, sc.env, cfg, suites=sc.suites,
                           bound=sc.bound)
 
 
-@pytest.mark.parametrize("path,states,transitions,depth", [
-    ("scenarios/pair2.json", 4339, 10086, 92),
-    ("scenarios/fig1.json", 12938, 42770, 102),
+def _golden(path, variant, states, transitions, depth):
+    # the scenario's own variant keeps the id it had before the column
+    tag = "" if variant is None else f"{variant}-"
+    return pytest.param(path, variant, states, transitions, depth,
+                        id=f"{path}-{tag}{states}-{transitions}-{depth}")
+
+
+# fig1 under every named variant: with the counterexample pins below,
+# which tell fwd-rreq from base, a table handed to another
+# configuration changes some figure.
+@pytest.mark.parametrize("path,variant,states,transitions,depth", [
+    _golden("scenarios/pair2.json", None, 4339, 10086, 92),
+    _golden("scenarios/fig1.json", None, 12938, 42770, 102),
+    _golden("scenarios/fig1.json", "no-rreqid", 12937, 42769, 101),
+    _golden("scenarios/fig1.json", "fwd-rrep", 12502, 41322, 100),
+    _golden("scenarios/fig1.json", "bcast-rerr", 12566, 41510, 101),
+    _golden("scenarios/fig1.json", "fwd-rreq", 12938, 42770, 102),
 ])
-def test_complete_exploration(path, states, transitions, depth):
-    rep = _check(path)
+def test_complete_exploration(path, variant, states, transitions, depth):
+    rep = _check(path, variant)
     assert rep.complete and rep.holds
     assert (rep.states, rep.transitions, rep.depth) == (
         states, transitions, depth)

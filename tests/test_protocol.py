@@ -8,8 +8,11 @@ import pytest
 
 from aodvcheck.awn import Call, Choice, Unicast
 from aodvcheck.canon import EMPTY_MAP, FrozenMap
+from aodvcheck.explore import EnvNet, env_menu, explore
+from aodvcheck.network import closed_net, tree_of
 from aodvcheck.protocol import (BASE, StoreSlot, REQUESTED, NOT_REQUESTED,
-                                aodv_init, build_table, clear_locals,
+                                VariantConfig, aodv_init, build_table,
+                                clear_locals,
                                 dequeue_datum, enqueue_datum, head_datum,
                                 mark_no_request, mark_requested, queued_dests,
                                 queue_table)
@@ -19,6 +22,7 @@ from aodvcheck.routing import (INVALID, KNOWN, UNKNOWN, VALID, RouteEntry,
                                known_dests, net_seqno, next_hop, precursors,
                                seqno, seqno_status, strictly_fresher,
                                update_route, valid_dests)
+from aodvcheck.simulate import run, schedule
 from aodvcheck.variants import VARIANTS, apply_mutations
 
 
@@ -240,6 +244,53 @@ class TestProcessTable:
     def test_queue_process_has_its_own_two_locations(self):
         qt = queue_table()
         assert sorted(l.offset for l in qt.all_labels()) == [0, 1]
+
+
+class TestTableMemo:
+    """``build_table`` builds one table per configuration value."""
+
+    def test_equal_configs_give_one_table(self):
+        table = build_table(BASE)
+        assert build_table() is table
+        assert build_table(cfg=BASE) is table
+        assert build_table(VariantConfig()) is table
+        assert build_table(replace(BASE)) is table
+
+    def test_each_config_gets_its_own_table(self):
+        cfgs = [*VARIANTS.values(),
+                apply_mutations(BASE, ["accept-stale-update"])]
+        tables = [build_table(cfg) for cfg in cfgs]
+        assert len({id(t) for t in tables}) == len(cfgs)
+        for cfg, table in zip(cfgs, tables):
+            assert build_table(cfg) is table
+
+    def test_automata_share_the_table_not_their_memos(self):
+        pair = tree_of([(1, [2]), (2, [1])])
+        a, b = closed_net(pair, BASE), closed_net(pair, BASE)
+        table = build_table(BASE)
+        for auto in (a, b):
+            for node in (auto.net.left, auto.net.right):
+                assert node.inner.left.table is table
+        memos = lambda auto: [(m._steps_memo, m._states) for m in
+                              (auto.net, auto.net.left, auto.net.right)]
+        for (sa, na), (sb, nb) in zip(memos(a), memos(b)):
+            assert sa is not sb and na is not nb
+        before = [(len(s), len(n)) for s, n in memos(b)]
+        explore(EnvNet(a, env_menu([(1, "x", 2, 1)], [])), bound=6)
+        assert all(s and n for s, n in memos(a)[1:])  # the two nodes
+        assert [(len(s), len(n)) for s, n in memos(b)] == before
+
+    def test_repeated_runs_do_not_grow_the_label_memo(self):
+        # the memo is keyed by term identity, so a run must start its
+        # processes at the table's own terms, not at fresh ones
+        pair = tree_of([(1, [2]), (2, [1])])
+        sched = schedule(seed=0, events={0: ("newpkt", 1, "x", 2)})
+        tables = (build_table(BASE), queue_table())
+        run(pair, sched)
+        sizes = [len(t._label_cache) for t in tables]
+        for _ in range(3):
+            run(pair, sched)
+        assert [len(t._label_cache) for t in tables] == sizes
 
 
 def _tree(t):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from aodvcheck import simulate
+from aodvcheck import protocol, simulate
 from aodvcheck.awn import (EMPTY_MENU, ConnectA, DisconnectA, NewpktA,
                            RichStep, TAU)
 from aodvcheck.canon import bdigest, value_key
@@ -71,6 +71,32 @@ class TestDeterminism:
         a = run(PAIR, pair_schedule(seed=0))
         b = run(PAIR, pair_schedule(seed=1))
         assert trace_bytes(a) != trace_bytes(b)
+
+    def test_shared_table_changes_no_run(self, monkeypatch):
+        # runs of one config share its table; each run built on a table
+        # of its own must come out the same
+        sc = load_scenario(os.path.join(ROOT, "bench", "scenarios",
+                                        "chain3_stale.json"))
+
+        def outcomes():
+            out = []
+            for seed in range(20):
+                sched = Schedule(seed, sc.sched.max_steps, sc.sched.events)
+                r = run(sc.tree, sched, sc.cfg, suites=sc.suites)
+                out.append((r.stop, r.steps, r.records))
+            return out
+
+        shared = outcomes()
+        tables = []
+
+        def fresh_table(cfg=BASE):
+            tables.append(protocol._labelled_table.__wrapped__(cfg))
+            return tables[-1]
+
+        monkeypatch.setattr(simulate, "build_table", fresh_table)
+        assert outcomes() == shared
+        assert len({id(t) for t in tables}) == 20
+        assert any(stop == "violation" for stop, _, _ in shared)
 
 
 class TestDrawOrder:

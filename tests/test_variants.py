@@ -8,10 +8,12 @@ that only the forwarding variant gets the payload through.
 """
 import pytest
 
-from aodvcheck.awn import Groupcast
+from aodvcheck import protocol
+from aodvcheck.awn import Groupcast, ModelError
 from aodvcheck.explore import check_theorem1, env_menu
 from aodvcheck.network import net_data, tree_of
-from aodvcheck.protocol import BASE, build_table, valid_dests
+from aodvcheck.protocol import (BASE, VariantConfig, build_table,
+                                rreq_message_kind, valid_dests)
 from aodvcheck.simulate import run, schedule
 from aodvcheck.variants import (MUTATIONS, VARIANTS, VariantError,
                                 apply_mutations, get_variant,
@@ -91,6 +93,26 @@ class TestRegistry:
 
     def test_no_variant_accepts_stale_updates(self):
         assert all(not cfg.accept_stale_update for cfg in VARIANTS.values())
+
+
+class TestSwitchCombinations:
+    # requests without ids have no handled flag, so this pair of
+    # switches has no message kind; building the no-rreqid model for it
+    # would drop forward_handled_rreqs without a word
+    NO_ID_FLAGGED = VariantConfig(name="no-id-flagged", use_rreq_id=False,
+                                  forward_handled_rreqs=True)
+
+    def test_no_id_with_handled_flag_is_rejected(self):
+        with pytest.raises(ModelError,
+                           match="use_rreq_id.*forward_handled_rreqs"):
+            rreq_message_kind(self.NO_ID_FLAGGED)
+
+    def test_rejected_on_every_build(self):
+        size = protocol._labelled_table.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ModelError, match="forward_handled_rreqs"):
+                build_table(self.NO_ID_FLAGGED)
+        assert protocol._labelled_table.cache_info().currsize == size
 
 
 class TestMutations:
