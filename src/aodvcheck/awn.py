@@ -498,16 +498,21 @@ def _seq_into(table, xi, term, menu, out, unfolding):
 
 
 class Automaton:
-    """A state machine with a finite, menu-driven step function."""
+    """A state machine with a finite, menu-driven step function.
 
-    init: frozenset
+    ``init`` is a tuple of the initial states in the order they were
+    built, a product in left-major order; the explorer numbers them in
+    that order, so it sorts nothing.
+    """
+
+    init: tuple
 
     def steps(self, state, menu=()) -> tuple:
         raise NotImplementedError
 
 
 class SeqAutomaton(Automaton):
-    def __init__(self, table: ProcessTable, init: frozenset):
+    def __init__(self, table: ProcessTable, init: tuple):
         self.table = table
         self.init = init
 
@@ -530,7 +535,7 @@ class ParAutomaton(Automaton):
     def __init__(self, left: Automaton, right: Automaton):
         self.left = left
         self.right = right
-        self.init = frozenset((l, r) for l in left.init for r in right.init)
+        self.init = tuple((l, r) for l in left.init for r in right.init)
 
     def steps(self, state, menu=()) -> tuple:
         l, r = state
@@ -720,8 +725,8 @@ class NodeAutomaton(MemoNetAutomaton):
         self._steps_memo: dict = {}
         self._cast_memo: dict = {}
         self._states: dict = {}   # node state -> its canonical instance
-        self.init = frozenset(self._node(ip, i, frozenset(nbrs))
-                              for i in inner.init)
+        self.init = tuple(self._node(ip, i, frozenset(nbrs))
+                          for i in inner.init)
 
     def _node(self, ip: int, inner, nbrs: frozenset) -> NodeS:
         """The canonical node state of this value, keyed by the value.
@@ -829,7 +834,7 @@ class SubnetAutomaton(MemoNetAutomaton):
         # (left._n, right._n) -> the canonical subnet state over children
         # with those numbers
         self._states: dict = {}
-        self.init = frozenset(
+        self.init = tuple(
             self._pair(l, r) for l in left.init for r in right.init
         )
 

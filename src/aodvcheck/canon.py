@@ -2,15 +2,17 @@
 
 Every state, message and action in the model can be turned into a nested
 tuple of plain ints/strings (``value_key``) and into a 16-byte structural
-digest (``bdigest``).  Keys make sets and maps of model values sortable
-in a reproducible order: they order the simulator's sibling steps and
-the explorer's initial states, and give the digests of the states a
-counterexample file lists (``digest``).  Structural digests identify
-values everywhere else: the states in simulation traces, a
-counterexample's initial state and the monitors' caches.  The node
-automata number the node states they intern by value, which tells
-reached states apart as digests do (see ``bdigest``), so the memos and
-the explorer's visited set, keyed by those numbers, digest nothing.
+digest (``bdigest``).  Keys have two jobs: they order the simulator's
+sibling steps (``simulate.sibling_order``), and they give the digests
+of the states a counterexample file lists (``digest``).  Nothing else
+is sorted by key: a ``FrozenMap`` iterates in the order of its keys
+themselves, and the explorer takes initial states in the order the
+automata build them.  Structural digests identify values everywhere
+else: the states in simulation traces, a counterexample's initial state
+and the monitors' caches.  The node automata number the node states
+they intern by value, which tells reached states apart as digests do
+(see ``bdigest``), so the memos and the explorer's visited set, keyed
+by those numbers, digest nothing.
 Nothing here may depend on object identity or on Python's randomized
 string hashing.
 
@@ -45,7 +47,9 @@ class FrozenMap(Mapping):
     """Immutable mapping with order-insensitive equality and hashing.
 
     Iteration is sorted by key so consumers never observe insertion
-    order.  Keys must be canonically encodable (ints, strings, tuples).
+    order.  Keys must be canonically encodable and ordered among
+    themselves: the model's maps have int keys or ``(ip, data, dip)``
+    keys, which sort by themselves exactly as by ``value_key``.
     """
 
     __slots__ = ("_d", "_hash", "_dg")
@@ -59,7 +63,7 @@ class FrozenMap(Mapping):
         return self._d[key]
 
     def __iter__(self) -> Iterator:
-        return iter(sorted(self._d, key=value_key))
+        return iter(sorted(self._d))
 
     def __len__(self) -> int:
         return len(self._d)
@@ -135,7 +139,7 @@ def value_key(x: Any) -> tuple:
     """Nested-tuple encoding of a model value, total over the model's types.
 
     A dataclass encodes as ``(class name, *keys of its compared
-    fields)``, cached on the instance.
+    fields)``, cached on the instance as its ``_ckey`` attribute.
     """
     if x is None:
         return ("none",)
@@ -149,19 +153,18 @@ def value_key(x: Any) -> tuple:
         return ("tup",) + tuple(value_key(v) for v in x)
     if isinstance(x, (set, frozenset)):
         return ("set",) + tuple(sorted(value_key(v) for v in x))
-    d = getattr(x, "__dict__", None)
-    if d is not None:
-        k = d.get("_ckey")
-        if k is not None:
-            return k
+    if isinstance(x, FrozenMap):
+        return x.canon_key()  # has __slots__, so it is not cached
+    k = getattr(x, "_ckey", None)
+    if k is not None:
+        return k
     ck = getattr(x, "canon_key", None)
     if ck is not None:
         k = ck()
     else:
         name, _, get = _shape(type(x))
         k = (name, *map(value_key, get(x)))
-    if d is not None:
-        d["_ckey"] = k
+    cache_attr(x, "_ckey", k)
     return k
 
 

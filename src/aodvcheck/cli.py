@@ -11,8 +11,9 @@ Exploration is deterministic: its report and counterexample file are
 the same byte for byte on every run, whatever the hash seed.
 
 Exit codes: 0 all checks passed (a reported depth-bound truncation
-still exits 0) or a counterexample replayed, 1 a suite was violated, 2
-usage, scenario, trace-file or counterexample-file errors (including
+still exits 0) or a counterexample replayed, 1 a suite was violated or
+a trace given to ``graph --trace`` does not match the re-run, 2 usage,
+scenario, trace-file or counterexample-file errors (including
 out-of-range numeric options, a trace or counterexample written in
 another format or under other mutations than the scenario's, an output
 file that cannot be written and a counterexample that does not

@@ -7,17 +7,17 @@ automaton with that menu so exploration is over completely closed
 systems.
 
 ``explore`` is a deterministic breadth-first search: initial states are
-sorted by canonical key, and each state's successors are taken in the
-order the step functions build them (see :mod:`aodvcheck.awn`), so
-reports and counterexamples are reproducible byte for byte, independent
-of hash seeds.  To keep millions of states affordable, the search
-numbers states in the order it first reaches them and keeps per state
-only its key, in a dict that maps it to ``None``, and its parent's
-number and its branch rank, in two packed ``array`` columns indexed by
-that number (8 bytes a state); counterexample paths are rebuilt
-afterwards by walking the parent column back to an initial state and
-replaying the ranks from there.  A frontier holds only the states
-themselves: each layer's states are numbered consecutively, so a
+taken in the order the automata build them (``Automaton.init``), and
+each state's successors in the order the step functions build them (see
+:mod:`aodvcheck.awn`), so reports and counterexamples are reproducible
+byte for byte, independent of hash seeds.  To keep millions of states
+affordable, the search numbers states in the order it first reaches them
+and keeps per state only its key, in a dict that maps it to ``None``,
+and its parent's number and its branch rank, in two packed ``array``
+columns indexed by that number (8 bytes a state); counterexample paths
+are rebuilt afterwards by walking the parent column back to an initial
+state and replaying the ranks from there.  A frontier holds only the
+states themselves: each layer's states are numbered consecutively, so a
 state's number is its layer's first number plus its place in the
 frontier.  The layer at the depth bound is numbered and checked but not
 kept, since it is never expanded.
@@ -80,25 +80,17 @@ class EnvMenu:
 
 
 def env_menu(newpkts=(), links=()) -> EnvMenu:
-    """Build an EnvMenu from (ip, data, dip, count) rows and link events."""
+    """An EnvMenu of (ip, data, dip, count) rows and Connect/Disconnect actions.
+
+    Rows for one triple add up their counts; a triple left with no
+    budget is dropped.
+    """
     budget = {}
     for ip, data, dip, count in newpkts:
         key = (ip, data, dip)
         budget[key] = budget.get(key, 0) + count
-    script = []
-    for ev in links:
-        if isinstance(ev, (ConnectA, DisconnectA)):
-            script.append(ev)
-        else:
-            op, a, b = ev
-            if op == "connect":
-                script.append(ConnectA(a, b))
-            elif op == "disconnect":
-                script.append(DisconnectA(a, b))
-            else:
-                raise ModelError(f"unknown link event {op!r}")
     return EnvMenu(FrozenMap({k: v for k, v in budget.items() if v > 0}),
-                   tuple(script))
+                   tuple(links))
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ class EnvNet:
         self._after: dict = {}   # (EnvState number, action) -> successor
         self._menus: dict = {}   # (newpkts, links) -> its one NetMenu
         env0 = self._intern(EnvState(env.newpkts, 0))
-        self.init = frozenset((s, env0) for s in net.init)
+        self.init = tuple((s, env0) for s in net.init)
 
     def _intern(self, env_state: EnvState) -> EnvState:
         got = self._envs.get(env_state)
@@ -382,7 +374,7 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
     inits: list = []              # number -> initial state
 
     frontier = []                 # the layer to expand, in number order
-    for s in sorted(auto.init, key=value_key):
+    for s in auto.init:
         k = _key(root_parts(s[0]), s[1])
         if k in visited:
             continue

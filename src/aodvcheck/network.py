@@ -76,10 +76,8 @@ _QUEUE_START = Call("qmsg")
 
 
 def node_automaton(ip: int, nbrs: frozenset, table, qtable) -> NetAutomaton:
-    proto = SeqAutomaton(table, frozenset(
-        [ProcState(aodv_init(ip), _AODV_START, table)]))
-    queue = SeqAutomaton(qtable, frozenset(
-        [ProcState((), _QUEUE_START, qtable)]))
+    proto = SeqAutomaton(table, (ProcState(aodv_init(ip), _AODV_START, table),))
+    queue = SeqAutomaton(qtable, (ProcState((), _QUEUE_START, qtable),))
     return NodeAutomaton(ip, ParAutomaton(proto, queue), nbrs)
 
 

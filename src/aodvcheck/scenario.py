@@ -17,11 +17,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+from .awn import ConnectA, DisconnectA, NewpktA
+from .canon import FrozenMap
 from .explore import EnvMenu, env_menu
 from .monitor import SuiteError, split_suites
 from .network import NetTree, tree_of
 from .protocol import VariantConfig
-from .simulate import Schedule, ScheduleError, schedule
+from .simulate import Schedule
 from .variants import VariantError, apply_mutations, get_variant
 
 MAX_BUDGET = 1000
@@ -138,7 +140,7 @@ def _link_event(ev, ips):
     _address(a, ips, f"link event {ev!r}")
     _address(b, ips, f"link event {ev!r}")
     _require(a != b, "link event endpoints must differ")
-    return (op, a, b)
+    return ConnectA(a, b) if op == "connect" else DisconnectA(a, b)
 
 
 def _schedule(obj, ips) -> Optional[Schedule]:
@@ -151,15 +153,17 @@ def _schedule(obj, ips) -> Optional[Schedule]:
     steps = obj.get("steps", 200)
     _require(_is_int(seed), "'seed' must be an integer")
     _require(_is_int(steps) and steps >= 1, "'steps' must be an integer >= 1")
-    raw = obj.get("events") or {}
+    raw = obj.get("events")
+    if raw is None:
+        raw = {}
     _require(isinstance(raw, dict), "'events' must be an object")
     events = {}
     for key, spec in raw.items():
-        try:
-            idx = int(key)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"event index {key!r} is not an integer") from None
-        _require(0 <= idx < steps, f"event index {idx} outside 0..{steps - 1}")
+        # int() would also read "1_0", " 3", "+4" and non-ASCII digits
+        _require(key.isascii() and key.isdigit(),
+                 f"event index {key!r} is not a decimal integer")
+        idx = int(key)
+        _require(idx < steps, f"event index {idx} outside 0..{steps - 1}")
         _require(idx not in events, f"two events at step {idx}")
         _require(isinstance(spec, list) and spec, f"bad event {spec!r}")
         if spec[0] == "newpkt":
@@ -168,13 +172,10 @@ def _schedule(obj, ips) -> Optional[Schedule]:
             _address(ip, ips, f"event {spec!r}")
             _address(dip, ips, f"event {spec!r}")
             _require(isinstance(data, str) and data, "event data must be a nonempty string")
+            events[idx] = NewpktA(ip, data, dip)
         else:
-            _link_event(spec, ips)
-        events[idx] = tuple(spec)
-    try:
-        return schedule(seed, steps, events)
-    except ScheduleError as e:
-        raise ScenarioError(str(e)) from None
+            events[idx] = _link_event(spec, ips)
+    return Schedule(seed, steps, FrozenMap(events))
 
 
 def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:

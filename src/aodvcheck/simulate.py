@@ -28,8 +28,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
-from .awn import (ConnectA, DeliverAtA, DisconnectA, NewpktA, NetMenu,
-                  EMPTY_MENU, root_parts)
+from .awn import DeliverAtA, NewpktA, NetMenu, EMPTY_MENU, root_parts
 from .canon import EMPTY_MAP, FrozenMap, bdigest, value_key
 from .canon import digest  # noqa: F401  (bench/spans.py patches this name)
 from .messages import Newpkt
@@ -49,27 +48,6 @@ class Schedule:
     seed: int = 0
     max_steps: int = 200
     events: FrozenMap = EMPTY_MAP  # step index -> environment action
-
-
-def schedule(seed=0, max_steps=200, events=None) -> Schedule:
-    """Build a schedule; event specs may be tuples or action objects."""
-    table = {}
-    for idx, spec in (events or {}).items():
-        table[int(idx)] = _parse_event(spec)
-    return Schedule(seed, max_steps, FrozenMap(table))
-
-
-def _parse_event(spec):
-    if isinstance(spec, (NewpktA, ConnectA, DisconnectA)):
-        return spec
-    op = spec[0]
-    if op == "newpkt":
-        _, ip, data, dip = spec
-        return NewpktA(ip, data, dip)
-    if op in ("connect", "disconnect"):
-        _, a, b = spec
-        return ConnectA(a, b) if op == "connect" else DisconnectA(a, b)
-    raise ScheduleError(f"unknown event kind {op!r}")
 
 
 def sibling_order(steps) -> list:

@@ -139,6 +139,17 @@ def test_encodings_are_cached_on_the_instance():
     assert value_key(xi) is k and bdigest(xi) is d
 
 
+@given(st.one_of(
+    st.sets(st.integers(), max_size=6),
+    st.sets(st.tuples(st.integers(-3, 3), st.text(max_size=2),
+                      st.integers(-3, 3)), max_size=6)))
+def test_map_iterates_its_keys_in_key_order(keys):
+    # the model's maps have int or (ip, data, dip) keys, which sort by
+    # themselves as by their canonical keys
+    m = FrozenMap(dict.fromkeys(keys, 0))
+    assert list(m) == sorted(keys, key=value_key)
+
+
 def test_fields_excluded_from_comparison_are_not_encoded():
     @dataclass(frozen=True)
     class Tagged:

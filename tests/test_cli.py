@@ -79,6 +79,19 @@ def test_counterexample_file_ignores_hash_seed(tmp_path):
     {"bound": True},
     {"env": {"newpkts": [{"ip": True, "data": "x", "dip": 2}]}},
     {"schedule": {"seed": False}},
+    # only a missing or null 'events' means no events
+    {"schedule": {"events": []}},
+    {"schedule": {"events": False}},
+    {"schedule": {"events": 0}},
+    {"schedule": {"events": ""}},
+    # event indices are plain ASCII decimal strings, which int() is not
+    {"schedule": {"events": {"1_0": ["newpkt", 1, "x", 2]}}},
+    {"schedule": {"events": {" 3": ["newpkt", 1, "x", 2]}}},
+    {"schedule": {"events": {"+4": ["newpkt", 1, "x", 2]}}},
+    {"schedule": {"events": {"\u0663": ["newpkt", 1, "x", 2]}}},
+    # the loader is the one parser of event spellings
+    {"env": {"links": [["sever", 1, 2]]}},
+    {"schedule": {"events": {"0": ["teleport", 1, 2]}}},
 ], ids=lambda patch: json.dumps(patch))
 def test_malformed_scenario_is_a_usage_error(tmp_path, capsys, patch):
     scenario = write_scenario(tmp_path, {"nodes": PAIR, **patch})
@@ -276,6 +289,22 @@ def test_graph_validates_a_current_trace(tmp_path, capsys):
     code, out = run_cli(["graph", pair2, "--trace", trace], capsys)
     assert code == 0
     assert json.loads(out.out)["validated"] is True
+
+
+def test_graph_reports_a_trace_of_another_run(tmp_path, capsys):
+    # a trace of 20 steps checked against a re-run of 21
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    trace = str(tmp_path / "t.ndjson")
+    code, _ = run_cli(["simulate", pair2, "--steps", "20", "--out", trace],
+                      capsys)
+    assert code == 0
+    code, out = run_cli(["graph", pair2, "--steps", "21", "--trace", trace],
+                        capsys)
+    assert code == EXIT_VIOLATION
+    assert out.err.startswith("error: trace does not match the re-run (")
+    doc = json.loads(out.out)
+    assert doc["trace_final"] != doc["final"]
+    assert "validated" not in doc
 
 
 @pytest.mark.parametrize("header", [
@@ -513,7 +542,7 @@ class TestReplayCommand:
             def __init__(self, net, env):
                 super().__init__(net, env)
                 (s,) = self.init
-                self.init = frozenset([s, (s[0], None)])
+                self.init = (s, (s[0], None))
 
         monkeypatch.setattr(cli, "EnvNet", TwoInits)
         self.assert_usage_error(["replay", str(out), STALE_LINKS], capsys)

@@ -41,8 +41,8 @@ def cases(draw):
                                    st.sampled_from(ips), st.just(1)),
                          max_size=2))
     event = draw(st.none() | st.tuples(
-        st.sampled_from(["connect", "disconnect"]), st.sampled_from(pairs)))
-    events = [] if event is None else [(event[0], *event[1])]
+        st.sampled_from([ConnectA, DisconnectA]), st.sampled_from(pairs)))
+    events = [] if event is None else [event[0](*event[1])]
     variant = draw(st.sampled_from(sorted(VARIANTS)))
     bound = draw(st.integers(0, 10))
     return tree, env_menu(rows, events), VARIANTS[variant], bound

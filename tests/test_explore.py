@@ -21,7 +21,7 @@ from aodvcheck.explore import (DEFAULT_STATE_CAP, Counterexample, EnvMenu,
 from aodvcheck.messages import Newpkt
 from aodvcheck.network import closed_net, net_data, node_states, tree_of
 from aodvcheck.protocol import BASE, build_table
-from aodvcheck.scenario import load_scenario
+from aodvcheck.scenario import load_scenario, parse_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIR = tree_of([(1, [2]), (2, [1])])
@@ -59,7 +59,7 @@ def naive_bfs(auto):
 class TestAgainstOracle:
     @pytest.mark.parametrize("newpkts,links", [
         ([(1, "x", 2, 1)], []),
-        ([(1, "x", 2, 1)], [("disconnect", 1, 2)]),
+        ([(1, "x", 2, 1)], [DisconnectA(1, 2)]),
         ([(1, "x", 2, 1), (2, "y", 1, 1)], []),
     ])
     def test_counts_match(self, newpkts, links):
@@ -76,7 +76,7 @@ class TestAgainstOracle:
         keys, _, _ = naive_bfs(auto)
         states = reachable(auto)
         assert {value_key(s) for s in states} == keys
-        assert auto.init <= states
+        assert set(auto.init) <= states
 
 
 def scenario_net(name, table=None) -> EnvNet:
@@ -462,16 +462,15 @@ class TestEnvMenuBuilder:
         assert not len(env.newpkts)
 
     def test_link_events_parse(self):
-        env = env_menu(links=[("disconnect", 1, 2), ("connect", 1, 2)])
+        # the scenario loader is the one place that reads link spellings
+        env = parse_scenario({
+            "nodes": [{"ip": 1, "nbrs": [2]}, {"ip": 2, "nbrs": [1]}],
+            "env": {"links": [["disconnect", 1, 2], ["connect", 1, 2]]}}).env
         assert env.links == (DisconnectA(1, 2), ConnectA(1, 2))
 
     def test_prebuilt_actions_accepted(self):
         env = env_menu(links=[ConnectA(1, 2)])
         assert env.links == (ConnectA(1, 2),)
-
-    def test_unknown_event_rejected(self):
-        with pytest.raises(ModelError, match="sever"):
-            env_menu(links=[("sever", 1, 2)])
 
 
 class TestEnvThreading:
@@ -506,8 +505,7 @@ class TestEnvThreading:
                        for r in auto.rich_steps(s2))
 
     def test_link_script_runs_in_order(self):
-        auto = pair_net(env_menu(links=[("disconnect", 1, 2),
-                                        ("connect", 1, 2)]))
+        auto = pair_net(env_menu(links=[DisconnectA(1, 2), ConnectA(1, 2)]))
         (s0,) = auto.init
         kinds = [type(r.action) for r in auto.rich_steps(s0)]
         assert kinds == [DisconnectA]

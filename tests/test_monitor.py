@@ -25,7 +25,7 @@ from aodvcheck.protocol import BASE, aodv_init, build_table
 from aodvcheck.routing import (INVALID, KNOWN, VALID, RouteEntry,
                                known_dests, net_seqno)
 from aodvcheck.scenario import load_scenario
-from aodvcheck.simulate import run, schedule
+from aodvcheck.simulate import Schedule, run
 
 from helpers import forge_data, inject
 
@@ -316,7 +316,7 @@ class TestSharedChangeList:
         sc = self.stale()
         selections = (self.NAMES[:1], self.NAMES[1:], self.NAMES)
         before = [self.explore_with(sc, names) for names in selections]
-        run(sc.tree, schedule(seed=3, max_steps=200), sc.cfg,
+        run(sc.tree, Schedule(3, 200), sc.cfg,
             suites=self.NAMES)
         after = [self.explore_with(sc, names) for names in selections]
         assert after == before

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from aodvcheck.awn import Call, Choice, Unicast
+from aodvcheck.awn import Call, Choice, NewpktA, Unicast
 from aodvcheck.canon import EMPTY_MAP, FrozenMap
 from aodvcheck.explore import EnvNet, env_menu, explore
 from aodvcheck.network import closed_net, tree_of
@@ -22,7 +22,7 @@ from aodvcheck.routing import (INVALID, KNOWN, UNKNOWN, VALID, RouteEntry,
                                known_dests, net_seqno, next_hop, precursors,
                                seqno, seqno_status, strictly_fresher,
                                update_route, valid_dests)
-from aodvcheck.simulate import run, schedule
+from aodvcheck.simulate import Schedule, run
 from aodvcheck.variants import VARIANTS, apply_mutations
 
 
@@ -284,7 +284,7 @@ class TestTableMemo:
         # the memo is keyed by term identity, so a run must start its
         # processes at the table's own terms, not at fresh ones
         pair = tree_of([(1, [2]), (2, [1])])
-        sched = schedule(seed=0, events={0: ("newpkt", 1, "x", 2)})
+        sched = Schedule(events=FrozenMap({0: NewpktA(1, "x", 2)}))
         tables = (build_table(BASE), queue_table())
         run(pair, sched)
         sizes = [len(t._label_cache) for t in tables]

@@ -10,14 +10,13 @@ from hypothesis import given, strategies as st
 from aodvcheck import protocol, simulate
 from aodvcheck.awn import (EMPTY_MENU, ConnectA, DisconnectA, NewpktA,
                            RichStep, TAU)
-from aodvcheck.canon import bdigest, value_key
+from aodvcheck.canon import EMPTY_MAP, FrozenMap, bdigest, value_key
 from aodvcheck.explore import EnvNet, explore
 from aodvcheck.messages import Rreq
-from aodvcheck.simulate import (Schedule, ScheduleError, run, schedule,
-                                sibling_order)
+from aodvcheck.simulate import Schedule, ScheduleError, run, sibling_order
 from aodvcheck.network import closed_net, tree_of
 from aodvcheck.protocol import BASE
-from aodvcheck.scenario import load_scenario
+from aodvcheck.scenario import load_scenario, parse_scenario
 from aodvcheck.trace import (TRACE_FORMAT, dump_record, load_trace,
                              render_action, write_trace)
 from aodvcheck.variants import VARIANTS, apply_mutations
@@ -28,36 +27,49 @@ CHAIN = tree_of([(1, [2]), (2, [1, 3]), (3, [2])])
 
 
 def pair_schedule(seed=0, max_steps=120):
-    return schedule(seed=seed, max_steps=max_steps,
-                    events={0: ("newpkt", 1, "x", 2),
-                            1: ("newpkt", 2, "y", 1)})
+    return Schedule(seed, max_steps, FrozenMap({0: NewpktA(1, "x", 2),
+                                                1: NewpktA(2, "y", 1)}))
 
 
 def trace_bytes(result) -> str:
     return "\n".join(dump_record(r) for r in result.records)
 
 
+PAIR_NODES = [{"ip": 1, "nbrs": [2]}, {"ip": 2, "nbrs": [1]}]
+
+
 class TestScheduleBuilder:
+    # the scenario loader is the one place that reads event spellings
     def test_specs_parse_to_actions(self):
-        sched = schedule(events={0: ("newpkt", 1, "x", 2),
-                                 3: ("disconnect", 1, 2),
-                                 5: ("connect", 1, 2)})
-        assert sched.events[0] == NewpktA(1, "x", 2)
-        assert sched.events[3] == DisconnectA(1, 2)
-        assert sched.events[5] == ConnectA(1, 2)
+        sched = parse_scenario({"nodes": PAIR_NODES, "schedule": {"events": {
+            "0": ["newpkt", 1, "x", 2], "3": ["disconnect", 1, 2],
+            "5": ["connect", 1, 2]}}}).sched
+        assert sched.events == {0: NewpktA(1, "x", 2),
+                                3: DisconnectA(1, 2), 5: ConnectA(1, 2)}
 
     def test_action_objects_pass_through(self):
-        sched = schedule(events={2: NewpktA(1, "x", 2)})
-        assert sched.events[2] == NewpktA(1, "x", 2)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ScheduleError, match="teleport"):
-            schedule(events={0: ("teleport", 1, 2)})
+        # steps 0 and 1 are quiescent, so the run jumps to the event
+        sched = Schedule(events=FrozenMap({2: NewpktA(1, "x", 2)}))
+        (first, r), *_ = run(PAIR, sched).path
+        assert (first, r.action) == (2, NewpktA(1, "x", 2))
 
     def test_defaults(self):
-        sched = schedule()
-        assert sched == Schedule(0, 200, sched.events)
-        assert not len(sched.events)
+        for section in ({}, {"events": None}):
+            sched = parse_scenario({"nodes": PAIR_NODES,
+                                    "schedule": section}).sched
+            assert sched == Schedule() == Schedule(0, 200, EMPTY_MAP)
+            assert not len(sched.events)
+
+    def test_bundled_scenarios_load_as_actions(self):
+        events = {0: NewpktA(1, "d", 3), 2: NewpktA(2, "d", 3),
+                  4: NewpktA(3, "d", 1), 40: DisconnectA(1, 2),
+                  80: ConnectA(1, 2)}
+        stale = load_scenario(os.path.join(ROOT, "bench", "scenarios",
+                                           "chain3_stale.json"))
+        assert stale.sched == Schedule(0, 400, FrozenMap(events))
+        chain3 = load_scenario(os.path.join(ROOT, "scenarios", "chain3.json"))
+        assert chain3.sched == stale.sched
+        assert chain3.env.links == (DisconnectA(1, 2), ConnectA(1, 2))
 
 
 class TestDeterminism:
@@ -243,9 +255,8 @@ class TestRunOutcomes:
         assert "loop-freedom" in head["suites"]
 
     def test_quiescence_fast_forwards_to_next_event(self):
-        sched = schedule(seed=0, max_steps=600,
-                         events={0: ("newpkt", 1, "x", 2),
-                                 500: ("disconnect", 1, 2)})
+        sched = Schedule(0, 600, FrozenMap({0: NewpktA(1, "x", 2),
+                                            500: DisconnectA(1, 2)}))
         res = run(PAIR, sched)
         assert res.stop == "quiescent"
         assert res.pending_events == ()
@@ -253,16 +264,15 @@ class TestRunOutcomes:
                    for r in res.records if "action" in r)
 
     def test_max_steps_reports_pending_events(self):
-        sched = schedule(seed=0, max_steps=3,
-                         events={0: ("newpkt", 1, "x", 2),
-                                 100: ("disconnect", 1, 2)})
+        sched = Schedule(0, 3, FrozenMap({0: NewpktA(1, "x", 2),
+                                          100: DisconnectA(1, 2)}))
         res = run(PAIR, sched)
         assert res.stop == "max-steps"
         assert res.steps == 3
         assert res.pending_events == ((100, DisconnectA(1, 2)),)
 
     def test_impossible_event_raises(self):
-        sched = schedule(events={0: ("newpkt", 9, "x", 1)})
+        sched = Schedule(events=FrozenMap({0: NewpktA(9, "x", 1)}))
         with pytest.raises(ScheduleError, match="cannot fire at step 0"):
             run(PAIR, sched)
 
@@ -325,11 +335,10 @@ class TestViolationStop:
     # advertising destination 3 with a regressed net sequence number
     def broken_run(self, **kw):
         cfg = replace(BASE, accept_stale_update=True)
-        sched = schedule(seed=4, max_steps=400,
-                         events={0: ("newpkt", 1, "d", 3),
-                                 1: ("newpkt", 3, "d", 1),
-                                 40: ("disconnect", 1, 2),
-                                 80: ("connect", 1, 2)})
+        sched = Schedule(4, 400, FrozenMap({0: NewpktA(1, "d", 3),
+                                            1: NewpktA(3, "d", 1),
+                                            40: DisconnectA(1, 2),
+                                            80: ConnectA(1, 2)}))
         return run(CHAIN, sched, cfg, **kw)
 
     def test_violation_recorded_and_stops(self):
@@ -344,11 +353,10 @@ class TestViolationStop:
         assert res.records[-1]["holds"] is False
 
     def test_same_schedule_is_clean_without_the_mutation(self):
-        sched = schedule(seed=4, max_steps=400,
-                         events={0: ("newpkt", 1, "d", 3),
-                                 1: ("newpkt", 3, "d", 1),
-                                 40: ("disconnect", 1, 2),
-                                 80: ("connect", 1, 2)})
+        sched = Schedule(4, 400, FrozenMap({0: NewpktA(1, "d", 3),
+                                            1: NewpktA(3, "d", 1),
+                                            40: DisconnectA(1, 2),
+                                            80: ConnectA(1, 2)}))
         res = run(CHAIN, sched, BASE)
         assert res.holds and res.stop == "quiescent"
 

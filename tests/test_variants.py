@@ -9,12 +9,13 @@ that only the forwarding variant gets the payload through.
 import pytest
 
 from aodvcheck import protocol
-from aodvcheck.awn import Groupcast, ModelError
+from aodvcheck.awn import Groupcast, ModelError, NewpktA
+from aodvcheck.canon import FrozenMap
 from aodvcheck.explore import check_theorem1, env_menu
 from aodvcheck.network import net_data, tree_of
 from aodvcheck.protocol import (BASE, VariantConfig, build_table,
                                 rreq_message_kind, valid_dests)
-from aodvcheck.simulate import run, schedule
+from aodvcheck.simulate import Schedule, run
 from aodvcheck.variants import (MUTATIONS, VARIANTS, VariantError,
                                 apply_mutations, get_variant,
                                 with_variant)
@@ -25,15 +26,13 @@ CHAIN = tree_of([(1, [2]), (2, [1, 3]), (3, [2])])
 
 def discovery(seed=0, max_steps=300):
     """One end of the chain asks for a route to the other."""
-    return schedule(seed=seed, max_steps=max_steps,
-                    events={0: ("newpkt", 1, "p", 3)})
+    return Schedule(seed, max_steps, FrozenMap({0: NewpktA(1, "p", 3)}))
 
 
 def race(seed, max_steps=400):
     """Both chain ends start a route discovery at once."""
-    return schedule(seed=seed, max_steps=max_steps,
-                    events={0: ("newpkt", 1, "p", 3),
-                            1: ("newpkt", 3, "q", 1)})
+    return Schedule(seed, max_steps, FrozenMap({0: NewpktA(1, "p", 3),
+                                                1: NewpktA(3, "q", 1)}))
 
 
 def actions(result):
