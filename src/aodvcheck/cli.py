@@ -36,6 +36,7 @@ import resource
 import sys
 import time
 import warnings
+from dataclasses import asdict, replace
 
 from .awn import ModelError
 from .canon import bdigest, digest, value_key
@@ -44,7 +45,7 @@ from .explore import (Counterexample, EnvNet, ResourceCapError, TraceStep,
 from .monitor import ALL_SUITES, SuiteError, rt_graph, split_suites
 from .network import closed_net, net_data, tree_addresses
 from .scenario import Scenario, ScenarioError, load_scenario
-from .simulate import Schedule, ScheduleError, run
+from .simulate import ScheduleError, run
 from .trace import TRACE_FORMAT, dump_record, load_trace, write_trace
 from .variants import VariantError, mutations_of, with_variant
 
@@ -125,11 +126,14 @@ def _parser() -> argparse.ArgumentParser:
     e.add_argument("--state-cap", type=_int_at_least(1), default=None,
                    help="abort after this many stored states (>= 1)")
 
-    s = sub.add_parser("simulate", parents=[common],
+    # the options of the two commands that run the scenario's schedule
+    sched = argparse.ArgumentParser(add_help=False)
+    sched.add_argument("--seed", type=int, help="override the schedule seed")
+    sched.add_argument("--steps", type=_int_at_least(1),
+                       help="override the schedule length (>= 1)")
+
+    s = sub.add_parser("simulate", parents=[common, sched],
                        help="seeded random run under the scenario schedule")
-    s.add_argument("--seed", type=int, help="override the schedule seed")
-    s.add_argument("--steps", type=_int_at_least(1),
-                   help="override the schedule length (>= 1)")
     s.add_argument("--dump-sigma", action="store_true",
                    help="include node state in every trace record")
 
@@ -141,11 +145,8 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("counterexample", help="counterexample JSON file")
     r.add_argument("scenario", help="scenario JSON file it was found in")
 
-    g = sub.add_parser("graph", parents=[common],
+    g = sub.add_parser("graph", parents=[common, sched],
                        help="dump routing-table graphs from a simulation run")
-    g.add_argument("--seed", type=int, help="override the schedule seed")
-    g.add_argument("--steps", type=_int_at_least(1),
-                   help="override the schedule length (>= 1)")
     g.add_argument("--dip", type=int, action="append",
                    help="destination to graph (repeatable; default all)")
     g.add_argument("--trace", help="validate this trace against the re-run")
@@ -166,13 +167,11 @@ def _read_scenario(path: str) -> Scenario:
 def _load(args) -> Scenario:
     sc = _read_scenario(args.scenario)
     if args.variant is not None:
-        sc = Scenario(sc.name, sc.tree, with_variant(sc.cfg, args.variant),
-                      sc.env, sc.sched, sc.suites, sc.bound)
+        sc = replace(sc, cfg=with_variant(sc.cfg, args.variant))
     if args.suite is not None:
         names = tuple(n for n in args.suite.split(",") if n)
         split_suites(names)
-        sc = Scenario(sc.name, sc.tree, sc.cfg, sc.env, sc.sched,
-                      names, sc.bound)
+        sc = replace(sc, suites=names)
     return sc
 
 
@@ -183,18 +182,6 @@ def _print_scenario(name: str, cfg, tail: str = "") -> None:
     mutations = mutations_of(cfg)
     if mutations:
         print("mutations:", " ".join(mutations))
-
-
-def _json_steps(steps) -> list:
-    return [{"origin": st.origin, "action": st.action,
-             "digest": st.digest, "key": st.key}
-            for st in steps]
-
-
-def _listify(x):
-    if isinstance(x, tuple):
-        return [_listify(v) for v in x]
-    return x
 
 
 def _progress():
@@ -259,8 +246,8 @@ def _cmd_explore(args) -> int:
     doc = {"format": CX_FORMAT, "scenario": sc.name,
            "variant": sc.cfg.name, "mutations": list(mutations_of(sc.cfg)),
            "suite": cx.suite, "kind": cx.kind,
-           "witness": _listify(cx.witness), "depth": cx.depth,
-           "digest": cx.digest, "steps": _json_steps(cx.steps)}
+           "witness": cx.witness, "depth": cx.depth,
+           "digest": cx.digest, "steps": [asdict(st) for st in cx.steps]}
     with _writing(out), open(out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -347,10 +334,10 @@ def _run_schedule(sc: Scenario, args, dump_sigma=False):
     if sc.sched is None:
         raise ScenarioError("scenario has no 'schedule' section")
     sched = sc.sched
-    if getattr(args, "seed", None) is not None:
-        sched = Schedule(args.seed, sched.max_steps, sched.events)
-    if getattr(args, "steps", None) is not None:
-        sched = Schedule(sched.seed, args.steps, sched.events)
+    if args.seed is not None:
+        sched = replace(sched, seed=args.seed)
+    if args.steps is not None:
+        sched = replace(sched, max_steps=args.steps)
     return run(sc.tree, sched, sc.cfg, suites=sc.suites,
                dump_sigma=dump_sigma, scenario_name=sc.name), sched
 

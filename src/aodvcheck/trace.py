@@ -8,6 +8,12 @@ record if a suite failed and a final record.  Records hold only
 integers and strings, so files are byte-identical across platforms and
 runs.
 
+A step's action is rendered from its dataclass, as keys and digests are
+(see :mod:`aodvcheck.canon`): one table names each class a step's detail
+or a scheduled event can be, and its fields follow in declaration order.
+The node layer turns every process-level action (broadcast, unicast,
+send and the like) into one of those, so those are never rendered.
+
 A simulation run does not build its records as it goes: it keeps the
 steps it walked, and ``simulate.SimResult.records`` renders and digests
 them the first time the trace is read.
@@ -15,47 +21,32 @@ them the first time the trace is read.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
-from .awn import (ArriveA, BroadcastA, CastA, ConnectA, DeliverA, DeliverAtA,
-                  DisconnectA, GroupcastA, NewpktA, ReceiveA, SendA, TauA,
-                  UnicastA, UnicastFailA)
+from .awn import (ArriveA, CastA, ConnectA, DeliverAtA, DisconnectA, NewpktA,
+                  TauA, UnicastFailA)
 
 # The format also names the state encoding behind the recorded digests,
 # here ``bdigest``: a trace whose header carries another format cannot be
 # checked by them.
 TRACE_FORMAT = "aodvcheck-trace-3"
 
+# The classes a step's detail or a scheduled event can be, by the name
+# each is rendered under
+_NAMES = {TauA: "tau", CastA: "cast", ArriveA: "arrive", NewpktA: "newpkt",
+          DeliverAtA: "deliver", ConnectA: "connect",
+          DisconnectA: "disconnect", UnicastFailA: "unicast_fail"}
+
 
 def render_action(a) -> str:
-    if isinstance(a, TauA):
-        return "tau"
-    if isinstance(a, CastA):
-        return f"cast({sorted(a.dests)}, {a.msg!r})"
-    if isinstance(a, ArriveA):
-        return f"arrive({sorted(a.heard)}, {sorted(a.missed)}, {a.msg!r})"
-    if isinstance(a, NewpktA):
-        return f"newpkt({a.ip}, {a.data!r}, {a.dip})"
-    if isinstance(a, DeliverAtA):
-        return f"deliver({a.ip}, {a.data!r})"
-    if isinstance(a, ConnectA):
-        return f"connect({a.a}, {a.b})"
-    if isinstance(a, DisconnectA):
-        return f"disconnect({a.a}, {a.b})"
-    if isinstance(a, UnicastFailA):
-        return f"unicast_fail({a.dest})"
-    if isinstance(a, BroadcastA):
-        return f"broadcast({a.msg!r})"
-    if isinstance(a, GroupcastA):
-        return f"groupcast({sorted(a.dests)}, {a.msg!r})"
-    if isinstance(a, UnicastA):
-        return f"unicast({a.dest}, {a.msg!r})"
-    if isinstance(a, SendA):
-        return f"send({a.msg!r})"
-    if isinstance(a, ReceiveA):
-        return f"receive({a.msg!r})"
-    if isinstance(a, DeliverA):
-        return f"deliver({a.data!r})"
-    raise TypeError(f"unknown action {a!r}")
+    """``name(field, ...)``: a frozenset field as its sorted list, any
+    other by ``repr``; an action without fields is its bare name."""
+    name = _NAMES.get(type(a))
+    if name is None:
+        raise TypeError(f"unknown action {a!r}")
+    args = [repr(sorted(v) if isinstance(v, frozenset) else v)
+            for v in (getattr(a, f.name) for f in fields(a))]
+    return f"{name}({', '.join(args)})" if args else name
 
 
 def sigma_dict(data_by_ip: dict) -> dict:
