@@ -337,15 +337,15 @@ def _rebuild(auto, state, ranks) -> tuple:
     return tuple(steps), digest(value_key(state))
 
 
-def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
+def explore(auto, *, bound=None, state_cap=DEFAULT_STATE_CAP,
             state_suites=(), step_suites=(), stop_on_violation=True,
             keep_states=False, on_layer=None) -> ExplorationReport:
     """Breadth-first reachability with invariant checking.
 
     ``auto`` is an ``EnvNet``: its states are ``(network, environment)``
-    pairs.  ``allow`` filters transitions by their action.  ``bound``
-    limits the number of expansion layers (states deeper than it are not
-    created; those at it are checked but not expanded).
+    pairs, and every transition is taken.  ``bound`` limits the number
+    of expansion layers (states deeper than it are not created; those at
+    it are checked but not expanded).
     ``state_suites``/``step_suites`` are (name, check) pairs where a
     check returns a witness tuple or None.  A state check is called on a
     state's network, ``check(net)``; a step check as ``check(net, step,
@@ -407,8 +407,6 @@ def explore(auto, *, allow=None, bound=None, state_cap=DEFAULT_STATE_CAP,
             net = state[0]
             steps = _sorted_steps(auto, state, make)
             for rank, r in enumerate(steps):
-                if allow is not None and not allow(r.action):
-                    continue
                 report.transitions += 1
                 parts, env = r.target
                 tkey = _key(parts, env)
@@ -469,26 +467,24 @@ def _finish(auto, inits, parents, ranks, pending) -> tuple:
     return tuple(out)
 
 
-def reachable(auto, allow=None, bound=None,
-              state_cap=DEFAULT_STATE_CAP) -> frozenset:
-    """All states reachable through allowed actions, within the bound."""
-    report = explore(auto, allow=allow, bound=bound, state_cap=state_cap,
-                     keep_states=True)
+def reachable(auto, bound=None, state_cap=DEFAULT_STATE_CAP) -> frozenset:
+    """All states reachable within the bound."""
+    report = explore(auto, bound=bound, state_cap=state_cap, keep_states=True)
     return frozenset(report.state_index.values())
 
 
-def invariant(auto, pred, allow=None, bound=None,
+def invariant(auto, pred, bound=None,
               state_cap=DEFAULT_STATE_CAP) -> ExplorationReport:
     """Does ``pred`` hold on every reachable state?
 
     ``pred`` is given each state's network, not its environment.
     """
     check = lambda net: None if pred(net) else ("predicate false",)
-    return explore(auto, allow=allow, bound=bound, state_cap=state_cap,
+    return explore(auto, bound=bound, state_cap=state_cap,
                    state_suites=[("invariant", check)])
 
 
-def step_invariant(auto, pred, allow=None, bound=None,
+def step_invariant(auto, pred, bound=None,
                    state_cap=DEFAULT_STATE_CAP) -> ExplorationReport:
     """Does ``pred(net, action, successor)`` hold on every transition?
 
@@ -498,7 +494,7 @@ def step_invariant(auto, pred, allow=None, bound=None,
     check = (lambda net, r, after:
              None if pred(net, r.action, join_parts(after))
              else ("predicate false",))
-    return explore(auto, allow=allow, bound=bound, state_cap=state_cap,
+    return explore(auto, bound=bound, state_cap=state_cap,
                    step_suites=[("step-invariant", check)])
 
 

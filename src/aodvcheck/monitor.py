@@ -43,7 +43,6 @@ node or subnet state, however many global states share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .awn import CastA, ProcessTable, Receive, SubnetS, root_parts, subterms
@@ -162,7 +161,7 @@ def _rt_sig(state) -> tuple:
 
 
 def _rt_cached(tag: str, raw):
-    def check(table, net):
+    def check(net):
         sig = (tag, _rt_sig(net))
         w = _rt_verdicts.get(sig, _MISSING)
         if w is _MISSING:
@@ -251,7 +250,7 @@ def _dispatch_verdict(x):
     return w
 
 
-def _check_dispatch_msg(table, net):
+def _check_dispatch_msg(net):
     if type(net) is SubnetS:
         return _least(_dispatch_verdict(net.left),
                       _dispatch_verdict(net.right))
@@ -374,10 +373,11 @@ def state_checks(table: ProcessTable, names=None):
     """Ordered (name, net -> witness|None) pairs for the given suites.
 
     A check takes a network state, never an explorer's ``(network,
-    environment)`` pair.
+    environment)`` pair.  No check reads ``table``: a node's state
+    carries its own (see ``dispatch_locations``).
     """
     picked = split_suites(names)[0]
-    return [(n, partial(STATE_SUITES[n], table)) for n in picked]
+    return [(n, STATE_SUITES[n]) for n in picked]
 
 
 def step_checks(table: ProcessTable, names=None):

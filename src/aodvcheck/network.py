@@ -37,17 +37,16 @@ class Par:
 NetTree = Node | Par
 
 
-def tree_addresses(tree: NetTree) -> tuple:
-    if isinstance(tree, Node):
-        return (tree.ip,)
-    return tree_addresses(tree.left) + tree_addresses(tree.right)
-
-
 def tree_nodes(tree: NetTree) -> tuple:
     """(ip, neighbours) pairs in tree order."""
     if isinstance(tree, Node):
         return ((tree.ip, tree.nbrs),)
     return tree_nodes(tree.left) + tree_nodes(tree.right)
+
+
+def tree_addresses(tree: NetTree) -> tuple:
+    """The node addresses in tree order."""
+    return tuple(ip for ip, _ in tree_nodes(tree))
 
 
 def well_formed(tree: NetTree) -> bool:

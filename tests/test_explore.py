@@ -445,12 +445,6 @@ class TestInvariantDrivers:
         assert rep.complete
         assert len(rep.counterexamples) > 1
 
-    def test_allow_filters_transitions(self):
-        rep = explore(one_shot(), allow=lambda a: not isinstance(a, NewpktA))
-        assert rep.complete
-        assert rep.states == 1
-        assert rep.transitions == 0
-
 
 class TestEnvMenuBuilder:
     def test_budgets_merge(self):
