@@ -7,6 +7,19 @@ bounded explorer and writes a counterexample when a suite fails,
 ``graph`` re-runs a simulation to dump per-destination routing graphs,
 optionally validating a previously written trace against it.
 
+``replay`` checks the story a file tells, not only where it ends: each
+step must be taken by the node the file names, render as the action it
+names and reach a state of the digest it records, and the file's suite,
+re-run where the path ends (a state suite on the last state, a step
+suite on the last step), must give the file's witness.  ``graph`` writes
+the same indented document, to ``--out`` or to standard output, whether
+or not the trace matches; on a mismatch it lacks ``"validated": true``
+and an error line follows on standard error.
+
+Input files are read as UTF-8.  One that cannot be decoded, that is not
+JSON, or that is nested too deeply to parse is an input error like any
+other malformed file.
+
 Exploration is deterministic: its report and counterexample file are
 the same byte for byte on every run, whatever the hash seed.
 
@@ -42,11 +55,13 @@ from .awn import ModelError
 from .canon import bdigest, digest, value_key
 from .explore import (Counterexample, EnvNet, ResourceCapError, TraceStep,
                       check_theorem1, replay)
-from .monitor import ALL_SUITES, SuiteError, rt_graph, split_suites
+from .monitor import (ALL_SUITES, SuiteError, Verdict, check_state_invariants,
+                      check_step_invariants, rt_graph, split_suites)
 from .network import closed_net, net_data, tree_addresses
+from .protocol import build_table
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import ScheduleError, run
-from .trace import TRACE_FORMAT, dump_record, load_trace, write_trace
+from .trace import TRACE_FORMAT, load_trace, write_trace
 from .variants import VariantError, mutations_of, with_variant
 
 EXIT_PASS = 0
@@ -265,12 +280,13 @@ _CX_STEP_FIELDS = {"origin": (int, type(None)), "action": str, "key": int,
 def _read_counterexample(path: str) -> dict:
     """The document of a counterexample file in the current format."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise ReplayError(
             f"cannot read counterexample: {e.strerror or e}") from None
-    except ValueError as e:
+    # a document nested too deeply to parse is a RecursionError
+    except (ValueError, RecursionError) as e:
         raise ReplayError(f"counterexample is not valid JSON: {e}") from None
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != CX_FORMAT:
@@ -288,6 +304,12 @@ def _read_counterexample(path: str) -> dict:
             if (not isinstance(obj.get(name), kind)
                     or isinstance(obj.get(name), bool)):
                 raise ReplayError(f"{what} has no valid {name!r}")
+    # the witness in the explorer's form, to compare with the suite's
+    try:
+        doc["witness"] = _tuplify(doc["witness"])
+    except RecursionError:
+        raise ReplayError("counterexample witness is nested too "
+                          "deeply") from None
     return doc
 
 
@@ -295,6 +317,23 @@ def _tuplify(x):
     if isinstance(x, list):
         return tuple(_tuplify(v) for v in x)
     return x
+
+
+def _recheck(auto, table, cx, final) -> Verdict:
+    """The verdict of ``cx``'s suite where its path ends.
+
+    A state suite is checked on ``final``, the state the path reaches,
+    and a step suite on the path's last step.
+    """
+    state, step = split_suites((cx.suite,))
+    if cx.kind == "state" and state:
+        return check_state_invariants(final[0], table, state)
+    if cx.kind == "step" and step and cx.steps:
+        source = replay(auto, replace(cx, steps=cx.steps[:-1]))
+        r = auto.rich_steps(source)[cx.steps[-1].key]
+        return check_step_invariants((source[0], r, r.target[0]), table, step)
+    raise ReplayError(f"a {cx.kind!r} counterexample of {len(cx.steps)} "
+                      f"step(s) cannot violate {cx.suite!r}")
 
 
 def _cmd_replay(args) -> int:
@@ -306,7 +345,8 @@ def _cmd_replay(args) -> int:
                           f"{doc['mutations']!r}, the scenario has "
                           f"{mutations!r}")
     cfg = with_variant(sc.cfg, doc["variant"])
-    auto = EnvNet(closed_net(sc.tree, cfg), sc.env)
+    table = build_table(cfg)
+    auto = EnvNet(closed_net(sc.tree, cfg, table), sc.env)
     # the file records no initial state, so the scenario must have one
     if len(auto.init) != 1:
         raise ReplayError(f"scenario has {len(auto.init)} initial states; "
@@ -314,15 +354,23 @@ def _cmd_replay(args) -> int:
     (init,) = auto.init
     steps = tuple(TraceStep(st["origin"], st["action"], st["key"],
                             st["digest"]) for st in doc["steps"])
-    cx = Counterexample(doc["suite"], doc["kind"], _tuplify(doc["witness"]),
+    cx = Counterexample(doc["suite"], doc["kind"], doc["witness"],
                         bdigest(init), steps, doc["digest"])
     try:
-        final = digest(value_key(replay(auto, cx)))
+        state = replay(auto, cx)
+        verdict = _recheck(auto, table, cx, state)
     except ModelError as e:
         raise ReplayError(str(e)) from None
+    final = digest(value_key(state))
     if final != doc["digest"]:
         raise ReplayError("counterexample does not replay: its final state "
                           "has another digest")
+    if verdict.witness != cx.witness:
+        found = (f"witness {json.dumps(verdict.witness)}"
+                 if verdict.witness is not None else "no violation")
+        raise ReplayError(f"counterexample does not replay: {cx.suite} "
+                          f"finds {found} where its path ends, not the "
+                          "file's witness")
     _print_scenario(sc.name, cfg)
     print(f"replayed: {len(steps)} step(s) to the {doc['suite']} "
           f"({doc['kind']}) violation")
@@ -369,7 +417,7 @@ def _read_trace(path: str) -> list:
         records = load_trace(path)
     except OSError as e:
         raise TraceFileError(f"cannot read trace: {e}") from None
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise TraceFileError(f"trace is not line-delimited JSON: {e}") from None
     head = records[0] if records else {}
     found = head.get("format") if isinstance(head, dict) else None
@@ -406,18 +454,14 @@ def _cmd_graph(args) -> int:
     final = bdigest(res.final_state).hex()
     doc = {"scenario": sc.name, "variant": sc.cfg.name, "seed": sched.seed,
            "final": final, "graphs": graphs}
+    recorded = None
     if records is not None:
-        recorded = None
         for rec in records:
             if "final" in rec:
                 recorded = rec["final"]
         doc["trace_final"] = recorded
-        if recorded != final:
-            print(dump_record(doc))
-            print("error: trace does not match the re-run "
-                  f"({recorded} != {final})", file=sys.stderr)
-            return EXIT_VIOLATION
-        doc["validated"] = True
+        if recorded == final:
+            doc["validated"] = True
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.out:
         with _writing(args.out), open(args.out, "w") as fh:
@@ -425,6 +469,10 @@ def _cmd_graph(args) -> int:
         print(f"graphs: {args.out}")
     else:
         sys.stdout.write(text)
+    if records is not None and recorded != final:
+        print("error: trace does not match the re-run "
+              f"({recorded} != {final})", file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_PASS
 
 

@@ -519,10 +519,12 @@ def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
 def replay(auto, cx: Counterexample):
     """Re-run a counterexample's step ranks; returns the violating state.
 
-    Each step is taken by its rank among the current state's steps and
-    must reach a state with the recorded digest, so a counterexample
-    from another scenario, variant or encoding is rejected with a
-    ModelError instead of being followed down some other path.
+    Each step is taken by its rank among the current state's steps; it
+    must be taken by the recorded origin, render as the recorded action
+    and reach a state with the recorded digest, so a counterexample
+    from another scenario, variant or encoding, or one whose story was
+    edited, is rejected with a ModelError instead of being followed down
+    some other path.
     """
     start = None
     for s in auto.init:
@@ -537,7 +539,14 @@ def replay(auto, cx: Counterexample):
         if not (isinstance(step.key, int) and 0 <= step.key < len(steps)):
             raise ModelError(
                 f"counterexample step {i} has no branch of rank {step.key!r}")
-        state = steps[step.key].target
+        r = steps[step.key]
+        action = render_action(r.detail)
+        if (r.origin, action) != (step.origin, step.action):
+            raise ModelError(
+                f"counterexample step {i} is {step.action!r} at origin "
+                f"{step.origin!r}, but its rank gives {action!r} at origin "
+                f"{r.origin!r}")
+        state = r.target
         if digest(value_key(state)) != step.digest:
             raise ModelError(
                 f"counterexample does not replay at step {i}: "

@@ -45,12 +45,15 @@ class Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
+    """The scenario of a UTF-8 JSON file, named after the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario: {e}") from None
-    except json.JSONDecodeError as e:
+    # a decoding error is a ValueError, and so is invalid JSON; a
+    # document nested too deeply to parse is a RecursionError
+    except (ValueError, RecursionError) as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from None
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".json"):

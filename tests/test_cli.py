@@ -101,6 +101,46 @@ def test_malformed_scenario_is_a_usage_error(tmp_path, capsys, patch):
     assert "Traceback" not in out.err
 
 
+# bytes that are not UTF-8, and a document nested too deeply to parse
+UNREADABLE = {"latin-1": '{"nodes": [], "name": "caf\xe9"}\n'.encode("latin-1"),
+              "nested": b"[" * 200000}
+
+
+def reader_argv(tmp_path, reader, path):
+    """The argv that hands ``path`` to one of the three file readers."""
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    return {"scenario": ["explore", path],
+            "counterexample": ["replay", path, pair2],
+            "trace": ["graph", pair2, "--trace", path]}[reader]
+
+
+@pytest.mark.parametrize("content", sorted(UNREADABLE))
+@pytest.mark.parametrize("reader", ["scenario", "counterexample", "trace"])
+def test_undecodable_input_file_is_a_usage_error(tmp_path, capsys, reader,
+                                                 content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE[content])
+    code, out = run_cli(reader_argv(tmp_path, reader, str(bad)), capsys)
+    assert code == EXIT_USAGE
+    assert out.err.startswith("error: ")
+    assert out.err.count("\n") == 1
+    assert out.out == ""
+
+
+def test_deeply_nested_witness_is_a_usage_error(tmp_path, capsys):
+    # deep enough to overflow a recursive walk, not the JSON parser
+    doc = {"format": CX_FORMAT, "variant": "base", "mutations": [],
+           "suite": "loop-freedom", "kind": "state", "digest": "d",
+           "steps": []}
+    text = json.dumps(doc)[:-1] + ', "witness": ' + "[" * 600 + "]" * 600 + "}"
+    bad = tmp_path / "cx.json"
+    bad.write_text(text)
+    code, out = run_cli(
+        ["replay", str(bad), os.path.join(SCENARIOS, "pair2.json")], capsys)
+    assert code == EXIT_USAGE
+    assert out.err == "error: counterexample witness is nested too deeply\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["explore", "pair2.json", "--bound", "-3"],
     ["explore", "pair2.json", "--state-cap", "0"],
@@ -307,6 +347,27 @@ def test_graph_reports_a_trace_of_another_run(tmp_path, capsys):
     assert "validated" not in doc
 
 
+def test_graph_writes_its_document_for_a_trace_of_another_run(tmp_path,
+                                                             capsys):
+    # the mismatch document goes to --out, as a match's does, indented
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    trace = str(tmp_path / "t.ndjson")
+    run_cli(["simulate", pair2, "--steps", "20", "--out", trace], capsys)
+    argv = ["graph", pair2, "--steps", "21", "--trace", trace]
+    code, shown = run_cli(argv, capsys)
+    assert code == EXIT_VIOLATION
+    graphs = tmp_path / "g.json"
+    code, out = run_cli(argv + ["--out", str(graphs)], capsys)
+    assert code == EXIT_VIOLATION
+    assert out.out == f"graphs: {graphs}\n"
+    assert out.err == shown.err
+    assert out.err.startswith("error: trace does not match the re-run (")
+    assert graphs.read_text() == shown.out
+    doc = json.loads(shown.out)
+    assert shown.out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert doc["trace_final"] != doc["final"]
+
+
 @pytest.mark.parametrize("header", [
     {"format": "aodvcheck-trace-1", "kind": "simulate"},
     {"format": "aodvcheck-trace-2"},
@@ -482,6 +543,59 @@ class TestReplayCommand:
         doc["digest"] = "0" * 32
         out.write_text(json.dumps(doc))
         self.assert_usage_error(["replay", str(out), STALE_LINKS], capsys)
+
+    @pytest.mark.parametrize("field,value", [
+        ("origin", 99), ("origin", None), ("action", "teleport(1, 2)")])
+    def test_tampered_step_story_is_rejected(self, tmp_path, capsys, field,
+                                             value):
+        # the digests all hold: only the step's told story changes
+        out = self.write_cx(tmp_path, capsys)
+        doc = json.loads(out.read_text())
+        doc["steps"][3][field] = value
+        out.write_text(json.dumps(doc))
+        code, got = run_cli(["replay", str(out), STALE_LINKS], capsys)
+        assert code == EXIT_USAGE
+        assert got.err.startswith("error: counterexample step 3 is ")
+
+    @pytest.mark.parametrize("patch", [
+        {"suite": "sn-monotone"},
+        {"suite": "rerr-grounded"},
+        {"suite": "quality"},
+        {"suite": "no-such-suite"},
+        {"kind": "state"},
+        {"kind": "both"},
+        {"witness": [2, 1, 2, 1]},
+        {"witness": []},
+    ], ids=json.dumps)
+    def test_tampered_verdict_is_rejected(self, tmp_path, capsys, patch):
+        out = self.write_cx(tmp_path, capsys)
+        doc = json.loads(out.read_text())
+        assert (doc["suite"], doc["kind"]) == ("nsqn-monotone", "step")
+        out.write_text(json.dumps({**doc, **patch}))
+        self.assert_usage_error(["replay", str(out), STALE_LINKS], capsys)
+
+    def test_state_suite_is_checked_on_the_final_state(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # a stand-in state suite that fails once node 1 knows a route
+        import aodvcheck.monitor as monitor
+        from aodvcheck.network import net_data
+
+        def routed(net):
+            rt = net_data(net)[1].rt
+            return (1, len(rt)) if len(rt) else None
+
+        monkeypatch.setitem(monitor.STATE_SUITES, "hop-positivity", routed)
+        scenario = os.path.join(SCENARIOS, "pair2.json")
+        out = tmp_path / "cx.json"
+        code, _ = run_cli(["explore", scenario, "--suite", "hop-positivity",
+                           "--out", str(out)], capsys)
+        assert code == EXIT_VIOLATION
+        doc = json.loads(out.read_text())
+        assert (doc["kind"], doc["witness"]) == ("state", [1, 1])
+        code, got = run_cli(["replay", str(out), scenario], capsys)
+        assert code == 0, got.err
+        out.write_text(json.dumps({**doc, "witness": [1, 2]}))
+        self.assert_usage_error(["replay", str(out), scenario], capsys)
 
     def test_foreign_scenario_is_rejected(self, tmp_path, capsys):
         out = self.write_cx(tmp_path, capsys)
