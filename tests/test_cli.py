@@ -106,7 +106,7 @@ UNREADABLE = {"latin-1": '{"nodes": [], "name": "caf\xe9"}\n'.encode("latin-1"),
               "nested": b"[" * 200000}
 
 
-def reader_argv(tmp_path, reader, path):
+def reader_argv(reader, path):
     """The argv that hands ``path`` to one of the three file readers."""
     pair2 = os.path.join(SCENARIOS, "pair2.json")
     return {"scenario": ["explore", path],
@@ -120,7 +120,7 @@ def test_undecodable_input_file_is_a_usage_error(tmp_path, capsys, reader,
                                                  content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(UNREADABLE[content])
-    code, out = run_cli(reader_argv(tmp_path, reader, str(bad)), capsys)
+    code, out = run_cli(reader_argv(reader, str(bad)), capsys)
     assert code == EXIT_USAGE
     assert out.err.startswith("error: ")
     assert out.err.count("\n") == 1

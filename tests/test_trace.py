@@ -1,18 +1,15 @@
 """Action text: the field-derived renderer against per-class f-strings.
 
 ``trace.render_action`` renders an action from its dataclass fields.
-The reference below spells each class out by hand, as the renderer did
-before it was derived from the fields, so that a field added, removed
-or reordered in one of the action classes shows here as changed text.
+The reference below spells each class out by hand, so that a field
+added, removed or reordered in one of the action classes shows here as
+changed text.
 """
 import pytest
 from hypothesis import given, strategies as st
 
-from aodvcheck.awn import (TAU, ArriveA, BroadcastA, CastA, ConnectA,
-                           DeliverA, DeliverAtA, DisconnectA, GroupcastA,
-                           NewpktA, ReceiveA, SendA, TauA, UnicastA,
-                           UnicastFailA)
-from aodvcheck.messages import Newpkt
+from aodvcheck.awn import (ArriveA, CastA, ConnectA, DeliverAtA, DisconnectA,
+                           NewpktA, TauA, UnicastFailA)
 from aodvcheck.trace import render_action
 from test_canon import ACTIONS
 
@@ -45,17 +42,3 @@ def test_process_level_actions_are_not_rendered(name, data):
     with pytest.raises(TypeError):
         render_action(data.draw(ACTIONS[name]))
 
-
-def test_the_reference_covers_the_drawn_kinds():
-    assert set(ACTIONS) == {cls.__name__ for cls in (
-        *REFERENCE, BroadcastA, GroupcastA, UnicastA, SendA, ReceiveA,
-        DeliverA)}
-
-
-def test_fields_render_in_declaration_order():
-    assert render_action(TAU) == "tau"
-    assert (render_action(ArriveA(frozenset({3, 1}), frozenset({2}),
-                                  Newpkt("x", 2)))
-            == "arrive([1, 3], [2], Newpkt(data='x', dip=2))")
-    assert render_action(DeliverAtA(4, "y")) == "deliver(4, 'y')"
-    assert render_action(UnicastFailA(7)) == "unicast_fail(7)"
