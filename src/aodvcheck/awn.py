@@ -32,10 +32,11 @@ value among the automaton's states, and so for its ``bdigest`` value,
 since reached states are equal exactly when they digest equal (see
 ``ProcState``).  Node states are interned by value, subnet states by the
 pair of their children's numbers.  The network layers' memos key on
-these numbers and on the identity of the menu (see ``NetMenu``), and the
-monitors' per-subtree caches hold one entry per distinct value.
-Interning changes no step, order or digest, only which object stands
-for a value.
+these numbers and on the identity of the menu's projection onto the
+subtree's addresses (see ``NetMenu``), and the monitors' per-subtree
+caches hold one entry per distinct value.  Interning changes no step,
+order or digest, only which object stands for a value.  The process
+layer's memo keys on its states and menus by value (``SeqAutomaton``).
 
 The composition rules of the network layers are written once, in the
 node's and the subnet's ``_rich_steps``.  These take a record builder,
@@ -512,12 +513,28 @@ class Automaton:
 
 
 class SeqAutomaton(Automaton):
+    """A sequential process of one table; ``steps`` memoizes ``seq_steps``.
+
+    The memo keys on the state and the menu by value.  Every state this
+    automaton sees carries its table, and equal states of one table
+    stand for one control location over equal data (see ``ProcState``),
+    so a hit returns the steps a fresh call would build, in their order.
+    It stops growing at ``_MEMO_CAP`` entries.
+    """
+
     def __init__(self, table: ProcessTable, init: tuple):
         self.table = table
         self.init = init
+        self._steps_memo: dict = {}
 
     def steps(self, state, menu=()) -> tuple:
-        return seq_steps(self.table, state, menu)
+        key = (state, menu)
+        out = self._steps_memo.get(key)
+        if out is None:
+            out = seq_steps(self.table, state, menu)
+            if len(self._steps_memo) < _MEMO_CAP:
+                self._steps_memo[key] = out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +587,17 @@ class ParAutomaton(Automaton):
 class NetMenu:
     """What a layer's context offers it: see the comment above.
 
-    Menus compare and hash by identity.  The step memos below the root
-    key on ``(state number, menu)``, and an identity key hashes in C,
-    with no call into the menu or its link events; a menu equal in value
-    to one seen before but not the same object costs only a memo miss.
-    A run hands out one object per menu value (``EnvNet.menu_for``), and
-    the closed layer one stripped menu per menu it is given.
+    Menus compare and hash by identity.  Each node and subnet below the
+    root maps a menu it is given, by identity, to one object per value
+    of its projection: the messages and links, and the new-packet
+    budgets of the subtree's own addresses only, which is all that a
+    subtree reads.  The step memos key on ``(state number, projection)``,
+    and an identity key hashes in C, with no call into the menu or its
+    link events.  A menu equal in value to one seen before, or differing
+    only in another node's budget, meets the same memo entries; a new
+    menu object costs one projection per automaton.  A run hands out one
+    object per menu value (``EnvNet.menu_for``), and the closed layer one
+    stripped menu per menu it is given.
     """
 
     messages: tuple = ()
@@ -654,11 +676,15 @@ def _is_newpkt(msg: Any) -> bool:
 
 # Step sets are memoized below the root.  A node's local state repeats
 # across a huge number of global states, and so does an inner subnet's:
-# its steps depend only on its own state and the menu its context
-# offers, which is the compositionality the paper's invariants are
-# lifted by.  Exploration of a small network touches far fewer distinct
-# (subtree state, menu) pairs than global states, so a per-automaton
-# cache pays for itself immediately.  The root (the network a
+# its steps depend only on its own state and the part of the menu its
+# context offers it (``MemoNetAutomaton._project``), which is the
+# compositionality the paper's invariants are lifted by.  Exploration of
+# a small network touches far fewer distinct (subtree state, projected
+# menu) pairs than global states, so a per-automaton cache pays for
+# itself immediately.  Each process automaton memoizes its steps by
+# (process state, menu) too: a node steps its protocol and queue again
+# whenever it meets a new menu or cast, and most of those process steps
+# were built before (``SeqAutomaton``).  The root (the network a
 # ``ClosedAutomaton`` closes) is expanded through the unmemoized body:
 # a search expands each root state exactly once, so a root memo would
 # only keep every expanded state's successors alive.
@@ -680,8 +706,9 @@ def _is_newpkt(msg: Any) -> bool:
 # alive, as a root memo would, so that table holds only its initial
 # states.  A node root interns its targets, so that they carry numbers
 # too; a one-node network has few states.  The tables have no cap,
-# since the numbers must be exact; each memo stops growing at this many
-# entries, which only memory and time depend on.
+# since the numbers must be exact; each memo, and each map of menus to
+# their projections, stops growing at this many entries, which only
+# memory and time depend on.
 _MEMO_CAP = 1 << 20
 
 # actions of one side of a subnet that the other side takes no part in
@@ -693,22 +720,49 @@ class MemoNetAutomaton(NetAutomaton):
 
     Its states are interned in ``_states``, its table of canonical
     states, and each carries its number as ``_n`` (see ``_MEMO_CAP``).
-    ``_rich_steps`` interns the targets it builds unless it is given
-    another ``make``, as the closed layer does for a subnet root.
+    ``rich_steps`` first projects the menu onto the layer's addresses
+    (see ``NetMenu``), and keys its memo and steps its body, and so a
+    subnet's children, on that projection.  ``_rich_steps`` interns the
+    targets it builds unless it is given another ``make``, as the closed
+    layer does for a subnet root.
     """
 
     _steps_memo: dict
     _states: dict
+    _own_menus: dict     # menu -> its projection onto ``addresses``
+    _projections: dict   # projection's fields -> its one ``NetMenu``
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
-        mkey = (state._n, menu)
+        own = self._own_menus.get(menu)
+        if own is None:
+            own = self._project(menu)
+        mkey = (state._n, own)
         hit = self._steps_memo.get(mkey)
         if hit is not None:
             return hit
-        out = self._rich_steps(state, menu)
+        out = self._rich_steps(state, own)
         if len(self._steps_memo) < _MEMO_CAP:
             self._steps_memo[mkey] = out
         return out
+
+    def _project(self, menu: NetMenu) -> NetMenu:
+        """The one menu object of what ``menu`` offers this subtree.
+
+        A subtree reads a menu's messages and links whole, and its
+        new-packet budgets only for its own addresses, so the budgets of
+        other nodes are dropped.  Equal projections are one object.
+        """
+        newpkts = FrozenMap({ip: pkts for ip, pkts in menu.newpkts.items()
+                             if ip in self.addresses})
+        fields = (menu.messages, newpkts, menu.links)
+        own = self._projections.get(fields)
+        if own is None:
+            own = NetMenu(*fields)
+            if len(self._projections) < _MEMO_CAP:
+                self._projections[fields] = own
+        if len(self._own_menus) < _MEMO_CAP:
+            self._own_menus[menu] = own
+        return own
 
     def _rich_steps(self, state, menu: NetMenu, build=RichStep,
                     make=None) -> tuple:
@@ -723,6 +777,8 @@ class NodeAutomaton(MemoNetAutomaton):
         self.inner = inner
         self.addresses = frozenset([ip])
         self._steps_memo: dict = {}
+        self._own_menus: dict = {}
+        self._projections: dict = {}
         self._cast_memo: dict = {}
         self._states: dict = {}   # node state -> its canonical instance
         self.init = tuple(self._node(ip, i, frozenset(nbrs))
@@ -830,6 +886,8 @@ class SubnetAutomaton(MemoNetAutomaton):
         self.right = right
         self.addresses = left.addresses | right.addresses
         self._steps_memo: dict = {}
+        self._own_menus: dict = {}
+        self._projections: dict = {}
         self._cast_memo: dict = {}
         # (left._n, right._n) -> the canonical subnet state over children
         # with those numbers
@@ -935,8 +993,8 @@ class ClosedAutomaton(NetAutomaton):
                    build=RichStep, make=None) -> tuple:
         # with no messages on offer no node can emit an arrival; a menu
         # that offers none is passed on as it is, and one that offers
-        # some is replaced by one stripped copy, kept on it, so that the
-        # memos below, keyed by menu identity, meet one object per menu
+        # some is replaced by one stripped copy, kept on it, so that each
+        # automaton below projects one object per menu
         if menu.messages:
             stripped = getattr(menu, "_closed", None)
             if stripped is None:

@@ -13,6 +13,7 @@ than rejected.
 from __future__ import annotations
 
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -27,6 +28,15 @@ from .simulate import Schedule
 from .variants import VariantError, apply_mutations, get_variant
 
 MAX_BUDGET = 1000
+
+# Error messages quote the offending value through ``_quote``, which
+# elides what lies deep or far into it, so that a huge or deeply nested
+# value still gives a short one-line error.
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 2
+_REPR.maxlist = _REPR.maxtuple = _REPR.maxdict = _REPR.maxset = 4
+_REPR.maxstring = _REPR.maxother = 24
+_QUOTE_MAX = 60
 
 
 class ScenarioError(Exception):
@@ -66,6 +76,14 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _quote(x) -> str:
+    """``repr(x)``, cut to at most ``_QUOTE_MAX`` characters."""
+    text = _REPR.repr(x)
+    if len(text) > _QUOTE_MAX:
+        text = text[:_QUOTE_MAX - 3] + "..."
+    return text
+
+
 def _is_int(x) -> bool:
     # JSON true/false load as bools, which Python counts as ints
     return isinstance(x, int) and not isinstance(x, bool)
@@ -73,7 +91,7 @@ def _is_int(x) -> bool:
 
 def _address(x, ips, what):
     # JSON lists are unhashable, so test the type before any set lookup
-    _require(_is_int(x) and x in ips, f"{what} names unknown node {x!r}")
+    _require(_is_int(x) and x in ips, f"{what} names unknown node {_quote(x)}")
 
 
 def _names(x, what) -> list:
@@ -88,7 +106,7 @@ def _nodes(rows) -> list:
     for row in rows:
         _require(isinstance(row, dict), "each node must be an object")
         extra = set(row) - {"ip", "nbrs"}
-        _require(not extra, f"unknown node keys {sorted(extra)}")
+        _require(not extra, f"unknown node keys {_quote(sorted(extra))}")
         ip = row.get("ip")
         _require(_is_int(ip), "node 'ip' must be an integer")
         _require(ip not in seen, f"duplicate node address {ip}")
@@ -115,7 +133,7 @@ def _env(obj, ips) -> EnvMenu:
         return env_menu()
     _require(isinstance(obj, dict), "'env' must be an object")
     extra = set(obj) - {"newpkts", "links"}
-    _require(not extra, f"unknown env keys {sorted(extra)}")
+    _require(not extra, f"unknown env keys {_quote(sorted(extra))}")
     rows = []
     newpkts, links = obj.get("newpkts", []), obj.get("links", [])
     _require(isinstance(newpkts, list), "'newpkts' must be a list")
@@ -123,7 +141,7 @@ def _env(obj, ips) -> EnvMenu:
     for row in newpkts:
         _require(isinstance(row, dict), "each injection must be an object")
         extra = set(row) - {"ip", "data", "dip", "count"}
-        _require(not extra, f"unknown injection keys {sorted(extra)}")
+        _require(not extra, f"unknown injection keys {_quote(sorted(extra))}")
         ip, data, dip = row.get("ip"), row.get("data"), row.get("dip")
         count = row.get("count", 1)
         _address(ip, ips, "injection")
@@ -137,11 +155,11 @@ def _env(obj, ips) -> EnvMenu:
 
 def _link_event(ev, ips):
     _require(isinstance(ev, list) and len(ev) == 3,
-             f"link event must be [op, a, b], got {ev!r}")
+             f"link event must be [op, a, b], got {_quote(ev)}")
     op, a, b = ev
-    _require(op in ("connect", "disconnect"), f"unknown link op {op!r}")
-    _address(a, ips, f"link event {ev!r}")
-    _address(b, ips, f"link event {ev!r}")
+    _require(op in ("connect", "disconnect"), f"unknown link op {_quote(op)}")
+    _address(a, ips, f"link event {_quote(ev)}")
+    _address(b, ips, f"link event {_quote(ev)}")
     _require(a != b, "link event endpoints must differ")
     return ConnectA(a, b) if op == "connect" else DisconnectA(a, b)
 
@@ -151,7 +169,7 @@ def _schedule(obj, ips) -> Optional[Schedule]:
         return None
     _require(isinstance(obj, dict), "'schedule' must be an object")
     extra = set(obj) - {"seed", "steps", "events"}
-    _require(not extra, f"unknown schedule keys {sorted(extra)}")
+    _require(not extra, f"unknown schedule keys {_quote(sorted(extra))}")
     seed = obj.get("seed", 0)
     steps = obj.get("steps", 200)
     _require(_is_int(seed), "'seed' must be an integer")
@@ -164,16 +182,16 @@ def _schedule(obj, ips) -> Optional[Schedule]:
     for key, spec in raw.items():
         # int() would also read "1_0", " 3", "+4" and non-ASCII digits
         _require(key.isascii() and key.isdigit(),
-                 f"event index {key!r} is not a decimal integer")
+                 f"event index {_quote(key)} is not a decimal integer")
         idx = int(key)
         _require(idx < steps, f"event index {idx} outside 0..{steps - 1}")
         _require(idx not in events, f"two events at step {idx}")
-        _require(isinstance(spec, list) and spec, f"bad event {spec!r}")
+        _require(isinstance(spec, list) and spec, f"bad event {_quote(spec)}")
         if spec[0] == "newpkt":
             _require(len(spec) == 4, "newpkt event must be [\"newpkt\", ip, data, dip]")
             _, ip, data, dip = spec
-            _address(ip, ips, f"event {spec!r}")
-            _address(dip, ips, f"event {spec!r}")
+            _address(ip, ips, f"event {_quote(spec)}")
+            _address(dip, ips, f"event {_quote(spec)}")
             _require(isinstance(data, str) and data, "event data must be a nonempty string")
             events[idx] = NewpktA(ip, data, dip)
         else:
@@ -185,7 +203,7 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
     _require(isinstance(obj, dict), "scenario must be a JSON object")
     known = {"nodes", "variant", "mutate", "env", "schedule", "suites", "bound"}
     extra = set(obj) - known
-    _require(not extra, f"unknown scenario keys {sorted(extra)}")
+    _require(not extra, f"unknown scenario keys {_quote(sorted(extra))}")
 
     rows = _nodes(obj.get("nodes"))
     ips = {ip for ip, _ in rows}

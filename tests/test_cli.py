@@ -101,6 +101,26 @@ def test_malformed_scenario_is_a_usage_error(tmp_path, capsys, patch):
     assert "Traceback" not in out.err
 
 
+def _nested(depth):
+    out = []
+    for _ in range(depth):
+        out = [out]
+    return out
+
+
+@pytest.mark.parametrize("patch", [
+    {"env": {"links": [_nested(600)]}},
+    {"env": {"links": [["disconnect", 1, list(range(300))]]}},
+], ids=["deep", "long"])
+def test_scenario_error_quotes_a_value_briefly(tmp_path, capsys, patch):
+    scenario = write_scenario(tmp_path, {"nodes": PAIR, **patch})
+    code, out = run_cli(["explore", scenario, "--bound", "1"], capsys)
+    assert code == EXIT_USAGE
+    assert out.err.startswith("error: ")
+    assert out.err.count("\n") == 1
+    assert len(out.err) < 200
+
+
 # bytes that are not UTF-8, and a document nested too deeply to parse
 UNREADABLE = {"latin-1": '{"nodes": [], "name": "caf\xe9"}\n'.encode("latin-1"),
               "nested": b"[" * 200000}

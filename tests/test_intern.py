@@ -7,9 +7,12 @@ that reached subtrees are shared that way, that the interned object
 digests like the state it replaces, that reached process states are
 equal exactly when they digest equal, that the numbers stand for
 digests, that root states enter no table, and that tables belong to one
-network.  The step memos key on menu identity, so the last tests check
-that a menu equal in value to another gives the same steps, and that
-the closed layer strips a menu of its messages once.
+network.  The step memos key on the identity of a menu's projection
+onto the subtree, so the last tests check that a menu equal in value to
+another, or differing only in another node's budget, gives the same
+steps, that the closed layer strips a menu of its messages once, that
+memoized process steps are the ones a fresh call builds, and how many
+entries the node and subnet memos hold on chain3.
 """
 import gc
 import os
@@ -18,7 +21,7 @@ import weakref
 import pytest
 
 from aodvcheck.awn import (DisconnectA, NetMenu, NodeAutomaton, NodeS,
-                           SubnetAutomaton, SubnetS)
+                           SubnetAutomaton, SubnetS, seq_steps)
 from aodvcheck.canon import FrozenMap, bdigest
 from aodvcheck.explore import EnvNet, explore
 from aodvcheck.messages import Newpkt
@@ -179,8 +182,8 @@ def _busy_menu():
 
 
 def test_menus_equal_in_value_give_equal_steps():
-    # A menu compares by identity, so a copy misses the memo, and must
-    # then be answered with the same records.
+    # A menu compares by identity, but each automaton projects it onto
+    # one object per value, so a copy hits the memo.
     subnet = _pair_net()
     (s,) = subnet.init
     for auto, state in ((subnet.left, s.left), (subnet, s)):
@@ -189,8 +192,8 @@ def test_menus_equal_in_value_give_equal_steps():
         first = auto.rich_steps(state, m1)
         size = len(auto._steps_memo)
         again = auto.rich_steps(state, m2)
-        assert len(auto._steps_memo) == size + 1
-        assert again == first and again is not first
+        assert len(auto._steps_memo) == size
+        assert again == first and again is first
         assert len(first) > 3
 
 
@@ -203,3 +206,61 @@ def test_closed_layer_strips_a_menu_once():
     sizes = [len(a._steps_memo) for a in nodes]
     assert net.rich_steps(s, menu) == first
     assert [len(a._steps_memo) for a in nodes] == sizes
+
+
+def test_another_nodes_budget_is_projected_away():
+    # A node reads only its own new-packet budget, so two menus that
+    # differ only in another node's budget give it one memo entry.
+    subnet = _pair_net()
+    (s,) = subnet.init
+    busy = _busy_menu()
+    more = NetMenu(busy.messages,
+                   FrozenMap({**busy.newpkts, 2: (Newpkt("y", 1),)}),
+                   busy.links)
+    node, state = subnet.left, s.left
+    assert node.ip == 1
+    first = node.rich_steps(state, busy)
+    again = node.rich_steps(state, more)
+    assert again is first
+    assert len(node._steps_memo) == 1
+    # the other node sees the budgets differ
+    other, state = subnet.right, s.right
+    assert other.rich_steps(state, busy) != other.rich_steps(state, more)
+    assert len(other._steps_memo) == 2
+
+
+@pytest.mark.parametrize("path,bound", [(STALE_LINKS, 58), (FIG1, None)])
+def test_memoized_process_steps_are_fresh_steps(path, bound):
+    # Every answer of a process automaton's memo must be the tuple that
+    # a fresh ``seq_steps`` builds, in the same order.
+    auto = env_net(path)
+    hits = [0]
+
+    def checked(a):
+        steps = a.steps
+
+        def check(state, menu=()):
+            hits[0] += (state, menu) in a._steps_memo
+            got = steps(state, menu)
+            assert got == seq_steps(a.table, state, menu)
+            return got
+        return check
+
+    for a in automata(auto):
+        if isinstance(a, NodeAutomaton):
+            for seq in (a.inner.left, a.inner.right):
+                seq.steps = checked(seq)
+    rep = explore(auto, bound=bound)
+    assert rep.complete == (bound is None)
+    assert hits[0] > 0
+
+
+def test_chain3_memo_sizes():
+    # The node and subnet memos key on the menu each subtree can see, so
+    # a change in another node's budget costs no entry.  Root first, then
+    # left to right; the root is expanded unmemoized.
+    auto = env_net(CHAIN3)
+    explore(auto, bound=32)
+    sizes = [len(a._steps_memo) for a in automata(auto)]
+    assert sizes == [0, 363, 4047, 581, 369]
+    assert sum(sizes) == 5360
