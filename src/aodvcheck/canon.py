@@ -33,11 +33,16 @@ caches the digest on the instance as its ``_bdg`` attribute, read with
 ``getattr`` and set with ``object.__setattr__`` so that no instance is
 given a ``__dict__`` of its own.  A class with no encoding raises
 ``TypeError`` when first met.
+
+Error messages quote an offending value through ``quote``, a ``repr``
+cut short, so that a huge or deeply nested value still gives a short
+one-line error.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import reprlib
 from collections.abc import Mapping
 from operator import attrgetter
 from typing import Any, Iterator
@@ -172,6 +177,22 @@ def digest(x: Any) -> str:
     """Stable hex digest of a value's canonical key (32 hex chars)."""
     key = x if isinstance(x, tuple) else value_key(x)
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
+
+
+# ``quote`` elides what lies deep or far into a value, then cuts the text.
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 2
+_REPR.maxlist = _REPR.maxtuple = _REPR.maxdict = _REPR.maxset = 4
+_REPR.maxstring = _REPR.maxother = 24
+_QUOTE_MAX = 60
+
+
+def quote(x) -> str:
+    """``repr(x)``, cut to at most ``_QUOTE_MAX`` characters."""
+    text = _REPR.repr(x)
+    if len(text) > _QUOTE_MAX:
+        text = text[:_QUOTE_MAX - 3] + "..."
+    return text
 
 
 # Values cached on frozen instances are set past their ``__setattr__``

@@ -31,14 +31,32 @@ one of these, so it is checked the same way: its verdict is computed
 once per node state and composed up the subnet tree, a subnet failing
 when either child fails, with the witness of lesser address.
 sn-monotone and nsqn-monotone relate one node's data before and after a
-step; each is defined once as a check of one node's data pair and lifted
-the same way, over the root parts that the step changed (see the step
-suites below).  The routing-table suites relate nodes to each other, so they
-are not lifted; they are memoized on per-subtree signatures of the
-tables.  Subtree results are cached on node and inner subnet states.
-Those are interned by the automata of ``aodvcheck.awn``, one object per
-distinct subtree value, so each result is computed once per distinct
-node or subnet state, however many global states share it.
+step; each is defined once as a check of one node's data pair, and one
+lifting computes both over the root parts that the step changed (see
+the step suites below).  The routing-table suites relate nodes to each
+other, so they are not lifted; the three share one verdict tuple per
+signature of the tables (see the state suites below).
+
+Each check is thus a lookup of verdicts computed once per distinct
+value, and the verdicts are cached where that value lives:
+
+  dispatch-msg     on each node and inner subnet state, as ``_dsp``
+  routing tables   one tuple per signature in ``_rt_verdicts``, keyed
+                   by the numbers of the root parts' signatures, which
+                   are cached on the parts as ``_rts``
+  node data        one tuple per changed pair of root parts, in a memo
+                   on the source part, ``_ndw``, keyed by the target
+                   part's number
+
+Node and inner subnet states are interned by the automata of
+``aodvcheck.awn``, one object per distinct subtree value, each carrying
+its number ``_n``, so a verdict cached on such a state is computed once
+however many global states share it, and lives as long as the run's
+automata do.  A part that carries no number, such as an oracle's state
+or a test's forged one, is checked directly and nothing is cached on
+it.  Each suite keeps one check all the same, so a caller calls it once
+per transition or new state, and selecting one suite alone selects one
+slot of the shared verdicts.
 """
 from __future__ import annotations
 
@@ -46,7 +64,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .awn import CastA, ProcessTable, Receive, SubnetS, root_parts, subterms
-from .canon import bdigest, cache_attr
+from .canon import bdigest, cache_attr, quote
 from .messages import Rerr
 from .network import GlobalView, net_data, proc_state
 from .routing import (VALID, known_dests, net_seqno, next_hop,
@@ -129,48 +147,84 @@ def loop_free(sigma: GlobalView, nodes) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # state suites
-
-# Routing-table suites are memoized on a signature of the routing
-# tables: (address, table digest) per node, in tree order.  Most
-# transitions shuffle queues or scratch variables without touching any
-# routing table, so the vast majority of states share their verdict with
-# an already-checked sibling.  A signature is the concatenation of its
-# subtrees' signatures, each cached on its node or inner subnet state;
-# the step memos share those objects among many global states, so a
-# root state's signature costs one concatenation, and is not kept.
+#
+# Verdicts are cached only on parts that carry a number, ``_n`` (see the
+# module docstring).
 _MISSING = object()
 _MEMO_CAP = 1 << 20
-_rt_verdicts: dict = {}
+
+# The routing-table suites read nothing but the nodes' addresses and
+# tables, and most transitions shuffle queues or scratch variables
+# without touching a routing table, so the vast majority of states share
+# their verdict with an already-checked one.  The three suites share one
+# verdict tuple per signature of the tables, computed on its first
+# lookup and kept in ``_rt_verdicts``.  A signature is numbered by value
+# in ``_rt_numbers``: a node's by its address and table digest, an inner
+# subnet's by the pair of its children's numbers.  Each number is cached
+# on its interned part as ``_rts``, so a root state's key is its parts'
+# numbers, read off the parts.  Both tables stop growing at
+# ``_MEMO_CAP``; past it, a state whose signature has no number is
+# checked directly.
+_rt_numbers: dict = {}   # signature -> its number
+_rt_verdicts: dict = {}  # root key -> witnesses, in ``_RT_CHECKS`` order
 
 
-def _sub_sig(x) -> tuple:
-    sig = getattr(x, "_rts", None)
-    if sig is None:
-        if type(x) is SubnetS:
-            sig = _sub_sig(x.left) + _sub_sig(x.right)
-        else:
-            sig = (x.ip, bdigest(proc_state(x).data.rt))
-        cache_attr(x, "_rts", sig)
-    return sig
+def _rt_number(x):
+    """The signature number of interned part ``x``, or None when ``x``
+    is not interned or its signature has no number."""
+    n = getattr(x, "_rts", None)
+    if n is not None or getattr(x, "_n", None) is None:
+        return n
+    if type(x) is SubnetS:
+        sig = (_rt_number(x.left), _rt_number(x.right))
+        if None in sig:
+            return None
+    else:
+        sig = (x.ip, bdigest(proc_state(x).data.rt))
+    n = _rt_numbers.get(sig)
+    if n is None:
+        if len(_rt_numbers) >= _MEMO_CAP:
+            return None
+        n = _rt_numbers[sig] = len(_rt_numbers)
+    cache_attr(x, "_rts", n)
+    return n
 
 
-def _rt_sig(state) -> tuple:
-    if type(state) is SubnetS:
-        return _sub_sig(state.left) + _sub_sig(state.right)
-    return _sub_sig(state)
+def _rt_witnesses(net) -> tuple:
+    """Every routing-table suite's witness for ``net``, in order."""
+    if type(net) is SubnetS:
+        key = (_rt_number(net.left), _rt_number(net.right))
+        if None in key:
+            key = None
+    else:
+        key = _rt_number(net)
+    w = None if key is None else _rt_verdicts.get(key)
+    if w is None:
+        w = tuple(raw(net) for raw in _RT_CHECKS)
+        if key is not None and len(_rt_verdicts) < _MEMO_CAP:
+            _rt_verdicts[key] = w
+    return w
 
 
-def _rt_cached(tag: str, raw):
+def _rt_suite(slot: int):
+    """The state check reading slot ``slot`` of ``_rt_witnesses``.
+
+    It looks the verdicts up by the numbers already on the parts, and
+    leaves any other case to ``_rt_witnesses``; a key with no number in
+    it is never stored, so it always misses.
+    """
     def check(net):
-        sig = (tag, _rt_sig(net))
-        w = _rt_verdicts.get(sig, _MISSING)
-        if w is _MISSING:
-            w = raw(net)
-            if len(_rt_verdicts) < _MEMO_CAP:
-                _rt_verdicts[sig] = w
-        return w
+        if type(net) is SubnetS:
+            key = (getattr(net.left, "_rts", None),
+                   getattr(net.right, "_rts", None))
+        else:
+            key = getattr(net, "_rts", None)
+        w = _rt_verdicts.get(key)
+        if w is None:
+            w = _rt_witnesses(net)
+        return w[slot]
 
-    check.__name__ = raw.__name__
+    check.__name__ = _RT_CHECKS[slot].__name__
     return check
 
 
@@ -206,6 +260,9 @@ def _check_loop_freedom(state):
     return None if verdict.holds else verdict.witness
 
 
+_RT_CHECKS = (_check_hop_positivity, _check_quality, _check_loop_freedom)
+
+
 def dispatch_locations(table: ProcessTable) -> frozenset:
     """Control locations right after the main loop has taken a message."""
     cached = getattr(table, "_dispatch_locs", None)
@@ -220,9 +277,9 @@ def dispatch_locations(table: ProcessTable) -> frozenset:
 
 # dispatch-msg is lifted from nodes to subnets (see the module
 # docstring).  A node's verdict is a function of its state alone, since
-# its process state carries its table, so verdicts are cached on node
-# and inner subnet states; a root state's is not kept, as the search
-# meets each root state once.
+# its process state carries its table, so verdicts are cached on
+# interned node and inner subnet states, as ``_dsp``; a root state's is
+# not kept, as the search meets each root state once.
 
 
 def _least(a, b):
@@ -234,27 +291,25 @@ def _least(a, b):
     return b
 
 
-def _dispatch_verdict(x):
-    w = getattr(x, "_dsp", _MISSING)
-    if w is _MISSING:
-        if type(x) is SubnetS:
-            w = _least(_dispatch_verdict(x.left), _dispatch_verdict(x.right))
-        else:
-            proc = proc_state(x)
-            table = proc.table
-            here = table.labels(proc.term) & dispatch_locations(table)
-            w = None
-            if here and proc.data.msg is None:
-                w = (x.ip, min(str(l) for l in here))
-        cache_attr(x, "_dsp", w)
-    return w
-
-
 def _check_dispatch_msg(net):
     if type(net) is SubnetS:
-        return _least(_dispatch_verdict(net.left),
-                      _dispatch_verdict(net.right))
-    return _dispatch_verdict(net)
+        left = getattr(net.left, "_dsp", _MISSING)
+        if left is _MISSING:
+            left = _check_dispatch_msg(net.left)
+        right = getattr(net.right, "_dsp", _MISSING)
+        if right is _MISSING:
+            right = _check_dispatch_msg(net.right)
+        w = _least(left, right)
+    else:
+        proc = proc_state(net)
+        table = proc.table
+        here = table.labels(proc.term) & dispatch_locations(table)
+        w = None
+        if here and proc.data.msg is None:
+            w = (net.ip, min(str(l) for l in here))
+    if getattr(net, "_n", None) is not None:
+        cache_attr(net, "_dsp", w)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -270,37 +325,14 @@ def _check_dispatch_msg(net):
 # compares the two part by part and recurses only into the parts that
 # are not the same object, down to the nodes whose data record was
 # replaced.  When several nodes fail, the witness of least address wins.
-
-
-def _node_data_suite(node_check):
-    """The step check holding when ``node_check(ip, before, after)``
-    holds of every node data record that a step replaces."""
-
-    def diff(before, after):
-        # the least witness below two subtrees that are not one object
-        if type(before) is SubnetS:
-            w = None
-            if before.left is not after.left:
-                w = diff(before.left, after.left)
-            if before.right is not after.right:
-                w = _least(w, diff(before.right, after.right))
-            return w
-        # proc_state(x).data, inlined: this runs for most transitions
-        b, a = before.inner[0].data, after.inner[0].data
-        return None if a is b else node_check(before.ip, b, a)
-
-    def check(net, rich, after):
-        if type(net) is SubnetS:
-            left, right = after
-            w = None
-            if left is not net.left:
-                w = diff(net.left, left)
-            if right is not net.right:
-                w = _least(w, diff(net.right, right))
-            return w
-        return None if after[0] is net else diff(net, after[0])
-
-    return check
+#
+# One lifting serves every node-data suite: ``_changed`` gives each
+# suite's least witness below a changed pair of root parts, sn-monotone's
+# then nsqn-monotone's, and each suite reads its own slot.  The
+# tuple is memoized on the source part, as ``_ndw``, keyed by the target
+# part's number.  Both parts are states of one child automaton of the
+# root, whose number stands for the value, so a memo is exact and
+# belongs to the run whose automata built its part.
 
 
 def _sn_monotone(ip, b, a):
@@ -319,6 +351,69 @@ def _nsqn_monotone(ip, b, a):
     return None
 
 
+_HOLDS = (None, None)
+
+
+def _diff(before, after) -> tuple:
+    """Each node-data suite's least witness below two subtrees that are
+    not one object."""
+    if type(before) is SubnetS:
+        w = _HOLDS
+        if before.left is not after.left:
+            w = _diff(before.left, after.left)
+        if before.right is not after.right:
+            v = _diff(before.right, after.right)
+            if w is _HOLDS:
+                w = v
+            elif v is not _HOLDS:
+                w = tuple(map(_least, w, v))
+        return w
+    # proc_state(x).data, inlined: this runs on every memo miss
+    b, a = before.inner[0].data, after.inner[0].data
+    if a is b:
+        return _HOLDS
+    sn = _sn_monotone(before.ip, b, a)
+    nsqn = _nsqn_monotone(before.ip, b, a)
+    return _HOLDS if sn is None and nsqn is None else (sn, nsqn)
+
+
+def _changed(before, after) -> tuple:
+    """``_diff`` of a changed pair of root parts, memoized on ``before``."""
+    n = getattr(after, "_n", None)
+    memo = getattr(before, "_ndw", None)
+    if memo is None:
+        w = _diff(before, after)
+        if n is not None and getattr(before, "_n", None) is not None:
+            cache_attr(before, "_ndw", {n: w})
+        return w
+    w = memo.get(n)
+    if w is None:
+        w = _diff(before, after)
+        if n is not None:
+            memo[n] = w
+    return w
+
+
+def _node_data_suite(slot: int):
+    """The step check reading slot ``slot`` of ``_changed`` over the
+    root parts that a step changed."""
+
+    def check(net, rich, after):
+        if type(net) is SubnetS:
+            left, right = after
+            if left is net.left:
+                if right is net.right:
+                    return None
+                return _changed(net.right, right)[slot]
+            w = _changed(net.left, left)[slot]
+            if right is net.right:
+                return w
+            return _least(w, _changed(net.right, right)[slot])
+        return None if after[0] is net else _changed(net, after[0])[slot]
+
+    return check
+
+
 def _check_rerr_grounded(net, rich, after):
     a = rich.detail
     if isinstance(a, CastA) and isinstance(a.msg, Rerr):
@@ -328,15 +423,15 @@ def _check_rerr_grounded(net, rich, after):
 
 
 STATE_SUITES = {
-    "hop-positivity": _rt_cached("hop", _check_hop_positivity),
-    "quality": _rt_cached("qual", _check_quality),
-    "loop-freedom": _rt_cached("loop", _check_loop_freedom),
+    "hop-positivity": _rt_suite(0),
+    "quality": _rt_suite(1),
+    "loop-freedom": _rt_suite(2),
     "dispatch-msg": _check_dispatch_msg,
 }
 
 STEP_SUITES = {
-    "sn-monotone": _node_data_suite(_sn_monotone),
-    "nsqn-monotone": _node_data_suite(_nsqn_monotone),
+    "sn-monotone": _node_data_suite(0),
+    "nsqn-monotone": _node_data_suite(1),
     "rerr-grounded": _check_rerr_grounded,
 }
 
@@ -358,13 +453,13 @@ def split_suites(names=None) -> tuple:
     state, step = [], []
     for name in names:
         if name in state or name in step:
-            raise SuiteError(f"suite {name!r} is selected twice")
+            raise SuiteError(f"suite {quote(name)} is selected twice")
         if name in STATE_SUITES:
             state.append(name)
         elif name in STEP_SUITES:
             step.append(name)
         else:
-            raise SuiteError(f"unknown suite {name!r} "
+            raise SuiteError(f"unknown suite {quote(name)} "
                              f"(known: {', '.join(ALL_SUITES)})")
     return tuple(state), tuple(step)
 
@@ -384,8 +479,10 @@ def step_checks(table: ProcessTable, names=None):
     """Ordered (name, (net, step, after) -> witness|None) pairs.
 
     ``net`` is the source network state and ``after`` the target's root
-    parts (see the module docstring).  The checks keep no state, so one
-    list may serve any number of runs.
+    parts (see the module docstring).  The node-data checks share one
+    lifting, memoized on the interned parts of each run's states and
+    keyed by that run's numbers, so one list may serve any number of
+    runs.
     """
     picked = split_suites(names)[1]
     return [(n, STEP_SUITES[n]) for n in picked]

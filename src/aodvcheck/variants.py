@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .canon import quote
 from .protocol import BASE, VariantConfig
 
 VARIANTS = {
@@ -44,7 +45,7 @@ def get_variant(name: str) -> VariantConfig:
         return VARIANTS[name]
     except KeyError:
         known = ", ".join(sorted(VARIANTS))
-        raise VariantError(f"unknown variant {name!r} (known: {known})") from None
+        raise VariantError(f"unknown variant {quote(name)} (known: {known})") from None
 
 
 def apply_mutations(cfg: VariantConfig, mutations) -> VariantConfig:
@@ -52,7 +53,7 @@ def apply_mutations(cfg: VariantConfig, mutations) -> VariantConfig:
         switch = _MUTATION_SWITCHES.get(m)
         if switch is None:
             known = ", ".join(MUTATIONS)
-            raise VariantError(f"unknown mutation {m!r} (known: {known})")
+            raise VariantError(f"unknown mutation {quote(m)} (known: {known})")
         cfg = replace(cfg, **{switch: True})
     return cfg
 

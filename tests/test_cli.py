@@ -111,7 +111,10 @@ def _nested(depth):
 @pytest.mark.parametrize("patch", [
     {"env": {"links": [_nested(600)]}},
     {"env": {"links": [["disconnect", 1, list(range(300))]]}},
-], ids=["deep", "long"])
+    {"variant": "v" * 3000},
+    {"suites": ["s" * 3000]},
+    {"mutate": ["m" * 3000]},
+], ids=["deep", "long", "variant", "suites", "mutate"])
 def test_scenario_error_quotes_a_value_briefly(tmp_path, capsys, patch):
     scenario = write_scenario(tmp_path, {"nodes": PAIR, **patch})
     code, out = run_cli(["explore", scenario, "--bound", "1"], capsys)

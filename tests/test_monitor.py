@@ -10,15 +10,17 @@ from dataclasses import replace
 
 import pytest
 
-from aodvcheck.awn import RichStep, TAU, CastA, join_parts, root_parts
+from aodvcheck.awn import (RichStep, TAU, CastA, SubnetS, join_parts,
+                           root_parts)
 from aodvcheck.canon import EMPTY_MAP, FrozenMap, value_key
 from aodvcheck.explore import EnvNet, check_theorem1, env_menu, explore
 from aodvcheck.messages import Rerr
 from aodvcheck.monitor import (ALL_SUITES, RtGraph, SuiteError, Verdict,
-                               check_state_invariants, check_step_invariants,
-                               dispatch_locations, find_cycle, loop_free,
-                               rt_graph, split_suites, state_checks,
-                               step_checks)
+                               _check_hop_positivity, _check_loop_freedom,
+                               _check_quality, check_state_invariants,
+                               check_step_invariants, dispatch_locations,
+                               find_cycle, loop_free, rt_graph, split_suites,
+                               state_checks, step_checks)
 from aodvcheck.network import (GlobalView, closed_net, net_data,
                                node_states, proc_state, tree_of)
 from aodvcheck.protocol import BASE, aodv_init, build_table
@@ -483,6 +485,113 @@ class TestStepVerdictsAgree:
         v = check_step_invariants((high, fake_step(), init), table,
                                   ["sn-monotone"])
         assert v.witness == want
+
+
+RT_SUITES = ["hop-positivity", "quality", "loop-freedom"]
+
+
+class TestStateVerdictsAgree:
+    """The memoized routing-table and dispatch-msg checks against direct
+    computation."""
+
+    @pytest.mark.parametrize("path,bound", [
+        ("scenarios/fig1.json", None),
+        ("bench/scenarios/pair2_links_stale.json", 58)])
+    def test_every_new_state(self, path, bound):
+        sc = load_scenario(os.path.join(ROOT, path))
+        table = build_table(sc.cfg)
+        memoized = state_checks(table, RT_SUITES + ["dispatch-msg"])
+        raw = (_check_hop_positivity, _check_quality, _check_loop_freedom,
+               lambda net: scan_dispatch_msg(net, table))
+        checked = []
+
+        def compare(net):
+            got = [check(net) for _, check in memoized]
+            want = [fn(net) for fn in raw]
+            checked.append(net)
+            return None if got == want else (got, want)
+
+        auto = EnvNet(closed_net(sc.tree, sc.cfg, table), sc.env)
+        rep = explore(auto, state_suites=[("compare", compare)], bound=bound)
+        assert rep.holds
+        assert len(checked) == rep.states
+
+    def test_each_suite_reads_its_own_verdict_of_a_failing_state(self):
+        # two networks intern a failing and a passing state as the first
+        # new state of each node, so that the two carry equal numbers;
+        # each is checked twice, so that the second check reads the memo
+        def intern(auto, state):
+            left, right = auto.net.left, auto.net.right
+            return SubnetS(
+                left._node(state.left.ip, state.left.inner, state.left.nbrs),
+                right._node(state.right.ip, state.right.inner,
+                            state.right.nbrs))
+
+        def routes(state, hops, nhips):
+            for ip, nhip in nhips.items():
+                state = forge_data(state, ip, lambda d: replace(
+                    d, rt=d.rt.set(7, rte(hops=hops.get(ip, 1), nhip=nhip))))
+            return state
+
+        auto, table, init = quiescent_pair()
+        other, _, _ = quiescent_pair()
+        bad = routes(init, {1: 0}, {1: 2, 2: 1})
+        good = routes(init, {1: 2}, {1: 2, 2: 7})
+        cases = [(intern(auto, bad), bad), (intern(other, good), good)]
+        checks = state_checks(table, RT_SUITES)
+        raw = (_check_hop_positivity, _check_quality, _check_loop_freedom)
+        assert [fn(bad) for fn in raw][::2] == [(1, 7, 0), (7, 1, 2, 1)]
+        assert [fn(good) for fn in raw] == [None, None, None]
+        for _ in range(2):
+            for interned, forged in cases:
+                want = [fn(forged) for fn in raw]
+                assert [check(interned) for _, check in checks] == want
+                assert [check(forged) for _, check in checks] == want
+
+
+class TestMemosBelongToTheRun:
+    """Verdicts memoized on one run's states are never read by another's.
+
+    Each node-data suite is also run backwards, on every step's target
+    and source, so that many verdicts fail and a verdict read from the
+    wrong memo shows in the lists.
+    """
+
+    def suites(self, auto, table):
+        steps = step_checks(table, TestStepVerdictsAgree.NAMES)
+
+        def backwards(name, check):
+            def back(net, rich, after):
+                return check(join_parts(after), rich, root_parts(net))
+            return name + " backwards", back
+
+        rep = explore(auto, state_suites=state_checks(table),
+                      step_suites=(step_checks(table)
+                                   + [backwards(*s) for s in steps]),
+                      bound=58, stop_on_violation=False)
+        return {name: [(c.kind, c.witness, c.depth)
+                       for c in rep.counterexamples if c.suite == name]
+                for name in rep.suites}
+
+    def test_two_networks_over_one_table_agree(self):
+        sc = load_scenario(os.path.join(
+            ROOT, "bench", "scenarios", "pair2_links_stale.json"))
+        table = build_table(sc.cfg)
+        first = EnvNet(closed_net(sc.tree, sc.cfg, table), sc.env)
+        # the second network's automata number its states in another
+        # order, having met another environment's states first
+        closed = closed_net(sc.tree, sc.cfg, table)
+        explore(EnvNet(closed, env_menu(newpkts=[(2, "b", 1, 1)])), bound=30)
+        second = EnvNet(closed, sc.env)
+        runs = [self.suites(auto, table) for auto in (first, second, first)]
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        counts = {name: len(found) for name, found in runs[0].items()}
+        assert counts == {
+            "hop-positivity": 0, "quality": 0, "loop-freedom": 0,
+            "dispatch-msg": 0, "sn-monotone": 0, "nsqn-monotone": 4,
+            "rerr-grounded": 0, "sn-monotone backwards": 300,
+            "nsqn-monotone backwards": 484}
 
 
 class TestSuiteWiring:

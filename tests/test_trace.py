@@ -8,8 +8,9 @@ changed text.
 import pytest
 from hypothesis import given, strategies as st
 
-from aodvcheck.awn import (ArriveA, CastA, ConnectA, DeliverAtA, DisconnectA,
-                           NewpktA, TauA, UnicastFailA)
+from aodvcheck.awn import (TAU, ArriveA, CastA, ConnectA, DeliverAtA,
+                           DisconnectA, NewpktA, TauA, UnicastFailA)
+from aodvcheck.messages import Newpkt
 from aodvcheck.trace import render_action
 from test_canon import ACTIONS
 
@@ -42,3 +43,14 @@ def test_process_level_actions_are_not_rendered(name, data):
     with pytest.raises(TypeError):
         render_action(data.draw(ACTIONS[name]))
 
+
+
+def test_fields_render_in_declaration_order():
+    # literal text, so that a change to the reference and the renderer
+    # alike still shows
+    assert render_action(TAU) == "tau"
+    assert (render_action(ArriveA(frozenset({3, 1}), frozenset({2}),
+                                  Newpkt("x", 2)))
+            == "arrive([1, 3], [2], Newpkt(data='x', dip=2))")
+    assert render_action(DeliverAtA(4, "y")) == "deliver(4, 'y')"
+    assert render_action(UnicastFailA(7)) == "unicast_fail(7)"
