@@ -5,12 +5,19 @@ Counterexample files (``init_key``) and the node memos are keyed by
 leaves by it, so a rewrite of the encoder must reproduce every byte.
 The hex values below were recorded with the encoder as it stood before
 type dispatch replaced its ``isinstance`` ladder.
+
+The simulator's sibling order and a counterexample file's state digests
+read ``value_key``, so each value's key is pinned as well, through
+``digest`` (a hash of the key's ``repr``).  Those hex values were
+recorded with ``value_key`` as it stood before it, too, dispatched on
+exact type.
 """
 import os
 
 import pytest
 
-from aodvcheck.canon import FrozenMap, bdigest
+from aodvcheck.awn import TAU, CastA, RichStep
+from aodvcheck.canon import FrozenMap, bdigest, digest, value_key
 from aodvcheck.explore import EnvNet
 from aodvcheck.messages import (Newpkt, Pkt, Rerr, Rrep, Rreq, RreqFlagged,
                                 RreqNoId)
@@ -48,6 +55,9 @@ def pinned_values() -> dict:
         "RreqFlagged": RreqFlagged(0, 1, 2, 0, UNKNOWN, 1, 2, 1, True),
         "Rrep": Rrep(1, 2, 3, 1, 2),
         "Rerr": Rerr(FrozenMap({2: 3}), 1),
+        # a network step is a named tuple, and encodes as a tuple
+        "RichStep": RichStep(1, CastA(frozenset({2}), Pkt("a", 2, 1)), TAU,
+                             Pkt("a", 2, 1)),
     }
 
 
@@ -68,6 +78,27 @@ PINNED = {
     "RreqFlagged": "633608e23fe2dc327d319b43f5e5fb9b",
     "Rrep": "3a7b490287e2c6f3d504aa5fe1bb727c",
     "Rerr": "8c6fea30e035c9f36fa67cb3a2b2f73b",
+    "RichStep": "e4fcd8be3880410fdf7156117e11e960",
+}
+
+KEY_PINNED = {
+    "pair2-init": "d6a3a9f5c0c7b2ea6ea50d973ad9a0ef",
+    "route-map": "734e1bcc0e56aa7d833c45a566baba04",
+    "flat-tuple": "b56e96c42ce4d29c81729c9f34057f02",
+    "nested-flat-tuple": "b56b76a2fdabb83acecc81ba66b00463",
+    "nested-tuple": "3cdc396bf486cd1502e9620d0d6c09b2",
+    "true": "a166e2dba543d1896dfc1dc1837874e1",
+    "one": "cd82c17ffff5685e6373658ac427330a",
+    "none": "df390be190b1f510e91457f7a6df0bd7",
+    "frozenset": "d104e5322a75b61f05b880fcd8f7df80",
+    "Newpkt": "4990baa4f07258ea66d46f817c97bd92",
+    "Pkt": "dc025cd05ab59cb5372f700138d2a105",
+    "Rreq": "e539fc43c7104911efcca2e4e4f010ac",
+    "RreqNoId": "4694c15fa7f2fb5e98c6867d997e1bac",
+    "RreqFlagged": "85558e6eb9e8bc40db0d2031d55a00fe",
+    "Rrep": "d0e024c65384d5ed9e06a27283d1ecc6",
+    "Rerr": "c1c702af04e0410b150e1902b1c7bae1",
+    "RichStep": "7967cb509214b34af11b4ff89376834d",
 }
 
 
@@ -76,8 +107,13 @@ def test_digest_bytes_are_pinned(name):
     assert bdigest(pinned_values()[name]).hex() == PINNED[name]
 
 
+@pytest.mark.parametrize("name", sorted(KEY_PINNED))
+def test_key_digests_are_pinned(name):
+    assert digest(value_key(pinned_values()[name])) == KEY_PINNED[name]
+
+
 def test_every_value_is_pinned():
-    assert set(PINNED) == set(pinned_values())
+    assert set(PINNED) == set(KEY_PINNED) == set(pinned_values())
 
 
 def test_bool_and_int_digest_apart():
