@@ -264,11 +264,17 @@ def label_process(pname: str, body: ProcessTerm) -> ProcessTerm:
 
 
 class ProcessTable:
-    """Named process bodies; the recursion environment for Call."""
+    """Named process bodies; the recursion environment for Call.
+
+    A term's control locations never change, so ``labels`` and ``locs``
+    cache them per term, keyed by the term's identity; each entry keeps
+    its term alive, so that no other term can take over its ``id``.
+    """
 
     def __init__(self, bodies: dict[str, ProcessTerm]):
         self._bodies = dict(bodies)
         self._label_cache: dict[int, tuple] = {}
+        self._loc_cache: dict[int, tuple] = {}
         for name, body in self._bodies.items():
             _check_complete(name, body)
             for t in subterms(body):
@@ -314,6 +320,14 @@ class ProcessTable:
         if not _active:
             self._label_cache[key] = (term, out)
         return out
+
+    def locs(self, term: ProcessTerm) -> tuple:
+        """``labels(term)`` as sorted ``(process name, offset)`` pairs."""
+        got = self._loc_cache.get(id(term))
+        if got is None:
+            locs = tuple(sorted((l.pname, l.offset) for l in self.labels(term)))
+            got = self._loc_cache[id(term)] = (term, locs)
+        return got[1]
 
     def all_labels(self) -> frozenset:
         """Every label occurring anywhere in the table."""
@@ -433,17 +447,16 @@ class ProcState:
     table: "ProcessTable" = field(compare=False, repr=False, default=None)
 
     # Both encodings use the control locations the term stands for,
-    # and cache the results on the instance; ``value_key`` and
-    # ``bdigest`` cannot read a term, which holds functions.  Two states
-    # of one table compare equal exactly when they encode equal: a call
-    # compares by name, ``label_process`` gives every other prefix but a
-    # choice's branch heads a location of its own, and a process is
-    # never at a branch head, only at the choice.  A node automaton
-    # numbers its states by value on the strength of this.
+    # which the table caches per term (``ProcessTable.locs``), and cache
+    # the results on the instance; ``value_key`` and ``bdigest`` cannot
+    # read a term, which holds functions.  Two states of one table
+    # compare equal exactly when they encode equal: a call compares by
+    # name, ``label_process`` gives every other prefix but a choice's
+    # branch heads a location of its own, and a process is never at a
+    # branch head, only at the choice.  A node automaton numbers its
+    # states by value on the strength of this.
     def _locs(self) -> tuple:
-        return tuple(
-            sorted((l.pname, l.offset) for l in self.table.labels(self.term))
-        )
+        return self.table.locs(self.term)
 
     def canon_key(self) -> tuple:
         return ("ProcState", value_key(self.data), self._locs())

@@ -24,15 +24,20 @@ alike.  Only values whose identity is not their fields supply
 counts by location), a network step (the simulator's sort key, which
 leaves out the target) and ``FrozenMap``, which is not a dataclass.
 
-``bdigest`` dispatches on the exact type of its argument through one
-table of encoders, filled the first time each class is seen: one for
-primitives and ``None`` (a bool encodes by ``repr``, apart from the int
-of the same value), one each for tuples and sets, the ``FrozenMap`` hook,
-and per dataclass an encoder of its hook or of its compared fields that
-caches the digest on the instance as its ``_bdg`` attribute, read with
+Both encodings dispatch on the exact type of their argument, each
+through one table of encoders filled the first time each class is seen,
+so that a value already seen costs one dict lookup and no ``isinstance``
+test (``FrozenMap``'s, through ``ABCMeta``, is a Python call).  The
+classes are tried in one order: primitives and ``None`` (a bool encodes
+apart from the int of the same value: by ``("bool", n)`` in the key and
+by ``repr`` in the digest), tuples (a named tuple encodes as one), sets,
+then per dataclass an encoder of its hook or of its compared fields,
+and ``FrozenMap``'s hooks.  A dataclass caches its key on the instance
+as its ``_ckey`` attribute and its digest as ``_bdg``, both read with
 ``getattr`` and set with ``object.__setattr__`` so that no instance is
-given a ``__dict__`` of its own.  A class with no encoding raises
-``TypeError`` when first met.
+given a ``__dict__`` of its own; a ``FrozenMap`` caches its hash, its
+digest and its key in slots of its own.  A class with no encoding
+raises ``TypeError`` when first met.
 
 Error messages quote an offending value through ``quote``, a ``repr``
 cut short, so that a huge or deeply nested value still gives a short
@@ -55,14 +60,18 @@ class FrozenMap(Mapping):
     order.  Keys must be canonically encodable and ordered among
     themselves: the model's maps have int keys or ``(ip, data, dip)``
     keys, which sort by themselves exactly as by ``value_key``.
+    ``get``, ``items`` and ``values`` read the dict directly, where the
+    ``Mapping`` mixins would go through ``__getitem__`` key by key;
+    ``items`` and ``values`` are lists, in the same sorted order.
     """
 
-    __slots__ = ("_d", "_hash", "_dg")
+    __slots__ = ("_d", "_hash", "_dg", "_key")
 
     def __init__(self, items: Any = ()):
         self._d = dict(items)
         self._hash: int | None = None
         self._dg: bytes | None = None
+        self._key: tuple | None = None
 
     def __getitem__(self, key: Any) -> Any:
         return self._d[key]
@@ -75,6 +84,17 @@ class FrozenMap(Mapping):
 
     def __contains__(self, key: Any) -> bool:
         return key in self._d
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        return self._d.get(key, default)
+
+    def items(self) -> list:
+        d = self._d
+        return [(k, d[k]) for k in sorted(d)]
+
+    def values(self) -> list:
+        d = self._d
+        return [d[k] for k in sorted(d)]
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -103,9 +123,10 @@ class FrozenMap(Mapping):
         return FrozenMap(d)
 
     def canon_key(self) -> tuple:
-        return ("map",) + tuple(
-            (value_key(k), value_key(v)) for k, v in self.items()
-        )
+        if self._key is None:
+            self._key = ("map",) + tuple(
+                (value_key(k), value_key(v)) for k, v in self.items())
+        return self._key
 
     def canon_digest(self) -> bytes:
         if self._dg is None:
@@ -140,37 +161,89 @@ def _shape(cls: type) -> tuple:
     return shape
 
 
+def _none_key(x) -> tuple:
+    return ("none",)
+
+
+def _bool_key(x) -> tuple:
+    return ("bool", int(x))
+
+
+def _int_key(x) -> tuple:
+    return ("int", x)
+
+
+def _str_key(x) -> tuple:
+    return ("str", x)
+
+
+def _tuple_key(x: tuple) -> tuple:
+    return ("tup",) + tuple(map(value_key, x))
+
+
+def _set_key(x) -> tuple:
+    return ("set",) + tuple(sorted(map(value_key, x)))
+
+
+def _dataclass_key(cls: type):
+    """Encoder of a dataclass: its hook or its fields, cached in ``_ckey``."""
+    hook = getattr(cls, "canon_key", None)
+    if hook is None:
+        name, _, get = _shape(cls)
+        hook = lambda x: (name, *map(value_key, get(x)))
+
+    def encode(x) -> tuple:
+        k = getattr(x, "_ckey", None)
+        if k is None:
+            k = hook(x)
+            cache_attr(x, "_ckey", k)
+        return k
+    return encode
+
+
+# exact type -> key encoder, filled by ``_key_encoder`` on first sight
+_key_encoders: dict = {}
+
+
+def _key_encoder(cls: type):
+    if cls is type(None):
+        enc = _none_key
+    elif issubclass(cls, bool):
+        enc = _bool_key
+    elif issubclass(cls, int):
+        enc = _int_key
+    elif issubclass(cls, str):
+        enc = _str_key
+    elif issubclass(cls, tuple):
+        enc = _tuple_key
+    elif issubclass(cls, (set, frozenset)):
+        enc = _set_key
+    elif dataclasses.is_dataclass(cls):
+        enc = _dataclass_key(cls)
+    elif hasattr(cls, "canon_key"):
+        enc = cls.canon_key
+    else:
+        raise TypeError(f"no canonical encoding for {cls.__name__}")
+    _key_encoders[cls] = enc
+    return enc
+
+
 def value_key(x: Any) -> tuple:
     """Nested-tuple encoding of a model value, total over the model's types.
 
-    A dataclass encodes as ``(class name, *keys of its compared
-    fields)``, cached on the instance as its ``_ckey`` attribute.
+    Dispatches on the exact type of ``x``, as ``bdigest`` does, through
+    one table of encoders filled the first time each class is seen.
+    Classes are matched in this order: ``None``, bool, int, str, tuple
+    (so a named tuple such as ``RichStep`` encodes as a tuple), set and
+    frozenset, then a dataclass, which encodes as its ``canon_key`` hook
+    or as ``(class name, *keys of its compared fields)``, cached on the
+    instance as its ``_ckey`` attribute.  ``FrozenMap``'s hook caches
+    its key in a slot of its own.
     """
-    if x is None:
-        return ("none",)
-    if isinstance(x, bool):
-        return ("bool", int(x))
-    if isinstance(x, int):
-        return ("int", x)
-    if isinstance(x, str):
-        return ("str", x)
-    if isinstance(x, tuple):
-        return ("tup",) + tuple(value_key(v) for v in x)
-    if isinstance(x, (set, frozenset)):
-        return ("set",) + tuple(sorted(value_key(v) for v in x))
-    if isinstance(x, FrozenMap):
-        return x.canon_key()  # has __slots__, so it is not cached
-    k = getattr(x, "_ckey", None)
-    if k is not None:
-        return k
-    ck = getattr(x, "canon_key", None)
-    if ck is not None:
-        k = ck()
-    else:
-        name, _, get = _shape(type(x))
-        k = (name, *map(value_key, get(x)))
-    cache_attr(x, "_ckey", k)
-    return k
+    enc = _key_encoders.get(type(x))
+    if enc is None:
+        enc = _key_encoder(type(x))
+    return enc(x)
 
 
 def digest(x: Any) -> str:

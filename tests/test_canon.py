@@ -5,6 +5,7 @@ nested-tuple key and once for the structural digest.  For any two
 values the three relations ``==``, equal keys and equal digests must
 hold together or fail together.
 """
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
 import pytest
@@ -148,6 +149,31 @@ def test_map_iterates_its_keys_in_key_order(keys):
     # themselves as by their canonical keys
     m = FrozenMap(dict.fromkeys(keys, 0))
     assert list(m) == sorted(keys, key=value_key)
+
+
+map_keys = st.one_of(st.integers(-3, 3), st.tuples(ips, datum, ips))
+map_values = st.one_of(nums, messages, *ROUTES.values())
+
+
+@given(st.one_of(st.dictionaries(st.integers(-3, 3), map_values, max_size=5),
+                 st.dictionaries(st.tuples(ips, datum, ips), map_values,
+                                 max_size=5)),
+       st.lists(map_keys, max_size=3))
+def test_map_reads_its_dict_and_caches_its_key(d, probes):
+    # the accessors that read the dict directly agree with the mixins,
+    # in sorted order and with the mixin's defaults
+    m = FrozenMap(d)
+    assert m.items() == list(Mapping.items(m))
+    assert m.values() == list(Mapping.values(m))
+    for key in list(d) + probes:
+        assert m.get(key) == Mapping.get(m, key)
+        assert m.get(key, "default") == Mapping.get(m, key, "default")
+    # the cached key is the fresh encoding, and is built once
+    k = value_key(m)
+    assert k == ("map",) + tuple((value_key(a), value_key(b))
+                                 for a, b in Mapping.items(m))
+    assert k == value_key(FrozenMap(d))
+    assert value_key(m) is k
 
 
 def test_fields_excluded_from_comparison_are_not_encoded():

@@ -281,16 +281,17 @@ class TestTableMemo:
         assert [(len(s), len(n)) for s, n in memos(b)] == before
 
     def test_repeated_runs_do_not_grow_the_label_memo(self):
-        # the memo is keyed by term identity, so a run must start its
+        # the memos are keyed by term identity, so a run must start its
         # processes at the table's own terms, not at fresh ones
         pair = tree_of([(1, [2]), (2, [1])])
         sched = Schedule(events=FrozenMap({0: NewpktA(1, "x", 2)}))
         tables = (build_table(BASE), queue_table())
         run(pair, sched)
-        sizes = [len(t._label_cache) for t in tables]
+        sizes = [(len(t._label_cache), len(t._loc_cache)) for t in tables]
         for _ in range(3):
             run(pair, sched)
-        assert [len(t._label_cache) for t in tables] == sizes
+        assert [(len(t._label_cache), len(t._loc_cache))
+                for t in tables] == sizes
 
 
 def _tree(t):
