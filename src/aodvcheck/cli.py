@@ -52,7 +52,7 @@ import warnings
 from dataclasses import asdict, replace
 
 from .awn import ModelError
-from .canon import bdigest, digest, value_key
+from .canon import bdigest, digest, quote, value_key
 from .explore import (Counterexample, EnvNet, ResourceCapError, TraceStep,
                       check_theorem1, replay)
 from .monitor import (ALL_SUITES, SuiteError, Verdict, check_state_invariants,
@@ -290,7 +290,7 @@ def _read_counterexample(path: str) -> dict:
         raise ReplayError(f"counterexample is not valid JSON: {e}") from None
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != CX_FORMAT:
-        raise ReplayError(f"counterexample format {found!r} is not "
+        raise ReplayError(f"counterexample format {quote(found)} is not "
                           f"{CX_FORMAT!r}")
     rows = [(doc, _CX_FIELDS, "counterexample")]
     if isinstance(doc.get("steps"), list):
@@ -332,8 +332,9 @@ def _recheck(auto, table, cx, final) -> Verdict:
         source = replay(auto, replace(cx, steps=cx.steps[:-1]))
         r = auto.rich_steps(source)[cx.steps[-1].key]
         return check_step_invariants((source[0], r, r.target[0]), table, step)
-    raise ReplayError(f"a {cx.kind!r} counterexample of {len(cx.steps)} "
-                      f"step(s) cannot violate {cx.suite!r}")
+    raise ReplayError(f"a {quote(cx.kind)} counterexample of "
+                      f"{len(cx.steps)} step(s) cannot violate "
+                      f"{quote(cx.suite)}")
 
 
 def _cmd_replay(args) -> int:
@@ -342,8 +343,8 @@ def _cmd_replay(args) -> int:
     mutations = list(mutations_of(sc.cfg))
     if doc["mutations"] != mutations:
         raise ReplayError(f"counterexample was written with mutations "
-                          f"{doc['mutations']!r}, the scenario has "
-                          f"{mutations!r}")
+                          f"{quote(doc['mutations'])}, the scenario has "
+                          f"{quote(mutations)}")
     cfg = with_variant(sc.cfg, doc["variant"])
     table = build_table(cfg)
     auto = EnvNet(closed_net(sc.tree, cfg, table), sc.env)
@@ -422,8 +423,9 @@ def _read_trace(path: str) -> list:
     head = records[0] if records else {}
     found = head.get("format") if isinstance(head, dict) else None
     if found != TRACE_FORMAT:
-        raise TraceFileError(f"trace format {found!r} is not {TRACE_FORMAT!r}; "
-                             "re-run simulate to write a current trace")
+        raise TraceFileError(f"trace format {quote(found)} is not "
+                             f"{TRACE_FORMAT!r}; re-run simulate to write a "
+                             "current trace")
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise TraceFileError(f"trace record {i} is not an object")
@@ -440,8 +442,8 @@ def _cmd_graph(args) -> int:
         mutations = list(mutations_of(sc.cfg))
         if recorded != mutations:
             raise TraceFileError(f"trace was written with mutations "
-                                 f"{recorded!r}, the scenario has "
-                                 f"{mutations!r}")
+                                 f"{quote(recorded)}, the scenario has "
+                                 f"{quote(mutations)}")
     res, sched = _run_schedule(sc, args)
     sigma = net_data(res.final_state)
     nodes = frozenset(tree_addresses(sc.tree))

@@ -55,7 +55,7 @@ from typing import Optional
 from .awn import (ConnectA, DisconnectA, ModelError, NetMenu, RichStep,
                   NewpktA, join_parts, part_maker, root_parts)
 from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, digest,
-                    value_key)
+                    quote, value_key)
 from .messages import Newpkt
 from .monitor import state_checks, step_checks
 from .network import NetTree, closed_net
@@ -538,14 +538,15 @@ def replay(auto, cx: Counterexample):
         steps = _sorted_steps(auto, state)
         if not (isinstance(step.key, int) and 0 <= step.key < len(steps)):
             raise ModelError(
-                f"counterexample step {i} has no branch of rank {step.key!r}")
+                f"counterexample step {i} has no branch of rank "
+                f"{quote(step.key)}")
         r = steps[step.key]
         action = render_action(r.detail)
         if (r.origin, action) != (step.origin, step.action):
             raise ModelError(
-                f"counterexample step {i} is {step.action!r} at origin "
-                f"{step.origin!r}, but its rank gives {action!r} at origin "
-                f"{r.origin!r}")
+                f"counterexample step {i} is {quote(step.action)} at origin "
+                f"{quote(step.origin)}, but its rank gives {action!r} at "
+                f"origin {r.origin!r}")
         state = r.target
         if digest(value_key(state)) != step.digest:
             raise ModelError(

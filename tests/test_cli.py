@@ -316,6 +316,51 @@ def test_counterexample_file_replays_by_rank(tmp_path, capsys):
     assert digest(value_key(replay(auto, cx))) == doc["digest"]
 
 
+LONG = "x" * 3000
+
+
+@pytest.mark.parametrize("reader,edit,start", [
+    ("counterexample", lambda doc: doc.update(format=LONG),
+     "counterexample format 'xxx"),
+    ("counterexample", lambda doc: doc.update(kind=LONG), "a 'xxx"),
+    ("counterexample", lambda doc: doc.update(mutations=[LONG]),
+     "counterexample was written with mutations ['xxx"),
+    ("counterexample", lambda doc: doc["steps"][0].update(action=LONG),
+     "counterexample step 0 is 'xxx"),
+    ("trace", lambda head: head.update(format=LONG), "trace format 'xxx"),
+    ("trace", lambda head: head.update(mutations=[LONG]),
+     "trace was written with mutations ['xxx"),
+], ids=["cx-format", "cx-kind", "cx-mutations", "cx-action", "trace-format",
+        "trace-mutations"])
+def test_file_error_quotes_a_value_briefly(tmp_path, capsys, reader, edit,
+                                           start):
+    # a field read from a counterexample or trace file is quoted cut short
+    if reader == "counterexample":
+        scenario = write_scenario(tmp_path, STALE_PAIR)
+        path = tmp_path / "cx.json"
+        code, _ = run_cli(["explore", scenario, "--out", str(path)], capsys)
+        assert code == EXIT_VIOLATION
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        argv = ["replay", str(path), scenario]
+    else:
+        scenario = os.path.join(SCENARIOS, "pair2.json")
+        path = str(tmp_path / "t.ndjson")
+        code, _ = run_cli(["simulate", scenario, "--out", path], capsys)
+        assert code == 0
+        records = load_trace(path)
+        edit(records[0])
+        write_trace(path, records)
+        argv = ["graph", scenario, "--trace", path]
+    code, out = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out.err.startswith("error: " + start)
+    assert out.err.count("\n") == 1
+    assert len(out.err) < 200
+    assert out.out == ""
+
+
 # node 2 does not list node 1; the loader adds the link both ways
 ONE_SIDED = [{"ip": 1, "nbrs": [2]}, {"ip": 2, "nbrs": []}]
 SYMMETRIZED = "symmetrizing link 1-2: 2 did not list 1"
