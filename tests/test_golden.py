@@ -2,7 +2,7 @@
 
 A change that does not mean to change the semantics must reproduce
 these numbers exactly: states, transitions and depth of the complete
-explorations of ``pair2`` and ``fig1``, where the stale-update
+explorations of ``pair2``, ``fig1`` and ``line3_cross``, where the stale-update
 mutation on a pair with a link flap first fails, the bytes of the
 counterexample file the command line writes for it, and the bytes of
 the trace it writes for a seeded simulation of the mutated chain.
@@ -44,6 +44,12 @@ def _golden(path, variant, states, transitions, depth):
     _golden("scenarios/fig1.json", "fwd-rrep", 12502, 41322, 100),
     _golden("scenarios/fig1.json", "bcast-rerr", 12566, 41510, 101),
     _golden("scenarios/fig1.json", "fwd-rreq", 12938, 42770, 102),
+    # the line 1-2-3 with packets 1->3 and 3->1; fwd-rreq's complete run
+    # (194293 / 683032 / 152) takes about 5 s and is checked in CI
+    _golden("scenarios/line3_cross.json", None, 33792, 104856, 111),
+    _golden("scenarios/line3_cross.json", "no-rreqid", 33645, 104462, 110),
+    _golden("scenarios/line3_cross.json", "bcast-rerr", 32292, 100056, 110),
+    _golden("scenarios/line3_cross.json", "fwd-rrep", 53344, 168626, 137),
 ])
 def test_complete_exploration(path, variant, states, transitions, depth):
     rep = _check(path, variant)
