@@ -185,20 +185,24 @@ def _set_key(x) -> tuple:
     return ("set",) + tuple(sorted(map(value_key, x)))
 
 
+def _cached(hook, attr: str):
+    """Encoder that caches ``hook(x)`` on ``x`` as its attribute ``attr``."""
+    def encode(x):
+        v = getattr(x, attr, None)
+        if v is None:
+            v = hook(x)
+            cache_attr(x, attr, v)
+        return v
+    return encode
+
+
 def _dataclass_key(cls: type):
     """Encoder of a dataclass: its hook or its fields, cached in ``_ckey``."""
     hook = getattr(cls, "canon_key", None)
     if hook is None:
         name, _, get = _shape(cls)
         hook = lambda x: (name, *map(value_key, get(x)))
-
-    def encode(x) -> tuple:
-        k = getattr(x, "_ckey", None)
-        if k is None:
-            k = hook(x)
-            cache_attr(x, "_ckey", k)
-        return k
-    return encode
+    return _cached(hook, "_ckey")
 
 
 # exact type -> key encoder, filled by ``_key_encoder`` on first sight
@@ -231,14 +235,12 @@ def _key_encoder(cls: type):
 def value_key(x: Any) -> tuple:
     """Nested-tuple encoding of a model value, total over the model's types.
 
-    Dispatches on the exact type of ``x``, as ``bdigest`` does, through
-    one table of encoders filled the first time each class is seen.
-    Classes are matched in this order: ``None``, bool, int, str, tuple
-    (so a named tuple such as ``RichStep`` encodes as a tuple), set and
-    frozenset, then a dataclass, which encodes as its ``canon_key`` hook
-    or as ``(class name, *keys of its compared fields)``, cached on the
-    instance as its ``_ckey`` attribute.  ``FrozenMap``'s hook caches
-    its key in a slot of its own.
+    Dispatches on the exact type of ``x``, as ``bdigest`` does (see the
+    module docstring), so a named tuple such as ``RichStep`` encodes as
+    a tuple.  A dataclass encodes as its ``canon_key`` hook or as
+    ``(class name, *keys of its compared fields)``, cached on the
+    instance as its ``_ckey`` attribute; ``FrozenMap``'s hook caches
+    its key in a slot.
     """
     enc = _key_encoders.get(type(x))
     if enc is None:
@@ -311,14 +313,7 @@ def _dataclass_digest(cls: type):
     if hook is None:
         _, tag, get = _shape(cls)
         hook = lambda x: struct_digest(tag, get(x))
-
-    def encode(x) -> bytes:
-        b = getattr(x, "_bdg", None)
-        if b is None:
-            b = hook(x)
-            cache_attr(x, "_bdg", b)
-        return b
-    return encode
+    return _cached(hook, "_bdg")
 
 
 # exact type -> digest encoder, filled by ``_encoder`` on first sight

@@ -45,7 +45,7 @@ def _golden(path, variant, states, transitions, depth):
     _golden("scenarios/fig1.json", "bcast-rerr", 12566, 41510, 101),
     _golden("scenarios/fig1.json", "fwd-rreq", 12938, 42770, 102),
     # the line 1-2-3 with packets 1->3 and 3->1; fwd-rreq's complete run
-    # (194293 / 683032 / 152) takes about 5 s and is checked in CI
+    # (194293 / 683032 / 152) takes about 6 s and is checked in CI
     _golden("scenarios/line3_cross.json", None, 33792, 104856, 111),
     _golden("scenarios/line3_cross.json", "no-rreqid", 33645, 104462, 110),
     _golden("scenarios/line3_cross.json", "bcast-rerr", 32292, 100056, 110),
