@@ -24,19 +24,21 @@ process rules build twice is kept once, at its first position.  The tuple
 is thus the semantics' step set in an order that depends on no hash seed
 and no object identity.
 
-Node and subnet states are hash-consed below the root: each automaton
-interns the states it builds, so equal subtree states are one object
-(see ``_MEMO_CAP``), and numbers each state by its place in its table
-as it first interns it.  A state's number, its ``_n``, stands for its
-value among the automaton's states, and so for its ``bdigest`` value,
-since reached states are equal exactly when they digest equal (see
-``ProcState``).  Node states are interned by value, subnet states by the
-pair of their children's numbers.  The network layers' memos key on
-these numbers and on the identity of the menu's projection onto the
-subtree's addresses (see ``NetMenu``), and the monitors' per-subtree
-caches hold one entry per distinct value.  Interning changes no step,
-order or digest, only which object stands for a value.  The process
-layer's memo keys on its states and menus by value (``SeqAutomaton``).
+Every layer below the root is hash-consed: each automaton interns the
+states it builds, so equal states of one automaton are one object (see
+``_MEMO_CAP``), and numbers each state by its place in its table as it
+first interns it.  A state's number, its ``_n``, stands for its value
+among the automaton's states, and so for its ``bdigest`` value, since
+reached states are equal exactly when they digest equal (see
+``ProcState``).  Process states are interned by value, node states by
+their process states' numbers and their neighbours, and subnet states
+by the pair of their children's numbers.  So a state below the root is
+hashed only where it enters a table; every memo and duplicate check
+above keys on numbers, and the network layers' memos also on the
+identity of the menu's projection onto the subtree's addresses (see
+``NetMenu``).  The monitors' per-subtree caches hold one entry per
+distinct value.  Interning changes no step, order or digest, only which
+object stands for a value.
 
 The composition rules of the network layers are written once, in the
 node's and the subnet's ``_rich_steps``.  These take a record builder,
@@ -453,8 +455,10 @@ class ProcState:
     # compare equal exactly when they encode equal: a call compares by
     # name, ``label_process`` gives every other prefix but a choice's
     # branch heads a location of its own, and a process is never at a
-    # branch head, only at the choice.  A node automaton numbers its
-    # states by value on the strength of this.
+    # branch head, only at the choice.  A process automaton interns and
+    # numbers its states by value on the strength of this, so its
+    # numbers tell states apart as their digests do, and so do the node
+    # numbers built on them.
     def _locs(self) -> tuple:
         return self.table.locs(self.term)
 
@@ -516,7 +520,9 @@ class Automaton:
 
     ``init`` is a tuple of the initial states in the order they were
     built, a product in left-major order; the explorer numbers them in
-    that order, so it sorts nothing.
+    that order, so it sorts nothing.  A process automaton's
+    ``number(state)`` is what stands for the state's value among its
+    states: a process state's number, or a pair's two numbers.
     """
 
     init: tuple
@@ -528,23 +534,43 @@ class Automaton:
 class SeqAutomaton(Automaton):
     """A sequential process of one table; ``steps`` memoizes ``seq_steps``.
 
-    The memo keys on the state and the menu by value.  Every state this
-    automaton sees carries its table, and equal states of one table
-    stand for one control location over equal data (see ``ProcState``),
-    so a hit returns the steps a fresh call would build, in their order.
-    It stops growing at ``_MEMO_CAP`` entries.
+    Its states are hash-consed: the automaton interns each state it
+    builds, its initial states and every ``seq_steps`` target, by value
+    in ``_states`` as the state enters the table, and numbers it by its
+    place there, as ``_n``.  It numbers only objects it built, so it
+    interns a copy of each initial state it is given, and two automata
+    never share a numbered object.  Two states of its table are equal
+    exactly when they encode equal (see ``ProcState``), so a number
+    stands for a value and its digest.  The memo keys on ``(state
+    number, menu)``; a hit returns the steps a fresh call would build,
+    in their order, with interned targets.  It stops growing at
+    ``_MEMO_CAP`` entries; the table has no cap.
     """
 
-    def __init__(self, table: ProcessTable, init: tuple):
+    def __init__(self, table: ProcessTable, init: Iterable):
         self.table = table
-        self.init = init
+        self._states: dict = {}   # process state -> its canonical instance
         self._steps_memo: dict = {}
+        self.init = tuple(self._intern(ProcState(s.data, s.term, table))
+                          for s in init)
+
+    def _intern(self, state: ProcState) -> ProcState:
+        got = self._states.get(state)
+        if got is None:
+            got = self._states[state] = state
+            cache_attr(state, "_n", len(self._states) - 1)
+        return got
+
+    def number(self, state: ProcState) -> int:
+        return state._n
 
     def steps(self, state, menu=()) -> tuple:
-        key = (state, menu)
+        key = (state._n, menu)
         out = self._steps_memo.get(key)
         if out is None:
-            out = seq_steps(self.table, state, menu)
+            intern = self._intern
+            out = tuple((a, intern(s))
+                        for a, s in seq_steps(self.table, state, menu))
             if len(self._steps_memo) < _MEMO_CAP:
                 self._steps_memo[key] = out
         return out
@@ -559,13 +585,20 @@ class ParAutomaton(Automaton):
 
     A Receive(m) of the left and a Send(m) of the right synchronize to
     an internal step.  Every other action of the left except Receive,
-    and of the right except Send, interleaves.
+    and of the right except Send, interleaves.  Both components number
+    their states, so a step built twice is told by its action and its
+    target's two numbers, and a pair state's numbers (``number``) stand
+    for its value.
     """
 
-    def __init__(self, left: Automaton, right: Automaton):
+    def __init__(self, left: SeqAutomaton, right: SeqAutomaton):
         self.left = left
         self.right = right
         self.init = tuple((l, r) for l in left.init for r in right.init)
+
+    def number(self, state) -> tuple:
+        l, r = state
+        return l._n, r._n
 
     def steps(self, state, menu=()) -> tuple:
         l, r = state
@@ -574,18 +607,20 @@ class ParAutomaton(Automaton):
             a.msg for a, _ in right_steps if isinstance(a, SendA)
         ))
         left_steps = self.left.steps(l, sendable)
+        # (action, left number, right number) -> the first such step
         out: dict = {}
+        add = out.setdefault
         for a, l2 in left_steps:
             if isinstance(a, ReceiveA):
                 for b, r2 in right_steps:
                     if isinstance(b, SendA) and b.msg == a.msg:
-                        out[TAU, (l2, r2)] = None
+                        add((TAU, l2._n, r2._n), (TAU, (l2, r2)))
             else:
-                out[a, (l2, r)] = None
+                add((a, l2._n, r._n), (a, (l2, r)))
         for b, r2 in right_steps:
             if not isinstance(b, SendA):
-                out[b, (l, r2)] = None
-        return tuple(out)
+                add((b, l._n, r2._n), (b, (l, r2)))
+        return tuple(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -702,19 +737,22 @@ def _is_newpkt(msg: Any) -> bool:
 # a search expands each root state exactly once, so a root memo would
 # only keep every expanded state's successors alive.
 #
-# The states that go into these memos are interned: each node and
-# subnet automaton keeps a table of the states it has built (its
+# The states that go into these memos are interned: each process, node
+# and subnet automaton keeps a table of the states it has built (its
 # initial states, step targets and cast deliveries), and a new state
 # equal to one of them is replaced by it before anything digests it or
 # caches on it.  A subtree value is then one object, digested at most
 # once and carrying one set of the monitors' caches, however many
 # global states share it.  Each new canonical state is numbered by its
 # place as it enters its table, and the memos key on that number,
-# ``_n``, and on the menu object, which compares by identity (see
-# ``NetMenu``), so a memo lookup hashes two small values in C.  Node
-# states are interned and numbered by value, which tells them apart as
-# their digests would (see ``ProcState``); subnet states by the pair of
-# their children's numbers, which are set already.  Subnet root targets
+# ``_n``, and on the menu, which for the network layers compares by
+# identity (see ``NetMenu``), so a memo lookup hashes small values in C.
+# Process states are interned and numbered by value, which tells them
+# apart as their digests would (see ``ProcState``); node states by the
+# numbers of their process states and their neighbours, and subnet
+# states by the pair of their children's numbers, which are set
+# already.  So a process state is hashed by value only as it is built
+# and interned, and a node or subnet state never.  Subnet root targets
 # are built plain: a table at the root would keep every explored state
 # alive, as a root memo would, so that table holds only its initial
 # states.  A node root interns its targets, so that they carry numbers
@@ -793,23 +831,29 @@ class NodeAutomaton(MemoNetAutomaton):
         self._own_menus: dict = {}
         self._projections: dict = {}
         self._cast_memo: dict = {}
-        self._states: dict = {}   # node state -> its canonical instance
+        # (inner state's numbers, nbrs) -> the canonical node state
+        self._states: dict = {}
+        self._number = inner.number
         self.init = tuple(self._node(ip, i, frozenset(nbrs))
                           for i in inner.init)
 
     def _node(self, ip: int, inner, nbrs: frozenset) -> NodeS:
-        """The canonical node state of this value, keyed by the value.
+        """The canonical node state over ``inner`` and ``nbrs``.
 
-        A new one is numbered by its place in the table.  Node states
-        are equal exactly when they digest equal (see ``ProcState``), so
-        nothing here digests them.
+        ``ip`` is this node's address and ``inner`` a state interned by
+        this node's process automata, so the table is keyed by the inner
+        state's numbers (the inner automaton's ``number``) and the
+        neighbours, and a ``NodeS`` is built only for a new key.  Its own
+        number is its place in the table.  Process states are numbered by
+        value, which tells them apart as their digests would (see
+        ``ProcState``), so nothing here hashes a process or node state.
         """
-        s = NodeS(ip, inner, nbrs)
-        got = self._states.get(s)
-        if got is None:
-            got = self._states[s] = s
+        key = (self._number(inner), nbrs)
+        s = self._states.get(key)
+        if s is None:
+            s = self._states[key] = NodeS(ip, inner, nbrs)
             cache_attr(s, "_n", len(self._states) - 1)
-        return got
+        return s
 
     def _rich_steps(self, state: NodeS, menu: NetMenu,
                     build=RichStep, make=None) -> tuple:
@@ -881,11 +925,12 @@ class NodeAutomaton(MemoNetAutomaton):
         hit = self._cast_memo.get(mkey)
         if hit is not None:
             return hit
-        got: dict = {}
+        got: dict = {}   # number -> the node state it stands for
         for a, inner2 in self.inner.steps(state.inner, (msg,)):
             if isinstance(a, ReceiveA) and a.msg == msg:
-                got[self._node(state.ip, inner2, state.nbrs)] = None
-        out = tuple(got)
+                s = self._node(state.ip, inner2, state.nbrs)
+                got[s._n] = s
+        out = tuple(got.values())
         if len(self._cast_memo) < _MEMO_CAP:
             self._cast_memo[mkey] = out
         return out

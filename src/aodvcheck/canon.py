@@ -351,12 +351,12 @@ def bdigest(x: Any) -> bytes:
     Equality is another relation.  Equal values digest equal as long as
     no field holds a bool where the other value holds the int of the
     same value: ``True == 1``, but the two digest apart.  The model's
-    states do not mix the two, and the interning of node and subnet
-    states in :mod:`aodvcheck.awn` relies on this direction: it replaces
-    a built state by an equal one built before, whose digest must be
-    the same.
-    The converse holds on the model's reached states too, and the node
-    automata rely on it when they number node states by value: a
+    states do not mix the two, and the interning of process, node and
+    subnet states in :mod:`aodvcheck.awn` relies on this direction: it
+    replaces a built state by an equal one built before, whose digest
+    must be the same.
+    The converse holds on the model's reached states too, and the
+    process automata rely on it when they number their states by value: a
     ``ProcState`` digests the locations its control term stands for, and
     two terms of one table that a process can be at stand for the same
     locations only when they compare equal, a call comparing by the name

@@ -109,22 +109,22 @@ class EnvNet:
     injection or a link event.
 
     Environment states are interned: the successor of an environment
-    state under an injection or a link event is computed once per
-    (state, action) pair and shared, so every explored state holds one
-    of a handful of ``EnvState`` objects.  Each is numbered, as its
-    ``_n``, by its place in the table, for the explorer's keys.  Menus
-    are interned too, by value, and each environment state keeps its
-    own: the step memos of the automata key on menu identity (see
-    ``awn.NetMenu``), so environment states that offer the same menu
-    must offer the same object.  The tables belong to this instance, so
-    a run's caches go with it.
+    state under an injection is computed once per state and injected
+    packet, and under a link event once per state, and shared, so every
+    explored state holds one of a handful of ``EnvState`` objects.  Each
+    is numbered, as its ``_n``, by its place in the table, for the
+    explorer's keys.  Menus are interned too, by value, and each
+    environment state keeps its own: the step memos of the automata key
+    on menu identity (see ``awn.NetMenu``), so environment states that
+    offer the same menu must offer the same object.  The tables belong
+    to this instance, so a run's caches go with it.
     """
 
     def __init__(self, net, env: EnvMenu):
         self.net = net
         self.env = env
         self._envs: dict = {}    # EnvState -> its one shared instance
-        self._after: dict = {}   # (EnvState number, action) -> successor
+        self._after: dict = {}   # ``_env_after`` key -> successor
         self._menus: dict = {}   # (newpkts, links) -> its one NetMenu
         env0 = self._intern(EnvState(env.newpkts, 0))
         self.init = tuple((s, env0) for s in net.init)
@@ -137,7 +137,13 @@ class EnvNet:
         return got
 
     def _env_after(self, env_s: EnvState, action) -> EnvState:
-        key = (env_s._n, action)
+        # a link event only advances the script, so it is keyed by the
+        # environment's number alone; an injection by the number and
+        # the (ip, data, dip) it spends
+        if isinstance(action, NewpktA):
+            key = (env_s._n, action.ip, action.data, action.dip)
+        else:
+            key = env_s._n
         env2 = self._after.get(key)
         if env2 is None:
             if isinstance(action, NewpktA):

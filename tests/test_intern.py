@@ -1,18 +1,21 @@
-"""Interned node and subnet states: one object per distinct subtree value.
+"""Hash-consed states: one object per distinct value below the root.
 
-Each node and subnet automaton below the root keeps a table of the
-states it has built, and hands out the one built first whenever a new
-state equals it, and numbers each state it interns.  These tests check
-that reached subtrees are shared that way, that the interned object
-digests like the state it replaces, that reached process states are
-equal exactly when they digest equal, that the numbers stand for
-digests, that root states enter no table, and that tables belong to one
-network.  The step memos key on the identity of a menu's projection
-onto the subtree, so the last tests check that a menu equal in value to
-another, or differing only in another node's budget, gives the same
-steps, that the closed layer strips a menu of its messages once, that
-memoized process steps are the ones a fresh call builds, and how many
-entries the node and subnet memos hold on chain3.
+Each process, node and subnet automaton below the root keeps a table
+of the states it has built, hands out the one built first whenever a
+new state equals it, and numbers each state it interns.  These tests
+check that reached subtrees are shared that way, that the interned
+object digests like the state it replaces, that reached process states
+are equal exactly when they digest equal, that the numbers stand for
+digests in every table, that each automaton numbers only its own
+objects, that a search hashes a process state only where it enters a
+table and a node state never, that root states enter no table, and that
+tables belong to one network.  The step memos key on state numbers and
+on the identity of a menu's projection onto the subtree, so the last
+tests check that a menu equal in value to another, or differing only in
+another node's budget, gives the same steps, that the closed layer
+strips a menu of its messages once, that memoized process steps are the
+ones a fresh call builds, and how many entries the node and subnet
+memos hold on chain3.
 """
 import gc
 import os
@@ -20,13 +23,14 @@ import weakref
 
 import pytest
 
-from aodvcheck.awn import (DisconnectA, NetMenu, NodeAutomaton, NodeS,
+from aodvcheck.awn import (Call, DisconnectA, NetMenu, NodeAutomaton, NodeS,
+                           ParAutomaton, ProcState, SeqAutomaton,
                            SubnetAutomaton, SubnetS, seq_steps)
 from aodvcheck.canon import FrozenMap, bdigest
 from aodvcheck.explore import EnvNet, explore
 from aodvcheck.messages import Newpkt
 from aodvcheck.network import build_net, closed_net, tree_of
-from aodvcheck.protocol import build_table
+from aodvcheck.protocol import build_table, queue_table
 from aodvcheck.scenario import load_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,13 +46,22 @@ def env_net(path, table=None) -> EnvNet:
 
 
 def automata(auto):
-    """The node and subnet automata of an ``EnvNet``, root first."""
+    """The automata of an ``EnvNet`` that intern states, root first.
+
+    These are the subnet, node and process automata, each node followed
+    by its protocol and queue; a node's ``ParAutomaton`` keeps no table.
+    """
     todo = [auto.net.net]
     while todo:
         a = todo.pop()
+        if isinstance(a, ParAutomaton):
+            todo += [a.right, a.left]
+            continue
         yield a
         if isinstance(a, SubnetAutomaton):
             todo += [a.right, a.left]
+        elif isinstance(a, NodeAutomaton):
+            todo.append(a.inner)
 
 
 def subtrees(net_state):
@@ -94,7 +107,9 @@ def test_interned_states_digest_as_built(path, bound):
         return build
 
     for a in automata(auto):
-        if isinstance(a, NodeAutomaton):
+        if isinstance(a, SeqAutomaton):
+            a._intern = checked(a._intern, lambda state: state)
+        elif isinstance(a, NodeAutomaton):
             a._node = checked(a._node, NodeS)
         else:
             a._pair = checked(a._pair, SubnetS)
@@ -107,17 +122,20 @@ def test_interned_states_digest_as_built(path, bound):
 @pytest.mark.parametrize("path,bound",
                          [(PAIR2, None), (FIG1, None), (CHAIN3, 8)])
 def test_process_states_are_equal_iff_they_digest_equal(path, bound):
-    # Node automata number node states by value, which tells them apart
-    # as digests do only if their protocol and queue states are equal
-    # exactly when they digest equal.  Calls compare by name for this:
-    # a queue reaches its loop through several ``Call("qmsg")`` objects.
+    # Process automata number their states by value, which tells them
+    # apart as digests do only if protocol and queue states are equal
+    # exactly when they digest equal; node numbers are built on theirs.
+    # Calls compare by name for this: a queue reaches its loop through
+    # several ``Call("qmsg")`` objects.  Each automaton holds one object
+    # per value, so the values held by several objects here are those
+    # that several nodes reach.
     auto = env_net(path)
     explore(auto, bound=bound)
     digests: dict = {}   # process state value -> digests of its objects
     objects = set()
     for a in automata(auto):
         if isinstance(a, NodeAutomaton):
-            for s in a._states:
+            for s in a._states.values():
                 for proc in s.inner:
                     digests.setdefault(proc, set()).add(bdigest(proc))
                     objects.add(id(proc))
@@ -131,18 +149,92 @@ def test_process_states_are_equal_iff_they_digest_equal(path, bound):
 def test_numbers_stand_for_digests(path, bound):
     # The explorer keys states by these numbers, so each must stand for
     # one digest value among its table's states, and each digest value
-    # for one number.  Node states are numbered by value, so this holds
-    # because reached node states are equal exactly when they digest
-    # equal (see the test above).
+    # for one number, held by one object.  Process states are numbered
+    # by value, and node states by their process states' numbers, so
+    # this holds because reached process states are equal exactly when
+    # they digest equal (see the test above).
     auto = env_net(path)
     explore(auto, bound=bound)
-    tables = [a._states.values() for a in automata(auto)]
-    tables.append(auto._envs.values())
+    kinds = {type(a) for a in automata(auto)}
+    assert kinds == {SeqAutomaton, NodeAutomaton, SubnetAutomaton}
+    tables = [list(a._states.values()) for a in automata(auto)]
+    tables.append(list(auto._envs.values()))
     for states in tables:
         numbers = {s._n for s in states}
-        assert numbers == set(range(len(numbers)))
+        assert numbers == set(range(len(states)))
+        assert len({id(s) for s in states}) == len(states)
         pairs = {(s._n, bdigest(s)) for s in states}
         assert len(pairs) == len(numbers) == len({d for _, d in pairs})
+
+
+def test_process_automata_number_their_own_copies():
+    # An automaton numbers only objects it built, so two automata given
+    # one initial object each intern a copy of it.
+    qtable = queue_table()
+    given = ProcState((), Call("qmsg"), qtable)
+    one, two = (SeqAutomaton(qtable, (given,)) for _ in range(2))
+    (a,), (b,) = one.init, two.init
+    assert a == b == given
+    assert len({id(a), id(b), id(given)}) == 3
+    assert a._n == b._n == 0
+    assert not hasattr(given, "_n")
+    assert one._states[given] is a and two._states[given] is b
+    # a successor is numbered by the automaton that built it
+    ((_, s1),) = one.steps(a, ("m",))
+    ((_, s2),) = two.steps(b, ("m",))
+    assert s1 == s2 and s1 is not s2
+    assert s1._n == s2._n == 1
+    assert one._states[s1] is s1 and two._states[s1] is s2
+
+
+def test_equal_queue_states_of_two_nodes_are_distinct_objects():
+    # On fig1 several nodes' queues hold the same broadcasts, and each
+    # queue automaton holds its own object for each such value, numbered
+    # by its place in its own table.
+    auto = env_net(FIG1)
+    explore(auto)
+    tables = [a.inner.right._states for a in automata(auto)
+              if isinstance(a, NodeAutomaton)]
+    assert len(tables) == 4
+    shared = 0
+    for i, one in enumerate(tables):
+        for other in tables[i + 1:]:
+            for value in one.keys() & other.keys():
+                assert one[value] is not other[value]
+                shared += 1
+    assert shared > len(tables) * (len(tables) - 1) // 2   # not just init
+    for table in tables:
+        assert [s._n for s in table.values()] == list(range(len(table)))
+
+
+def test_a_search_hashes_process_states_only_where_they_are_interned(
+        monkeypatch):
+    # Every table and memo below the root keys on numbers, so a process
+    # state is hashed only as it enters its automaton's table (and in
+    # ``seq_steps``'s duplicate check, which builds it), and a node state
+    # is never hashed.  Keyed by value, this search hashed each process
+    # state about 36 times and node states 7,244 times.
+    counts = {"ProcState": 0, "NodeS": 0, "built": 0}
+
+    def counted(cls, name, tally):
+        orig = cls.__dict__[name]
+
+        def wrapper(self, *args, **kwargs):
+            counts[tally] += 1
+            return orig(self, *args, **kwargs)
+        return wrapper
+
+    auto = env_net(STALE_LINKS)
+    monkeypatch.setattr(ProcState, "__hash__",
+                        counted(ProcState, "__hash__", "ProcState"))
+    monkeypatch.setattr(NodeS, "__hash__", counted(NodeS, "__hash__", "NodeS"))
+    monkeypatch.setattr(ProcState, "__init__",
+                        counted(ProcState, "__init__", "built"))
+    rep = explore(auto, bound=58)
+    assert rep.states == 10829
+    assert counts["built"] > 500
+    assert counts["ProcState"] <= 4 * counts["built"]
+    assert counts["NodeS"] == 0
 
 
 def test_root_states_enter_no_table():
@@ -240,16 +332,15 @@ def test_memoized_process_steps_are_fresh_steps(path, bound):
         steps = a.steps
 
         def check(state, menu=()):
-            hits[0] += (state, menu) in a._steps_memo
+            hits[0] += (state._n, menu) in a._steps_memo
             got = steps(state, menu)
             assert got == seq_steps(a.table, state, menu)
             return got
         return check
 
     for a in automata(auto):
-        if isinstance(a, NodeAutomaton):
-            for seq in (a.inner.left, a.inner.right):
-                seq.steps = checked(seq)
+        if isinstance(a, SeqAutomaton):
+            a.steps = checked(a)
     rep = explore(auto, bound=bound)
     assert rep.complete == (bound is None)
     assert hits[0] > 0
@@ -261,6 +352,7 @@ def test_chain3_memo_sizes():
     # left to right; the root is expanded unmemoized.
     auto = env_net(CHAIN3)
     explore(auto, bound=32)
-    sizes = [len(a._steps_memo) for a in automata(auto)]
+    sizes = [len(a._steps_memo) for a in automata(auto)
+             if not isinstance(a, SeqAutomaton)]
     assert sizes == [0, 363, 4047, 581, 369]
     assert sum(sizes) == 5360

@@ -10,8 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from aodvcheck.awn import (RichStep, TAU, CastA, SubnetS, join_parts,
-                           root_parts)
+from aodvcheck.awn import (RichStep, TAU, CastA, ProcState, SubnetS,
+                           join_parts, root_parts)
 from aodvcheck.canon import EMPTY_MAP, FrozenMap, value_key
 from aodvcheck.explore import EnvNet, check_theorem1, env_menu, explore
 from aodvcheck.messages import Rerr
@@ -519,13 +519,20 @@ class TestStateVerdictsAgree:
     def test_each_suite_reads_its_own_verdict_of_a_failing_state(self):
         # two networks intern a failing and a passing state as the first
         # new state of each node, so that the two carry equal numbers;
-        # each is checked twice, so that the second check reads the memo
+        # each is checked twice, so that the second check reads the memo.
+        # A node is interned over process states that its own process
+        # automata interned, each from a copy, since an automaton numbers
+        # only objects it built.
+        def node(auto, state):
+            inner = tuple(
+                seq._intern(ProcState(p.data, p.term, p.table))
+                for seq, p in zip((auto.inner.left, auto.inner.right),
+                                  state.inner))
+            return auto._node(state.ip, inner, state.nbrs)
+
         def intern(auto, state):
-            left, right = auto.net.left, auto.net.right
-            return SubnetS(
-                left._node(state.left.ip, state.left.inner, state.left.nbrs),
-                right._node(state.right.ip, state.right.inner,
-                            state.right.nbrs))
+            return SubnetS(node(auto.net.left, state.left),
+                           node(auto.net.right, state.right))
 
         def routes(state, hops, nhips):
             for ip, nhip in nhips.items():
