@@ -24,20 +24,30 @@ process rules build twice is kept once, at its first position.  The tuple
 is thus the semantics' step set in an order that depends on no hash seed
 and no object identity.
 
-Every layer below the root is hash-consed: each automaton interns the
-states it builds, so equal states of one automaton are one object (see
-``_MEMO_CAP``), and numbers each state by its place in its table as it
-first interns it.  A state's number, its ``_n``, stands for its value
-among the automaton's states, and so for its ``bdigest`` value, since
-reached states are equal exactly when they digest equal (see
-``ProcState``).  Process states are interned by value, node states by
-their process states' numbers and their neighbours, and subnet states
-by the pair of their children's numbers.  So a state below the root is
-hashed only where it enters a table; every memo and duplicate check
-above keys on numbers, and the network layers' memos also on the
-identity of the menu's projection onto the subtree's addresses (see
-``NetMenu``).  The monitors' per-subtree caches hold one entry per
-distinct value.  Interning changes no step, order or digest, only which
+Every layer below the root is hash-consed.  Each process, node and
+subnet automaton keeps a table, ``_states``, of the states it has built
+(its initial states, step targets and cast deliveries), and hands out
+the one built first whenever a new state equals it, before anything
+digests it or caches on it.  A subtree value is then one object,
+digested at most once and carrying one set of the monitors' caches,
+however many global states share it.  Each new state is numbered by its
+place as it enters its table, as its ``_n``.  A process automaton
+interns by value, and interns a copy of each initial state it is given,
+so two automata never share a numbered object.  Two reached process
+states are equal exactly when they digest equal (see ``ProcState``), so
+a number stands for a value among its automaton's states, and for its
+``bdigest`` value.  A node's table is keyed by its process states'
+numbers and its neighbours, and a subnet's by its children's numbers,
+which are set already; so a process state is hashed by value only as it
+is built and interned, and a node or subnet state never.  Every memo and
+duplicate check above keys on numbers, and the network layers' memos
+also on the identity of the menu's projection onto the subtree's
+addresses (see ``NetMenu``), so a lookup hashes small values in C.  The
+tables have no cap, since the numbers must be exact.  Subnet root
+targets are built plain: a table at the root would keep every explored
+state alive, so that table holds only its initial states.  A node root
+interns its targets, so that they carry numbers too; a one-node network
+has few states.  Interning changes no step, order or digest, only which
 object stands for a value.
 
 The composition rules of the network layers are written once, in the
@@ -520,9 +530,7 @@ class Automaton:
 
     ``init`` is a tuple of the initial states in the order they were
     built, a product in left-major order; the explorer numbers them in
-    that order, so it sorts nothing.  A process automaton's
-    ``number(state)`` is what stands for the state's value among its
-    states: a process state's number, or a pair's two numbers.
+    that order, so it sorts nothing.
     """
 
     init: tuple
@@ -534,17 +542,10 @@ class Automaton:
 class SeqAutomaton(Automaton):
     """A sequential process of one table; ``steps`` memoizes ``seq_steps``.
 
-    Its states are hash-consed: the automaton interns each state it
-    builds, its initial states and every ``seq_steps`` target, by value
-    in ``_states`` as the state enters the table, and numbers it by its
-    place there, as ``_n``.  It numbers only objects it built, so it
-    interns a copy of each initial state it is given, and two automata
-    never share a numbered object.  Two states of its table are equal
-    exactly when they encode equal (see ``ProcState``), so a number
-    stands for a value and its digest.  The memo keys on ``(state
-    number, menu)``; a hit returns the steps a fresh call would build,
-    in their order, with interned targets.  It stops growing at
-    ``_MEMO_CAP`` entries; the table has no cap.
+    Its states are interned by value and numbered (see the module
+    docstring).  The memo keys on ``(state number, menu)``; a hit returns
+    the steps a fresh call would build, in their order, with interned
+    targets.
     """
 
     def __init__(self, table: ProcessTable, init: Iterable):
@@ -560,9 +561,6 @@ class SeqAutomaton(Automaton):
             got = self._states[state] = state
             cache_attr(state, "_n", len(self._states) - 1)
         return got
-
-    def number(self, state: ProcState) -> int:
-        return state._n
 
     def steps(self, state, menu=()) -> tuple:
         key = (state._n, menu)
@@ -587,18 +585,13 @@ class ParAutomaton(Automaton):
     an internal step.  Every other action of the left except Receive,
     and of the right except Send, interleaves.  Both components number
     their states, so a step built twice is told by its action and its
-    target's two numbers, and a pair state's numbers (``number``) stand
-    for its value.
+    target's two numbers.
     """
 
     def __init__(self, left: SeqAutomaton, right: SeqAutomaton):
         self.left = left
         self.right = right
         self.init = tuple((l, r) for l in left.init for r in right.init)
-
-    def number(self, state) -> tuple:
-        l, r = state
-        return l._n, r._n
 
     def steps(self, state, menu=()) -> tuple:
         l, r = state
@@ -735,31 +728,11 @@ def _is_newpkt(msg: Any) -> bool:
 # were built before (``SeqAutomaton``).  The root (the network a
 # ``ClosedAutomaton`` closes) is expanded through the unmemoized body:
 # a search expands each root state exactly once, so a root memo would
-# only keep every expanded state's successors alive.
-#
-# The states that go into these memos are interned: each process, node
-# and subnet automaton keeps a table of the states it has built (its
-# initial states, step targets and cast deliveries), and a new state
-# equal to one of them is replaced by it before anything digests it or
-# caches on it.  A subtree value is then one object, digested at most
-# once and carrying one set of the monitors' caches, however many
-# global states share it.  Each new canonical state is numbered by its
-# place as it enters its table, and the memos key on that number,
-# ``_n``, and on the menu, which for the network layers compares by
-# identity (see ``NetMenu``), so a memo lookup hashes small values in C.
-# Process states are interned and numbered by value, which tells them
-# apart as their digests would (see ``ProcState``); node states by the
-# numbers of their process states and their neighbours, and subnet
-# states by the pair of their children's numbers, which are set
-# already.  So a process state is hashed by value only as it is built
-# and interned, and a node or subnet state never.  Subnet root targets
-# are built plain: a table at the root would keep every explored state
-# alive, as a root memo would, so that table holds only its initial
-# states.  A node root interns its targets, so that they carry numbers
-# too; a one-node network has few states.  The tables have no cap,
-# since the numbers must be exact; each memo, and each map of menus to
-# their projections, stops growing at this many entries, which only
-# memory and time depend on.
+# only keep every expanded state's successors alive.  The memos key on
+# the numbers of interned states (see the module docstring).  Each
+# memo, and each map of menus to their projections, stops growing at
+# this many entries, which only memory and time depend on; so do the
+# monitors' caches.
 _MEMO_CAP = 1 << 20
 
 # actions of one side of a subnet that the other side takes no part in
@@ -767,21 +740,25 @@ _LOCAL = (TauA, DeliverAtA, NewpktA)
 
 
 class MemoNetAutomaton(NetAutomaton):
-    """A node or subnet layer: ``rich_steps`` memoizes ``_rich_steps``.
+    """A node or subnet layer, which memoizes its steps and interns its states.
 
-    Its states are interned in ``_states``, its table of canonical
-    states, and each carries its number as ``_n`` (see ``_MEMO_CAP``).
-    ``rich_steps`` first projects the menu onto the layer's addresses
-    (see ``NetMenu``), and keys its memo and steps its body, and so a
-    subnet's children, on that projection.  ``_rich_steps`` interns the
-    targets it builds unless it is given another ``make``, as the closed
-    layer does for a subnet root.
+    ``rich_steps`` memoizes ``_rich_steps`` and ``cast_delivery``
+    memoizes ``_cast_delivery``, each keyed by the state's number (see
+    the module docstring).  ``rich_steps`` first projects the menu onto
+    the layer's addresses (see ``NetMenu``), and keys its memo and steps
+    its body, and so a subnet's children, on that projection.
+    ``_rich_steps`` interns the targets it builds unless it is given
+    another ``make``, as the closed layer does for a subnet root.  A
+    subclass writes only its composition rules and its intern key.
     """
 
-    _steps_memo: dict
-    _states: dict
-    _own_menus: dict     # menu -> its projection onto ``addresses``
-    _projections: dict   # projection's fields -> its one ``NetMenu``
+    def __init__(self, addresses: frozenset):
+        self.addresses = addresses
+        self._steps_memo: dict = {}   # (number, projected menu) -> steps
+        self._cast_memo: dict = {}    # (number, msg, dests) -> deliveries
+        self._own_menus: dict = {}    # menu -> its projection onto addresses
+        self._projections: dict = {}  # projection's fields -> its NetMenu
+        self._states: dict = {}       # intern key -> the canonical state
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
         own = self._own_menus.get(menu)
@@ -815,6 +792,19 @@ class MemoNetAutomaton(NetAutomaton):
             self._own_menus[menu] = own
         return own
 
+    def cast_delivery(self, state, msg, dests: frozenset) -> tuple:
+        # a subtree with no node in range is left as it is
+        if dests.isdisjoint(self.addresses):
+            return (state,)
+        mkey = (state._n, msg, dests)
+        hit = self._cast_memo.get(mkey)
+        if hit is not None:
+            return hit
+        out = self._cast_delivery(state, msg, dests)
+        if len(self._cast_memo) < _MEMO_CAP:
+            self._cast_memo[mkey] = out
+        return out
+
     def _rich_steps(self, state, menu: NetMenu, build=RichStep,
                     make=None) -> tuple:
         raise NotImplementedError
@@ -824,31 +814,21 @@ class NodeAutomaton(MemoNetAutomaton):
     def __init__(self, ip: int, inner: Automaton, nbrs: frozenset):
         if ip in nbrs:
             raise ModelError(f"node {ip} lists itself as neighbour")
+        super().__init__(frozenset([ip]))
         self.ip = ip
         self.inner = inner
-        self.addresses = frozenset([ip])
-        self._steps_memo: dict = {}
-        self._own_menus: dict = {}
-        self._projections: dict = {}
-        self._cast_memo: dict = {}
-        # (inner state's numbers, nbrs) -> the canonical node state
-        self._states: dict = {}
-        self._number = inner.number
         self.init = tuple(self._node(ip, i, frozenset(nbrs))
                           for i in inner.init)
 
     def _node(self, ip: int, inner, nbrs: frozenset) -> NodeS:
         """The canonical node state over ``inner`` and ``nbrs``.
 
-        ``ip`` is this node's address and ``inner`` a state interned by
-        this node's process automata, so the table is keyed by the inner
-        state's numbers (the inner automaton's ``number``) and the
-        neighbours, and a ``NodeS`` is built only for a new key.  Its own
-        number is its place in the table.  Process states are numbered by
-        value, which tells them apart as their digests would (see
-        ``ProcState``), so nothing here hashes a process or node state.
+        ``inner`` is a protocol and queue pair, or a bare process state,
+        interned by this node's process automata; the table is keyed by
+        its numbers and the neighbours (see the module docstring).
         """
-        key = (self._number(inner), nbrs)
+        key = ((inner[0]._n, inner[1]._n, nbrs) if type(inner) is tuple
+               else (inner._n, nbrs))
         s = self._states.get(key)
         if s is None:
             s = self._states[key] = NodeS(ip, inner, nbrs)
@@ -918,38 +898,22 @@ class NodeAutomaton(MemoNetAutomaton):
 
         return tuple(out)
 
-    def cast_delivery(self, state: NodeS, msg, dests: frozenset) -> tuple:
-        if state.ip not in dests:
-            return (state,)
-        mkey = (state._n, msg)
-        hit = self._cast_memo.get(mkey)
-        if hit is not None:
-            return hit
+    def _cast_delivery(self, state: NodeS, msg, dests: frozenset) -> tuple:
         got: dict = {}   # number -> the node state it stands for
         for a, inner2 in self.inner.steps(state.inner, (msg,)):
             if isinstance(a, ReceiveA) and a.msg == msg:
                 s = self._node(state.ip, inner2, state.nbrs)
                 got[s._n] = s
-        out = tuple(got.values())
-        if len(self._cast_memo) < _MEMO_CAP:
-            self._cast_memo[mkey] = out
-        return out
+        return tuple(got.values())
 
 
 class SubnetAutomaton(MemoNetAutomaton):
     def __init__(self, left: NetAutomaton, right: NetAutomaton):
         if left.addresses & right.addresses:
             raise ModelError("subnets share addresses")
+        super().__init__(left.addresses | right.addresses)
         self.left = left
         self.right = right
-        self.addresses = left.addresses | right.addresses
-        self._steps_memo: dict = {}
-        self._own_menus: dict = {}
-        self._projections: dict = {}
-        self._cast_memo: dict = {}
-        # (left._n, right._n) -> the canonical subnet state over children
-        # with those numbers
-        self._states: dict = {}
         self.init = tuple(
             self._pair(l, r) for l in left.init for r in right.init
         )
@@ -1010,21 +974,13 @@ class SubnetAutomaton(MemoNetAutomaton):
                         add(build(None, al, al, pair(ltarget, rtarget)))
         return tuple(out)
 
-    def cast_delivery(self, state: SubnetS, msg, dests: frozenset) -> tuple:
-        mkey = (state._n, msg, dests)
-        hit = self._cast_memo.get(mkey)
-        if hit is not None:
-            return hit
+    def _cast_delivery(self, state: SubnetS, msg, dests: frozenset) -> tuple:
         lefts = self.left.cast_delivery(state.left, msg, dests)
-        if lefts:
-            rights = self.right.cast_delivery(state.right, msg, dests)
-            # both sides are duplicate-free, so their product is too
-            out = tuple(self._pair(l, r) for l in lefts for r in rights)
-        else:
-            out = ()
-        if len(self._cast_memo) < _MEMO_CAP:
-            self._cast_memo[mkey] = out
-        return out
+        if not lefts:
+            return ()
+        rights = self.right.cast_delivery(state.right, msg, dests)
+        # both sides are duplicate-free, so their product is too
+        return tuple(self._pair(l, r) for l in lefts for r in rights)
 
 
 class ClosedAutomaton(NetAutomaton):

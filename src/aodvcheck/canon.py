@@ -9,10 +9,10 @@ is sorted by key: a ``FrozenMap`` iterates in the order of its keys
 themselves, and the explorer takes initial states in the order the
 automata build them.  Structural digests identify values everywhere
 else: the states in simulation traces, a counterexample's initial state
-and the monitors' caches.  The node automata number the node states
-they intern by value, which tells reached states apart as digests do
-(see ``bdigest``), so the memos and the explorer's visited set, keyed
-by those numbers, digest nothing.
+and the monitors' caches.  The automata below the root number the
+states they intern, which tells reached states apart as digests do
+(see ``bdigest`` and :mod:`aodvcheck.awn`), so the memos and the
+explorer's visited set, keyed by those numbers, digest nothing.
 Nothing here may depend on object identity or on Python's randomized
 string hashing.
 
@@ -25,19 +25,20 @@ counts by location), a network step (the simulator's sort key, which
 leaves out the target) and ``FrozenMap``, which is not a dataclass.
 
 Both encodings dispatch on the exact type of their argument, each
-through one table of encoders filled the first time each class is seen,
-so that a value already seen costs one dict lookup and no ``isinstance``
-test (``FrozenMap``'s, through ``ABCMeta``, is a Python call).  The
-classes are tried in one order: primitives and ``None`` (a bool encodes
-apart from the int of the same value: by ``("bool", n)`` in the key and
-by ``repr`` in the digest), tuples (a named tuple encodes as one), sets,
-then per dataclass an encoder of its hook or of its compared fields,
-and ``FrozenMap``'s hooks.  A dataclass caches its key on the instance
-as its ``_ckey`` attribute and its digest as ``_bdg``, both read with
-``getattr`` and set with ``object.__setattr__`` so that no instance is
-given a ``__dict__`` of its own; a ``FrozenMap`` caches its hash, its
-digest and its key in slots of its own.  A class with no encoding
-raises ``TypeError`` when first met.
+through a table of its own, so that a value already seen costs one dict
+lookup and no ``isinstance`` test (``FrozenMap``'s, through ``ABCMeta``,
+is a Python call).  One ladder, ``_learn``, fills both tables the first
+time either encoding meets a class, trying the classes in one order:
+primitives and ``None`` (a bool encodes apart from the int of the same
+value: by ``("bool", n)`` in the key and by ``repr`` in the digest),
+tuples (a named tuple encodes as one), sets, then per dataclass an
+encoder of its hook or of its compared fields, and ``FrozenMap``'s
+hooks.  A dataclass caches its key on the instance as its ``_ckey``
+attribute and its digest as ``_bdg``, both read with ``getattr`` and set
+with ``object.__setattr__`` so that no instance is given a ``__dict__``
+of its own; a ``FrozenMap`` caches its hash, its digest and its key in
+slots of its own.  A class with no encoding raises ``TypeError`` when
+first met.
 
 Error messages quote an offending value through ``quote``, a ``repr``
 cut short, so that a huge or deeply nested value still gives a short
@@ -205,33 +206,6 @@ def _dataclass_key(cls: type):
     return _cached(hook, "_ckey")
 
 
-# exact type -> key encoder, filled by ``_key_encoder`` on first sight
-_key_encoders: dict = {}
-
-
-def _key_encoder(cls: type):
-    if cls is type(None):
-        enc = _none_key
-    elif issubclass(cls, bool):
-        enc = _bool_key
-    elif issubclass(cls, int):
-        enc = _int_key
-    elif issubclass(cls, str):
-        enc = _str_key
-    elif issubclass(cls, tuple):
-        enc = _tuple_key
-    elif issubclass(cls, (set, frozenset)):
-        enc = _set_key
-    elif dataclasses.is_dataclass(cls):
-        enc = _dataclass_key(cls)
-    elif hasattr(cls, "canon_key"):
-        enc = cls.canon_key
-    else:
-        raise TypeError(f"no canonical encoding for {cls.__name__}")
-    _key_encoders[cls] = enc
-    return enc
-
-
 def value_key(x: Any) -> tuple:
     """Nested-tuple encoding of a model value, total over the model's types.
 
@@ -244,14 +218,28 @@ def value_key(x: Any) -> tuple:
     """
     enc = _key_encoders.get(type(x))
     if enc is None:
-        enc = _key_encoder(type(x))
+        enc = _learn(type(x))[0]
     return enc(x)
 
 
+# the types of a key's items: tags, primitives and nested keys
+_KEY_ITEMS = frozenset([str, int, type(None), tuple])
+
+
 def digest(x: Any) -> str:
-    """Stable hex digest of a value's canonical key (32 hex chars)."""
-    key = x if isinstance(x, tuple) else value_key(x)
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
+    """Stable hex digest of a value's canonical key (32 hex chars).
+
+    ``x`` may be a key already: a tuple of a ``str`` tag and items of
+    the types a key holds, as ``value_key`` builds it.  Any other value,
+    a tuple of model values such as an explorer's root state among them,
+    is encoded first, so that no ``repr`` of a model object is hashed.
+    Only the top level of a tuple is tested, so the test costs little
+    beside the hash.
+    """
+    if not (type(x) is tuple and x and type(x[0]) is str
+            and all(type(v) in _KEY_ITEMS for v in x)):
+        x = value_key(x)
+    return hashlib.sha256(repr(x).encode("utf-8")).hexdigest()[:32]
 
 
 # ``quote`` elides what lies deep or far into a value, then cuts the text.
@@ -316,25 +304,34 @@ def _dataclass_digest(cls: type):
     return _cached(hook, "_bdg")
 
 
-# exact type -> digest encoder, filled by ``_encoder`` on first sight
+# exact type -> its key encoder, and -> its digest encoder; both filled
+# by ``_learn`` the first time the type is seen
+_key_encoders: dict = {}
 _encoders: dict = {}
 
 
-def _encoder(cls: type):
-    if issubclass(cls, (int, str)) or cls is type(None):
-        enc = _prim_digest
+def _learn(cls: type) -> tuple:
+    """The key and digest encoders of ``cls``, entered in both tables."""
+    if cls is type(None):
+        encs = _none_key, _prim_digest
+    elif issubclass(cls, bool):
+        encs = _bool_key, _prim_digest
+    elif issubclass(cls, int):
+        encs = _int_key, _prim_digest
+    elif issubclass(cls, str):
+        encs = _str_key, _prim_digest
     elif issubclass(cls, tuple):
-        enc = _tuple_digest
+        encs = _tuple_key, _tuple_digest
     elif issubclass(cls, (set, frozenset)):
-        enc = _set_digest
+        encs = _set_key, _set_digest
     elif dataclasses.is_dataclass(cls):
-        enc = _dataclass_digest(cls)
-    elif hasattr(cls, "canon_digest"):
-        enc = cls.canon_digest
+        encs = _dataclass_key(cls), _dataclass_digest(cls)
+    elif hasattr(cls, "canon_key") and hasattr(cls, "canon_digest"):
+        encs = cls.canon_key, cls.canon_digest
     else:
         raise TypeError(f"no canonical encoding for {cls.__name__}")
-    _encoders[cls] = enc
-    return enc
+    _key_encoders[cls], _encoders[cls] = encs
+    return encs
 
 
 def bdigest(x: Any) -> bytes:
@@ -366,7 +363,7 @@ def bdigest(x: Any) -> bytes:
     """
     enc = _encoders.get(type(x))
     if enc is None:
-        enc = _encoder(type(x))
+        enc = _learn(type(x))[1]
     return enc(x)
 
 

@@ -63,7 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .awn import CastA, ProcessTable, Receive, SubnetS, root_parts, subterms
+from .awn import (_MEMO_CAP, CastA, ProcessTable, Receive, SubnetS, root_parts,
+                  subterms)
 from .canon import bdigest, cache_attr, quote
 from .messages import Rerr
 from .network import GlobalView, net_data, proc_state
@@ -151,7 +152,6 @@ def loop_free(sigma: GlobalView, nodes) -> Verdict:
 # Verdicts are cached only on parts that carry a number, ``_n`` (see the
 # module docstring).
 _MISSING = object()
-_MEMO_CAP = 1 << 20
 
 # The routing-table suites read nothing but the nodes' addresses and
 # tables, and most transitions shuffle queues or scratch variables
@@ -163,7 +163,7 @@ _MEMO_CAP = 1 << 20
 # subnet's by the pair of its children's numbers.  Each number is cached
 # on its interned part as ``_rts``, so a root state's key is its parts'
 # numbers, read off the parts.  Both tables stop growing at
-# ``_MEMO_CAP``; past it, a state whose signature has no number is
+# ``awn._MEMO_CAP``; past it, a state whose signature has no number is
 # checked directly.
 _rt_numbers: dict = {}   # signature -> its number
 _rt_verdicts: dict = {}  # root key -> witnesses, in ``_RT_CHECKS`` order

@@ -28,6 +28,14 @@ from .variants import VariantError, apply_mutations, get_variant
 
 MAX_BUDGET = 1000
 
+# Nodes compose into a subnet tree as deep as the network is large, and
+# the subnet layers, the encodings and the digests recurse down it, the
+# digest by four frames a level.  On a line scenario explore, simulate,
+# graph and replay all run at 190 nodes from the command line and at
+# 185 under pytest, and fail at about 195 and 190 with a
+# RecursionError; the cap leaves room for deeper node data and callers.
+MAX_NODES = 180
+
 
 class ScenarioError(Exception):
     pass
@@ -84,6 +92,8 @@ def _names(x, what) -> list:
 
 def _nodes(rows) -> list:
     _require(isinstance(rows, list) and rows, "scenario needs a nonempty 'nodes' list")
+    _require(len(rows) <= MAX_NODES,
+             f"scenario has {len(rows)} nodes; at most {MAX_NODES} are supported")
     seen = {}
     for row in rows:
         _require(isinstance(row, dict), "each node must be an object")

@@ -5,17 +5,19 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import aodvcheck
 from aodvcheck.canon import bdigest, digest, value_key
-from aodvcheck.cli import (CX_FORMAT, EXIT_CAP, EXIT_USAGE, EXIT_VIOLATION,
-                           main)
-from aodvcheck.explore import Counterexample, EnvNet, TraceStep, replay
+from aodvcheck.cli import (CX_FORMAT, EXIT_CAP, EXIT_PASS, EXIT_USAGE,
+                           EXIT_VIOLATION, main)
+from aodvcheck.explore import (Counterexample, EnvNet, TraceStep, _rebuild,
+                               replay)
 from aodvcheck.network import closed_net
 from aodvcheck.network import tree_nodes
-from aodvcheck.scenario import load_scenario, parse_scenario
+from aodvcheck.scenario import MAX_NODES, load_scenario, parse_scenario
 from aodvcheck.trace import TRACE_FORMAT, load_trace, write_trace
 
 SRC = os.path.dirname(os.path.dirname(aodvcheck.__file__))
@@ -122,6 +124,64 @@ def test_scenario_error_quotes_a_value_briefly(tmp_path, capsys, patch):
     assert out.err.startswith("error: ")
     assert out.err.count("\n") == 1
     assert len(out.err) < 200
+
+
+def _line(n):
+    """A line of ``n`` nodes that sends one packet from end to end."""
+    nodes = [{"ip": i, "nbrs": [j for j in (i - 1, i + 1) if 1 <= j <= n]}
+             for i in range(1, n + 1)]
+    return {"nodes": nodes,
+            "env": {"newpkts": [{"ip": 1, "data": "d", "dip": n}]},
+            "schedule": {"seed": 0, "steps": 20,
+                         "events": {"0": ["newpkt", 1, "d", n]}}}
+
+
+@pytest.mark.parametrize("command", ["explore", "simulate", "graph",
+                                     "replay"])
+def test_scenario_of_too_many_nodes_is_a_usage_error(tmp_path, capsys,
+                                                     command):
+    # deep subnet trees overflow the recursive layers, so the loader
+    # rejects a network that would, whichever command reads it
+    scenario = write_scenario(tmp_path, _line(MAX_NODES + 1))
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({
+        "format": CX_FORMAT, "variant": "base", "mutations": [],
+        "suite": "loop-freedom", "kind": "state", "witness": [],
+        "digest": "d", "steps": []}))
+    argv = ([command, str(cx), scenario] if command == "replay"
+            else [command, scenario])
+    code, out = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out.err == (f"error: scenario has {MAX_NODES + 1} nodes; at most "
+                       f"{MAX_NODES} are supported\n")
+
+
+def test_scenario_of_the_most_nodes_runs(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, _line(MAX_NODES))
+    trace, cx = tmp_path / "trace.ndjson", tmp_path / "cx.json"
+    code, out = run_cli(["explore", scenario, "--bound", "2"], capsys)
+    assert (code, out.err) == (EXIT_PASS, "")
+    code, out = run_cli(["simulate", scenario, "--out", str(trace)], capsys)
+    assert (code, out.err) == (EXIT_PASS, "")
+    code, out = run_cli(["graph", scenario, "--trace", str(trace)], capsys)
+    assert (code, out.err) == (EXIT_PASS, "")
+    assert '"validated": true' in out.out
+    # No violation is in reach, so replay follows a path of two steps,
+    # recorded the way the explorer records one; it reaches the path's
+    # end, digests the state there, and finds no violation.
+    sc = load_scenario(scenario)
+    auto = EnvNet(closed_net(sc.tree, sc.cfg), sc.env)
+    (init,) = auto.init
+    steps, final = _rebuild(auto, init, [0, 0])
+    cx.write_text(json.dumps({
+        "format": CX_FORMAT, "variant": "base", "mutations": [],
+        "suite": "loop-freedom", "kind": "state", "witness": [1],
+        "digest": final, "steps": [asdict(st) for st in steps]}))
+    code, out = run_cli(["replay", str(cx), scenario], capsys)
+    assert code == EXIT_USAGE
+    assert out.err == ("error: counterexample does not replay: loop-freedom "
+                       "finds no violation where its path ends, not the "
+                       "file's witness\n")
 
 
 # bytes that are not UTF-8, and a document nested too deeply to parse

@@ -13,9 +13,9 @@ tables belong to one network.  The step memos key on state numbers and
 on the identity of a menu's projection onto the subtree, so the last
 tests check that a menu equal in value to another, or differing only in
 another node's budget, gives the same steps, that the closed layer
-strips a menu of its messages once, that memoized process steps are the
-ones a fresh call builds, and how many entries the node and subnet
-memos hold on chain3.
+strips a menu of its messages once, that memoized process steps and
+cast deliveries are the ones a fresh call builds, and how many entries
+the node and subnet memos hold on chain3.
 """
 import gc
 import os
@@ -344,6 +344,40 @@ def test_memoized_process_steps_are_fresh_steps(path, bound):
     rep = explore(auto, bound=bound)
     assert rep.complete == (bound is None)
     assert hits[0] > 0
+
+
+@pytest.mark.parametrize("path,bound", [(STALE_LINKS, 58), (FIG1, None)])
+def test_memoized_cast_deliveries_are_fresh_deliveries(path, bound):
+    # Every answer of a node's or subnet's cast memo must be the tuple
+    # that a fresh ``_cast_delivery`` builds: the same interned states,
+    # in the same order.  A subtree out of range is answered unchanged,
+    # without the memo.
+    auto = env_net(path)
+    hits, outside = [0], [0]
+
+    def checked(a):
+        deliver = a.cast_delivery
+
+        def check(state, msg, dests):
+            hit = (state._n, msg, dests) in a._cast_memo
+            got = deliver(state, msg, dests)
+            if dests.isdisjoint(a.addresses):
+                assert got == (state,) and got[0] is state and not hit
+                outside[0] += 1
+                return got
+            hits[0] += hit
+            fresh = a._cast_delivery(state, msg, dests)
+            assert type(got) is tuple and len(got) == len(fresh)
+            assert all(x is y for x, y in zip(got, fresh))
+            return got
+        return check
+
+    for a in automata(auto):
+        if not isinstance(a, SeqAutomaton):
+            a.cast_delivery = checked(a)
+    rep = explore(auto, bound=bound)
+    assert rep.complete == (bound is None)
+    assert hits[0] > 0 and outside[0] > 0
 
 
 def test_chain3_memo_sizes():
