@@ -14,7 +14,7 @@ from .explore import (Counterexample, EnvMenu, EnvNet, ExplorationReport,
                       invariant, reachable, replay, step_invariant)
 from .messages import Newpkt, Pkt, Rerr, Rrep, Rreq
 from .monitor import ALL_SUITES, Verdict, check_state_invariants, rt_graph
-from .network import Node, Par, build_net, closed_net, net_data, tree_of
+from .network import build_net, closed_net, net_data
 from .protocol import BASE, AodvData, VariantConfig, aodv_init, build_table
 from .routing import RouteEntry, update_route
 from .variants import VARIANTS, apply_mutations, get_variant
@@ -23,11 +23,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_SUITES", "AodvData", "BASE", "Counterexample", "EnvMenu",
-    "EnvNet", "ExplorationReport", "FrozenMap", "Newpkt", "Node", "Par",
-    "Pkt", "Rerr", "ResourceCapError", "RouteEntry", "Rrep", "Rreq",
+    "EnvNet", "ExplorationReport", "FrozenMap", "Newpkt", "Pkt", "Rerr",
+    "ResourceCapError", "RouteEntry", "Rrep", "Rreq",
     "VARIANTS", "VariantConfig", "Verdict", "aodv_init", "apply_mutations",
     "build_net", "build_table", "check_state_invariants", "check_theorem1",
     "closed_net", "digest", "env_menu", "explore", "get_variant",
     "invariant", "net_data", "reachable", "replay", "rt_graph",
-    "step_invariant", "tree_of", "update_route", "value_key",
+    "step_invariant", "update_route", "value_key",
 ]

@@ -85,7 +85,7 @@ EMPTY = frozenset()
 
 
 class ModelError(Exception):
-    """Raised for ill-formed process tables, terms or network trees."""
+    """Raised for ill-formed process tables, terms or networks."""
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +300,6 @@ class ProcessTable:
             return self._bodies[name]
         except KeyError:
             raise ModelError(f"undeclared process {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bodies
 
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._bodies))
@@ -755,7 +752,7 @@ class MemoNetAutomaton(NetAutomaton):
     def __init__(self, addresses: frozenset):
         self.addresses = addresses
         self._steps_memo: dict = {}   # (number, projected menu) -> steps
-        self._cast_memo: dict = {}    # (number, msg, dests) -> deliveries
+        self._cast_memo: dict = {}    # (number, msg, own range) -> deliveries
         self._own_menus: dict = {}    # menu -> its projection onto addresses
         self._projections: dict = {}  # projection's fields -> its NetMenu
         self._states: dict = {}       # intern key -> the canonical state
@@ -793,14 +790,16 @@ class MemoNetAutomaton(NetAutomaton):
         return own
 
     def cast_delivery(self, state, msg, dests: frozenset) -> tuple:
-        # a subtree with no node in range is left as it is
-        if dests.isdisjoint(self.addresses):
+        # keyed by the part of the range this subtree sees; a subtree
+        # with no node in range is left as it is
+        own = dests & self.addresses
+        if not own:
             return (state,)
-        mkey = (state._n, msg, dests)
+        mkey = (state._n, msg, own)
         hit = self._cast_memo.get(mkey)
         if hit is not None:
             return hit
-        out = self._cast_delivery(state, msg, dests)
+        out = self._cast_delivery(state, msg, own)
         if len(self._cast_memo) < _MEMO_CAP:
             self._cast_memo[mkey] = out
         return out
@@ -899,12 +898,11 @@ class NodeAutomaton(MemoNetAutomaton):
         return tuple(out)
 
     def _cast_delivery(self, state: NodeS, msg, dests: frozenset) -> tuple:
-        got: dict = {}   # number -> the node state it stands for
-        for a, inner2 in self.inner.steps(state.inner, (msg,)):
-            if isinstance(a, ReceiveA) and a.msg == msg:
-                s = self._node(state.ip, inner2, state.nbrs)
-                got[s._n] = s
-        return tuple(got.values())
+        # the inner automaton keeps one step per action and target, and
+        # the steps kept here share one action, so their targets differ
+        return tuple(self._node(state.ip, inner2, state.nbrs)
+                     for a, inner2 in self.inner.steps(state.inner, (msg,))
+                     if isinstance(a, ReceiveA) and a.msg == msg)
 
 
 class SubnetAutomaton(MemoNetAutomaton):

@@ -52,12 +52,13 @@ import warnings
 from dataclasses import asdict, replace
 
 from .awn import ModelError
-from .canon import bdigest, digest, quote, value_key
+from .canon import bdigest, quote
+from .canon import digest, value_key  # noqa: F401  (bench/spans.py patches these names)
 from .explore import (Counterexample, EnvNet, ResourceCapError, TraceStep,
-                      check_theorem1, replay)
+                      check_theorem1, replay_end)
 from .monitor import (ALL_SUITES, SuiteError, Verdict, check_state_invariants,
                       check_step_invariants, rt_graph, split_suites)
-from .network import closed_net, net_data, tree_addresses
+from .network import closed_net, net_data
 from .protocol import build_table
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import ScheduleError, run
@@ -319,18 +320,18 @@ def _tuplify(x):
     return x
 
 
-def _recheck(auto, table, cx, final) -> Verdict:
+def _recheck(table, cx, source, r) -> Verdict:
     """The verdict of ``cx``'s suite where its path ends.
 
-    A state suite is checked on ``final``, the state the path reaches,
-    and a step suite on the path's last step.
+    ``r`` is the path's last step, taken from ``source``, or None for a
+    path of no steps.  A state suite is checked on the state the path
+    reaches, and a step suite on the last step.
     """
     state, step = split_suites((cx.suite,))
     if cx.kind == "state" and state:
+        final = source if r is None else r.target
         return check_state_invariants(final[0], table, state)
-    if cx.kind == "step" and step and cx.steps:
-        source = replay(auto, replace(cx, steps=cx.steps[:-1]))
-        r = auto.rich_steps(source)[cx.steps[-1].key]
+    if cx.kind == "step" and step and r is not None:
         return check_step_invariants((source[0], r, r.target[0]), table, step)
     raise ReplayError(f"a {quote(cx.kind)} counterexample of "
                       f"{len(cx.steps)} step(s) cannot violate "
@@ -358,11 +359,10 @@ def _cmd_replay(args) -> int:
     cx = Counterexample(doc["suite"], doc["kind"], doc["witness"],
                         bdigest(init), steps, doc["digest"])
     try:
-        state = replay(auto, cx)
-        verdict = _recheck(auto, table, cx, state)
+        source, r, final = replay_end(auto, cx)
+        verdict = _recheck(table, cx, source, r)
     except ModelError as e:
         raise ReplayError(str(e)) from None
-    final = digest(value_key(state))
     if final != doc["digest"]:
         raise ReplayError("counterexample does not replay: its final state "
                           "has another digest")
@@ -446,7 +446,7 @@ def _cmd_graph(args) -> int:
                                  f"{quote(mutations)}")
     res, sched = _run_schedule(sc, args)
     sigma = net_data(res.final_state)
-    nodes = frozenset(tree_addresses(sc.tree))
+    nodes = frozenset(ip for ip, _ in sc.tree)
     dips = args.dip or sorted({d for data in sigma.values()
                                for d in data.rt})
     graphs = {}

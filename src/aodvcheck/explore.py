@@ -58,7 +58,7 @@ from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, digest,
                     quote, value_key)
 from .messages import Newpkt
 from .monitor import state_checks, step_checks
-from .network import NetTree, closed_net
+from .network import closed_net
 from .protocol import BASE, VariantConfig, build_table
 from .trace import render_action
 
@@ -329,18 +329,33 @@ def _key(parts, env) -> int:
     return k * _RADIX + env._n
 
 
+def _walk(auto, state, ranks):
+    """Take the step of each of ``ranks`` in turn, from ``state`` on.
+
+    Yields ``(source, record, digest)`` per step, the digest being that
+    of the state the step reaches, which the next step starts from.  A
+    rank that names no step raises a ModelError.
+    """
+    for i, rank in enumerate(ranks):
+        steps = _sorted_steps(auto, state)
+        if not (isinstance(rank, int) and 0 <= rank < len(steps)):
+            raise ModelError(
+                f"counterexample step {i} has no branch of rank "
+                f"{quote(rank)}")
+        r = steps[rank]
+        yield state, r, digest(value_key(r.target))
+        state = r.target
+
+
 def _rebuild(auto, state, ranks) -> tuple:
     """Replay ``ranks`` from ``state`` to recover a concrete trace.
 
     Returns the steps and the digest of the state reached.
     """
-    steps = []
-    for rank in ranks:
-        r = _sorted_steps(auto, state)[rank]
-        state = r.target
-        steps.append(TraceStep(r.origin, render_action(r.detail), rank,
-                               digest(value_key(state))))
-    return tuple(steps), digest(value_key(state))
+    steps = tuple(TraceStep(r.origin, render_action(r.detail), rank, dg)
+                  for rank, (_, r, dg) in zip(ranks,
+                                              _walk(auto, state, ranks)))
+    return steps, steps[-1].digest if steps else digest(value_key(state))
 
 
 def explore(auto, *, bound=None, state_cap=DEFAULT_STATE_CAP,
@@ -504,18 +519,19 @@ def step_invariant(auto, pred, bound=None,
                    step_suites=[("step-invariant", check)])
 
 
-def check_theorem1(tree: NetTree, env: EnvMenu, cfg: VariantConfig = BASE,
+def check_theorem1(nodes, env: EnvMenu, cfg: VariantConfig = BASE,
                    suites=None, bound=None, state_cap=DEFAULT_STATE_CAP,
                    stop_on_violation=True,
                    on_layer=None) -> ExplorationReport:
     """Explore a closed network under ``env`` and check the full suite.
 
-    The explored states carry the environment alongside the network;
-    the monitor checks see only the network part.  ``on_layer`` is
-    passed on to ``explore``.
+    ``nodes`` is the network's (ip, neighbours) pairs (see
+    ``network.build_net``).  The explored states carry the environment
+    alongside the network; the monitor checks see only the network
+    part.  ``on_layer`` is passed on to ``explore``.
     """
     table = build_table(cfg)
-    auto = EnvNet(closed_net(tree, cfg, table), env)
+    auto = EnvNet(closed_net(nodes, cfg, table), env)
     return explore(auto, state_suites=state_checks(table, suites),
                    step_suites=step_checks(table, suites),
                    bound=bound, state_cap=state_cap,
@@ -532,6 +548,16 @@ def replay(auto, cx: Counterexample):
     edited, is rejected with a ModelError instead of being followed down
     some other path.
     """
+    source, r, _ = replay_end(auto, cx)
+    return source if r is None else r.target
+
+
+def replay_end(auto, cx: Counterexample) -> tuple:
+    """Where ``replay`` ends: ``(source, record, digest)`` of the last step.
+
+    The digest is that of the state the path reaches.  A path of no
+    steps ends at ``(initial state, None, its digest)``.
+    """
     start = None
     for s in auto.init:
         if bdigest(s) == cx.init_key:
@@ -539,23 +565,18 @@ def replay(auto, cx: Counterexample):
             break
     if start is None:
         raise ModelError("counterexample initial state not in automaton")
-    state = start
-    for i, step in enumerate(cx.steps):
-        steps = _sorted_steps(auto, state)
-        if not (isinstance(step.key, int) and 0 <= step.key < len(steps)):
-            raise ModelError(
-                f"counterexample step {i} has no branch of rank "
-                f"{quote(step.key)}")
-        r = steps[step.key]
+    end = None
+    walk = _walk(auto, start, [step.key for step in cx.steps])
+    for i, (step, end) in enumerate(zip(cx.steps, walk)):
+        _, r, dg = end
         action = render_action(r.detail)
         if (r.origin, action) != (step.origin, step.action):
             raise ModelError(
                 f"counterexample step {i} is {quote(step.action)} at origin "
                 f"{quote(step.origin)}, but its rank gives {action!r} at "
                 f"origin {r.origin!r}")
-        state = r.target
-        if digest(value_key(state)) != step.digest:
+        if dg != step.digest:
             raise ModelError(
                 f"counterexample does not replay at step {i}: "
                 "reached a state with another digest")
-    return state
+    return end or (start, None, digest(value_key(start)))

@@ -48,7 +48,7 @@ value, and the verdicts are cached where that value lives:
                    on the source part, ``_ndw``, keyed by the target
                    part's number
 
-Node and inner subnet states are interned by the automata of
+The states of nodes and inner subnets are interned by the automata of
 ``aodvcheck.awn``, one object per distinct subtree value, each carrying
 its number ``_n``, so a verdict cached on such a state is computed once
 however many global states share it, and lives as long as the run's

@@ -1,11 +1,11 @@
-"""Network instances: from a tree of named nodes to a runnable automaton.
+"""Network instances: from a list of named nodes to a runnable automaton.
 
-A network is described structurally as a tree whose leaves are nodes
-(address plus initial neighbours) and whose inner vertices are parallel
-compositions.  Each node runs the protocol process next to a FIFO
-message queue.  ``closed_net`` produces the fully assembled automaton
-whose only openness to the world is new-packet injection and topology
-changes.
+A network is described by its nodes: an ordered tuple of (address,
+initial neighbours) pairs.  Each node runs the protocol process next to
+a FIFO message queue, and the nodes compose in parallel, right-nested in
+list order (the paper's ``N1 || (N2 || ...)``).  ``closed_net`` produces
+the fully assembled automaton whose only openness to the world is
+new-packet injection and topology changes.
 
 The second half projects data back out of network states: ``net_data``
 gives each node's data record, and ``GlobalView`` totalizes such a
@@ -13,56 +13,10 @@ record map over all addresses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .awn import (Call, ClosedAutomaton, ModelError, NetAutomaton,
                   NodeAutomaton, NodeS, ParAutomaton, ProcState, SeqAutomaton,
                   SubnetAutomaton, SubnetS)
-from .canon import cache_attr
 from .protocol import BASE, VariantConfig, aodv_init, build_table, queue_table
-
-
-@dataclass(frozen=True)
-class Node:
-    ip: int
-    nbrs: frozenset
-
-
-@dataclass(frozen=True)
-class Par:
-    left: "NetTree"
-    right: "NetTree"
-
-
-NetTree = Node | Par
-
-
-def tree_nodes(tree: NetTree) -> tuple:
-    """(ip, neighbours) pairs in tree order."""
-    if isinstance(tree, Node):
-        return ((tree.ip, tree.nbrs),)
-    return tree_nodes(tree.left) + tree_nodes(tree.right)
-
-
-def tree_addresses(tree: NetTree) -> tuple:
-    """The node addresses in tree order."""
-    return tuple(ip for ip, _ in tree_nodes(tree))
-
-
-def well_formed(tree: NetTree) -> bool:
-    addrs = tree_addresses(tree)
-    return len(addrs) == len(set(addrs))
-
-
-def tree_of(nodes) -> NetTree:
-    """Right-nested composition of (ip, neighbours) pairs, in given order."""
-    leaves = [Node(ip, frozenset(nbrs)) for ip, nbrs in nodes]
-    if not leaves:
-        raise ModelError("network needs at least one node")
-    out = leaves[-1]
-    for leaf in reversed(leaves[:-1]):
-        out = Par(leaf, out)
-    return out
 
 
 # Each process starts as a call of its body, the term it is at whenever
@@ -80,25 +34,29 @@ def node_automaton(ip: int, nbrs: frozenset, table, qtable) -> NetAutomaton:
     return NodeAutomaton(ip, ParAutomaton(proto, queue), nbrs)
 
 
-def build_net(tree: NetTree, cfg: VariantConfig = BASE,
-              table=None) -> NetAutomaton:
-    if not well_formed(tree):
-        raise ModelError("network tree reuses an address")
+def build_net(nodes, cfg: VariantConfig = BASE, table=None) -> NetAutomaton:
+    """The network of ``nodes``, (ip, neighbours) pairs, composed right-nested.
+
+    The first node is the root's left child and the rest compose the
+    same way into its right child; a single node is its own network.
+    The subnet layers reject a reused address.
+    """
     if table is None:
         table = build_table(cfg)
     qtable = queue_table()
+    autos = [node_automaton(ip, frozenset(nbrs), table, qtable)
+             for ip, nbrs in nodes]
+    if not autos:
+        raise ModelError("network needs at least one node")
+    net = autos.pop()
+    while autos:
+        net = SubnetAutomaton(autos.pop(), net)
+    return net
 
-    def build(t):
-        if isinstance(t, Node):
-            return node_automaton(t.ip, t.nbrs, table, qtable)
-        return SubnetAutomaton(build(t.left), build(t.right))
 
-    return build(tree)
-
-
-def closed_net(tree: NetTree, cfg: VariantConfig = BASE,
-               table=None) -> NetAutomaton:
-    return ClosedAutomaton(build_net(tree, cfg, table))
+def closed_net(nodes, cfg: VariantConfig = BASE, table=None) -> NetAutomaton:
+    """The closed network of ``nodes`` (see ``build_net``)."""
+    return ClosedAutomaton(build_net(nodes, cfg, table))
 
 
 def node_states(state) -> dict:
@@ -123,16 +81,8 @@ def queue_contents(node: NodeS) -> tuple:
 
 
 def net_data(state) -> dict:
-    """Each node's data record, keyed by address.
-
-    The result is cached on the state object (monitors ask for it many
-    times per state) and must be treated as read-only.
-    """
-    d = getattr(state, "_ndata", None)
-    if d is None:
-        d = {ip: proc_state(n).data for ip, n in node_states(state).items()}
-        cache_attr(state, "_ndata", d)
-    return d
+    """Each node's data record, keyed by address."""
+    return {ip: proc_state(n).data for ip, n in node_states(state).items()}
 
 
 class GlobalView:

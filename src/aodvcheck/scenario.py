@@ -21,19 +21,20 @@ from .awn import ConnectA, DisconnectA, NewpktA
 from .canon import FrozenMap, quote
 from .explore import EnvMenu, env_menu
 from .monitor import SuiteError, split_suites
-from .network import NetTree, tree_of
 from .protocol import VariantConfig
 from .simulate import Schedule
 from .variants import VariantError, apply_mutations, get_variant
 
 MAX_BUDGET = 1000
 
-# Nodes compose into a subnet tree as deep as the network is large, and
-# the subnet layers, the encodings and the digests recurse down it, the
-# digest by four frames a level.  On a line scenario explore, simulate,
-# graph and replay all run at 190 nodes from the command line and at
-# 185 under pytest, and fail at about 195 and 190 with a
-# RecursionError; the cap leaves room for deeper node data and callers.
+# Nodes compose into right-nested subnets as deep as the network is
+# large, and the subnet layers' steps and cast deliveries, the monitors'
+# lifts to the network and both encodings (``value_key`` and
+# ``bdigest``, the digest by four frames a level) recurse down them.  On
+# a line scenario explore, simulate, graph and replay all run at 190
+# nodes from the command line and at 185 under pytest, and fail at about
+# 195 and 190 with a RecursionError; the cap leaves room for deeper node
+# data and callers.
 MAX_NODES = 180
 
 
@@ -43,8 +44,15 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario.
+
+    ``tree`` is the network's nodes, a tuple of (ip, neighbours) pairs in
+    file order with symmetrized neighbour sets, as ``network.build_net``
+    and its callers take them.
+    """
+
     name: str
-    tree: NetTree
+    tree: tuple
     cfg: VariantConfig
     env: EnvMenu
     sched: Optional[Schedule]
@@ -199,7 +207,6 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
 
     rows = _nodes(obj.get("nodes"))
     ips = {ip for ip, _ in rows}
-    tree = tree_of(rows)
 
     variant = obj.get("variant", "base")
     _require(isinstance(variant, str), "'variant' must be a name")
@@ -226,4 +233,4 @@ def parse_scenario(obj: dict, name: str = "scenario") -> Scenario:
     if bound is not None:
         _require(_is_int(bound) and bound >= 0, "'bound' must be an integer >= 0")
 
-    return Scenario(name, tree, cfg, env, sched, suites, bound)
+    return Scenario(name, tuple(rows), cfg, env, sched, suites, bound)

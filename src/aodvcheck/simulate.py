@@ -33,7 +33,7 @@ from .canon import EMPTY_MAP, FrozenMap, bdigest, value_key
 from .canon import digest  # noqa: F401  (bench/spans.py patches this name)
 from .messages import Newpkt
 from .monitor import Verdict, state_checks, step_checks
-from .network import NetTree, closed_net, net_data, tree_nodes
+from .network import closed_net, net_data
 from .protocol import BASE, VariantConfig, build_table
 from .trace import TRACE_FORMAT, render_action, sigma_dict
 from .variants import mutations_of
@@ -126,9 +126,12 @@ class SimResult:
         return records
 
 
-def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
+def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
         suites=None, dump_sigma=False, scenario_name=None) -> SimResult:
-    """Run ``sched`` on the closed network of ``tree`` under ``cfg``.
+    """Run ``sched`` on the closed network of ``nodes`` under ``cfg``.
+
+    ``nodes`` is the network's (ip, neighbours) pairs (see
+    ``network.build_net``); the trace header lists them in that order.
 
     Each run builds its own automata, with their step memos and intern
     tables, its own monitor checks and its own generator, so every seed
@@ -138,19 +141,19 @@ def run(tree: NetTree, sched: Schedule, cfg: VariantConfig = BASE,
     run state.
     """
     table = build_table(cfg)
-    auto = closed_net(tree, cfg, table)
+    auto = closed_net(nodes, cfg, table)
     (state,) = auto.init
     rng = random.Random(sched.seed)
     schecks = state_checks(table, suites)
     tchecks = step_checks(table, suites)
     events = dict(sched.events)
 
-    nodes = [[ip, sorted(nbrs)] for ip, nbrs in tree_nodes(tree)]
     header = {"format": TRACE_FORMAT, "kind": "simulate",
               "scenario": scenario_name, "variant": cfg.name,
               "mutations": list(mutations_of(cfg)),
               "seed": sched.seed, "max_steps": sched.max_steps,
-              "nodes": nodes, "suites": sorted(n for n, _ in schecks)
+              "nodes": [[ip, sorted(nbrs)] for ip, nbrs in nodes],
+              "suites": sorted(n for n, _ in schecks)
               + sorted(n for n, _ in tchecks)}
     result = SimResult(final_state=state, header=header,
                        dump_sigma=dump_sigma)

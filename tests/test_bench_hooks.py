@@ -1,12 +1,18 @@
-"""The names the benchmark's tracer patches still exist.
+"""The names the benchmark's tracer patches and its worker reads still exist.
 
 ``bench/spans.py`` times each layer by replacing module-level names and
-methods of the package from outside it.  A rename or deletion in the
-package would otherwise only show up when the benchmark itself runs.
+methods of the package from outside it, and ``bench/worker.py`` checks
+each run through more of the package (the scenario's fields, the
+network builder, the simulator, counterexample replay, the digests and
+the monitor's cache).  A rename or deletion in the package would
+otherwise only show up when the benchmark itself runs.
 """
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +83,17 @@ def test_traced_search_builds_only_new_states(spans, monkeypatch):
     finally:
         tracer.uninstall()
     assert built[0] == rep.states - 1 == 5627
+
+
+@pytest.mark.parametrize("mode", ["run", "trace"])
+@pytest.mark.parametrize("workload", ["cx-pair2-links", "sim-chain3-mut"])
+def test_worker_checks_its_own_results(workload, mode):
+    # the small versions of the workloads that replay a counterexample
+    # file and that simulate seeds, untraced and traced; about 2 s in all
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "bench", "worker.py"), workload,
+         "--mode", mode, "--tiny"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    res = json.loads(done.stdout.splitlines()[-1])
+    assert res["failed"] == 0, res["errors"]

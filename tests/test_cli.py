@@ -16,7 +16,6 @@ from aodvcheck.cli import (CX_FORMAT, EXIT_CAP, EXIT_PASS, EXIT_USAGE,
 from aodvcheck.explore import (Counterexample, EnvNet, TraceStep, _rebuild,
                                replay)
 from aodvcheck.network import closed_net
-from aodvcheck.network import tree_nodes
 from aodvcheck.scenario import MAX_NODES, load_scenario, parse_scenario
 from aodvcheck.trace import TRACE_FORMAT, load_trace, write_trace
 
@@ -429,8 +428,7 @@ SYMMETRIZED = "symmetrizing link 1-2: 2 did not list 1"
 def test_one_sided_link_is_symmetrized_with_a_warning():
     with pytest.warns(UserWarning, match=SYMMETRIZED):
         sc = parse_scenario({"nodes": ONE_SIDED})
-    assert dict(tree_nodes(sc.tree)) == {1: frozenset([2]),
-                                         2: frozenset([1])}
+    assert sc.tree == ((1, frozenset([2])), (2, frozenset([1])))
 
 
 def test_symmetrizing_warning_is_one_stderr_line(tmp_path, capsys):
@@ -657,6 +655,24 @@ class TestReplayCommand:
         assert code == 0, got.err
         assert f"(variant {variant})" in got.out
         assert got.out.splitlines()[-1] == f"final: {doc['digest']}"
+
+    def test_replay_expands_each_state_of_the_path_once(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # one walk gives the state the path reaches and its last step's
+        # source and record, for the digest check and the suite re-run
+        out = self.write_cx(tmp_path, capsys)
+        assert json.loads(out.read_text())["depth"] == 58
+        expanded = [0]
+        rich_steps = EnvNet.rich_steps
+
+        def counting(auto, state, make=None):
+            expanded[0] += 1
+            return rich_steps(auto, state, make)
+
+        monkeypatch.setattr(EnvNet, "rich_steps", counting)
+        code, got = run_cli(["replay", str(out), STALE_LINKS], capsys)
+        assert code == EXIT_PASS, got.err
+        assert expanded[0] == 58
 
     def test_tampered_digest_is_rejected(self, tmp_path, capsys):
         out = self.write_cx(tmp_path, capsys)

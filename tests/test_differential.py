@@ -16,7 +16,7 @@ from aodvcheck.canon import digest, value_key
 from aodvcheck.explore import (EnvNet, EnvState, check_theorem1, env_menu,
                                explore, reachable)
 from aodvcheck.monitor import state_checks, step_checks
-from aodvcheck.network import closed_net, tree_of
+from aodvcheck.network import closed_net
 from aodvcheck.protocol import build_table
 from aodvcheck.variants import VARIANTS
 
@@ -35,8 +35,8 @@ def cases(draw):
     # n - 1 links connect up to three nodes; four may be left split
     links = draw(st.sets(st.sampled_from(pairs), min_size=n - 1))
     order = draw(st.permutations(ips))
-    tree = tree_of([(ip, {b if a == ip else a for a, b in links if ip in (a, b)})
-                    for ip in order])
+    tree = [(ip, {b if a == ip else a for a, b in links if ip in (a, b)})
+            for ip in order]
     rows = draw(st.lists(st.tuples(st.sampled_from(ips), st.sampled_from("ab"),
                                    st.sampled_from(ips), st.just(1)),
                          max_size=2))

@@ -19,12 +19,12 @@ from aodvcheck.explore import (DEFAULT_STATE_CAP, Counterexample, EnvMenu,
                                check_theorem1, env_menu, explore, invariant,
                                reachable, replay, step_invariant)
 from aodvcheck.messages import Newpkt
-from aodvcheck.network import closed_net, net_data, node_states, tree_of
+from aodvcheck.network import closed_net, net_data, node_states
 from aodvcheck.protocol import BASE, build_table
 from aodvcheck.scenario import load_scenario, parse_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIR = tree_of([(1, [2]), (2, [1])])
+PAIR = [(1, [2]), (2, [1])]
 
 
 def pair_net(env: EnvMenu) -> EnvNet:
@@ -180,7 +180,7 @@ def stale_links_net() -> EnvNet:
 
 def one_node_net() -> EnvNet:
     # the root is a NodeS, one part, not a SubnetS
-    return EnvNet(closed_net(tree_of([(1, [])]), BASE),
+    return EnvNet(closed_net([(1, [])], BASE),
                   env_menu(newpkts=[(1, "x", 2, 1), (1, "y", 1, 1)]))
 
 

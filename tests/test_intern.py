@@ -15,7 +15,7 @@ tests check that a menu equal in value to another, or differing only in
 another node's budget, gives the same steps, that the closed layer
 strips a menu of its messages once, that memoized process steps and
 cast deliveries are the ones a fresh call builds, and how many entries
-the node and subnet memos hold on chain3.
+the node and subnet step and cast memos hold on chain3.
 """
 import gc
 import os
@@ -29,7 +29,7 @@ from aodvcheck.awn import (Call, DisconnectA, NetMenu, NodeAutomaton, NodeS,
 from aodvcheck.canon import FrozenMap, bdigest
 from aodvcheck.explore import EnvNet, explore
 from aodvcheck.messages import Newpkt
-from aodvcheck.network import build_net, closed_net, tree_of
+from aodvcheck.network import build_net, closed_net
 from aodvcheck.protocol import build_table, queue_table
 from aodvcheck.scenario import load_scenario
 
@@ -265,7 +265,7 @@ def test_two_networks_share_no_interned_state():
 
 
 def _pair_net():
-    return build_net(tree_of([(1, [2]), (2, [1])]))
+    return build_net([(1, [2]), (2, [1])])
 
 
 def _busy_menu():
@@ -290,7 +290,7 @@ def test_menus_equal_in_value_give_equal_steps():
 
 
 def test_closed_layer_strips_a_menu_once():
-    net = closed_net(tree_of([(1, [2]), (2, [1])]))
+    net = closed_net([(1, [2]), (2, [1])])
     (s,) = net.init
     menu = _busy_menu()
     first = net.rich_steps(s, menu)
@@ -359,7 +359,7 @@ def test_memoized_cast_deliveries_are_fresh_deliveries(path, bound):
         deliver = a.cast_delivery
 
         def check(state, msg, dests):
-            hit = (state._n, msg, dests) in a._cast_memo
+            hit = (state._n, msg, dests & a.addresses) in a._cast_memo
             got = deliver(state, msg, dests)
             if dests.isdisjoint(a.addresses):
                 assert got == (state,) and got[0] is state and not hit
@@ -390,3 +390,16 @@ def test_chain3_memo_sizes():
              if not isinstance(a, SeqAutomaton)]
     assert sizes == [0, 363, 4047, 581, 369]
     assert sum(sizes) == 5360
+
+
+def test_chain3_cast_memo_sizes():
+    # The cast memos key on the part of the range each subtree sees, so
+    # a node meets a state and message once whatever else is in range.
+    # Root first, then left to right; the root delivers no cast.
+    auto = env_net(CHAIN3)
+    explore(auto, bound=32)
+    sizes = [len(a._cast_memo) for a in automata(auto)
+             if not isinstance(a, SeqAutomaton)]
+    assert sizes == [0, 27, 275, 94, 27]
+    assert sum(len(a._cast_memo) for a in automata(auto)
+               if isinstance(a, NodeAutomaton)) == 148

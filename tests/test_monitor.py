@@ -22,7 +22,7 @@ from aodvcheck.monitor import (ALL_SUITES, RtGraph, SuiteError, Verdict,
                                find_cycle, loop_free, rt_graph, split_suites,
                                state_checks, step_checks)
 from aodvcheck.network import (GlobalView, closed_net, net_data,
-                               node_states, proc_state, tree_of)
+                               node_states, proc_state)
 from aodvcheck.protocol import BASE, aodv_init, build_table
 from aodvcheck.routing import (INVALID, KNOWN, VALID, RouteEntry,
                                known_dests, net_seqno)
@@ -137,7 +137,7 @@ class TestLoopFree:
 
 def quiescent_pair():
     table = build_table(BASE)
-    auto = closed_net(tree_of([(1, [2]), (2, [1])]), BASE, table)
+    auto = closed_net([(1, [2]), (2, [1])], BASE, table)
     (init,) = auto.init
     return auto, table, init
 
@@ -200,7 +200,7 @@ class TestDispatchSuite:
     def drive_to_dispatch(self):
         """Inject a packet and step until node 1 is handling a message."""
         table = build_table(BASE)
-        auto = closed_net(tree_of([(1, [])]), BASE, table)
+        auto = closed_net([(1, [])], BASE, table)
         (init,) = auto.init
         locs = dispatch_locations(table)
         frontier = [inject(auto, init, 1, "x", 2)]
@@ -278,7 +278,7 @@ class TestDispatchLifting:
         # node 2 is the left child, node 1 the right; both handle a
         # message, and the forged state has lost both messages
         table = build_table(BASE)
-        auto = EnvNet(closed_net(tree_of([(2, [1]), (1, [2])]), BASE, table),
+        auto = EnvNet(closed_net([(2, [1]), (1, [2])], BASE, table),
                       env_menu(newpkts=[(1, "x", 2, 1), (2, "y", 1, 1)]))
         locs = dispatch_locations(table)
         rep = explore(auto, bound=6, keep_states=True)
@@ -472,7 +472,7 @@ class TestStepVerdictsAgree:
         # node 2 is the left child and node 1 the right, so the walk
         # meets the greater address first
         table = build_table(BASE)
-        auto = closed_net(tree_of([(2, [1]), (1, [2])]), BASE, table)
+        auto = closed_net([(2, [1]), (1, [2])], BASE, table)
         (init,) = auto.init
         assert init.left.ip == 2
         high = init

@@ -9,7 +9,7 @@ import pytest
 from aodvcheck.awn import Call, Choice, NewpktA, Unicast
 from aodvcheck.canon import EMPTY_MAP, FrozenMap
 from aodvcheck.explore import EnvNet, env_menu, explore
-from aodvcheck.network import closed_net, tree_of
+from aodvcheck.network import closed_net
 from aodvcheck.protocol import (BASE, StoreSlot, REQUESTED, NOT_REQUESTED,
                                 VariantConfig, aodv_init, build_table,
                                 clear_locals,
@@ -265,7 +265,7 @@ class TestTableMemo:
             assert build_table(cfg) is table
 
     def test_automata_share_the_table_not_their_memos(self):
-        pair = tree_of([(1, [2]), (2, [1])])
+        pair = [(1, [2]), (2, [1])]
         a, b = closed_net(pair, BASE), closed_net(pair, BASE)
         table = build_table(BASE)
         for auto in (a, b):
@@ -283,7 +283,7 @@ class TestTableMemo:
     def test_repeated_runs_do_not_grow_the_label_memo(self):
         # the memos are keyed by term identity, so a run must start its
         # processes at the table's own terms, not at fresh ones
-        pair = tree_of([(1, [2]), (2, [1])])
+        pair = [(1, [2]), (2, [1])]
         sched = Schedule(events=FrozenMap({0: NewpktA(1, "x", 2)}))
         tables = (build_table(BASE), queue_table())
         run(pair, sched)

@@ -14,7 +14,7 @@ from aodvcheck.canon import EMPTY_MAP, FrozenMap, bdigest, value_key
 from aodvcheck.explore import EnvNet, explore
 from aodvcheck.messages import Rreq
 from aodvcheck.simulate import Schedule, ScheduleError, run, sibling_order
-from aodvcheck.network import closed_net, tree_of
+from aodvcheck.network import closed_net
 from aodvcheck.protocol import BASE
 from aodvcheck.scenario import load_scenario, parse_scenario
 from aodvcheck.trace import (TRACE_FORMAT, dump_record, load_trace,
@@ -22,8 +22,8 @@ from aodvcheck.trace import (TRACE_FORMAT, dump_record, load_trace,
 from aodvcheck.variants import VARIANTS, apply_mutations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIR = tree_of([(1, [2]), (2, [1])])
-CHAIN = tree_of([(1, [2]), (2, [1, 3]), (3, [2])])
+PAIR = [(1, [2]), (2, [1])]
+CHAIN = [(1, [2]), (2, [1, 3]), (3, [2])]
 
 
 def pair_schedule(seed=0, max_steps=120):

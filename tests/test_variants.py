@@ -12,7 +12,7 @@ from aodvcheck import protocol
 from aodvcheck.awn import Groupcast, ModelError, NewpktA
 from aodvcheck.canon import FrozenMap
 from aodvcheck.explore import check_theorem1, env_menu
-from aodvcheck.network import net_data, tree_of
+from aodvcheck.network import net_data
 from aodvcheck.protocol import (BASE, VariantConfig, build_table,
                                 rreq_message_kind, valid_dests)
 from aodvcheck.simulate import Schedule, run
@@ -20,8 +20,8 @@ from aodvcheck.variants import (MUTATIONS, VARIANTS, VariantError,
                                 apply_mutations, get_variant,
                                 with_variant)
 
-PAIR = tree_of([(1, [2]), (2, [1])])
-CHAIN = tree_of([(1, [2]), (2, [1, 3]), (3, [2])])
+PAIR = [(1, [2]), (2, [1])]
+CHAIN = [(1, [2]), (2, [1, 3]), (3, [2])]
 
 
 def discovery(seed=0, max_steps=300):
