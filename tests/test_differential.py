@@ -35,8 +35,8 @@ def cases(draw):
     # n - 1 links connect up to three nodes; four may be left split
     links = draw(st.sets(st.sampled_from(pairs), min_size=n - 1))
     order = draw(st.permutations(ips))
-    tree = [(ip, {b if a == ip else a for a, b in links if ip in (a, b)})
-            for ip in order]
+    nodes = [(ip, {b if a == ip else a for a, b in links if ip in (a, b)})
+             for ip in order]
     rows = draw(st.lists(st.tuples(st.sampled_from(ips), st.sampled_from("ab"),
                                    st.sampled_from(ips), st.just(1)),
                          max_size=2))
@@ -45,7 +45,7 @@ def cases(draw):
     events = [] if event is None else [event[0](*event[1])]
     variant = draw(st.sampled_from(sorted(VARIANTS)))
     bound = draw(st.integers(0, 10))
-    return tree, env_menu(rows, events), VARIANTS[variant], bound
+    return nodes, env_menu(rows, events), VARIANTS[variant], bound
 
 
 def _env_after(env_s, action):
@@ -109,9 +109,9 @@ def naive_search(auto, table, bound):
 
 @given(cases())
 def test_explorer_matches_oracle_search(case):
-    tree, env, cfg, bound = case
+    nodes, env, cfg, bound = case
     table = build_table(cfg)
-    auto = EnvNet(closed_net(tree, cfg, table), env)
+    auto = EnvNet(closed_net(nodes, cfg, table), env)
     seen, edges, depth, faults = naive_search(auto, table, bound)
 
     got = reachable(auto, bound=bound)
@@ -122,6 +122,6 @@ def test_explorer_matches_oracle_search(case):
     assert (rep.states, rep.transitions, rep.depth) == \
            (len(seen), edges, depth)
 
-    verdict = check_theorem1(tree, env, cfg, bound=bound)
+    verdict = check_theorem1(nodes, env, cfg, bound=bound)
     assert verdict.holds == (not faults)
     assert {cx.suite for cx in verdict.counterexamples} == faults
