@@ -13,28 +13,47 @@ def single_init(auto):
     return s
 
 
-class TestBuild:
-    def test_build_net_right_nests_in_order(self):
-        net = build_net([(4, [2]), (2, [4, 9]), (9, [2])])
+def leaf_ips(net):
+    """The node addresses of a built network, left to right."""
+    if isinstance(net, SubnetAutomaton):
+        return leaf_ips(net.left) + leaf_ips(net.right)
+    return (net.ip,)
+
+
+class TestTrees:
+    def test_tree_of_right_nests(self):
+        net = build_net([(1, [2]), (2, [1, 3]), (3, [2])])
         assert isinstance(net, SubnetAutomaton)
-        assert isinstance(net.left, NodeAutomaton) and net.left.ip == 4
+        assert isinstance(net.left, NodeAutomaton) and net.left.ip == 1
         assert isinstance(net.right, SubnetAutomaton)
         assert isinstance(net.right.left, NodeAutomaton)
-        assert (net.right.left.ip, net.right.right.ip) == (2, 9)
-        leaves = node_states(single_init(net))
-        assert {ip: n.nbrs for ip, n in leaves.items()} == {
-            4: frozenset([2]), 2: frozenset([4, 9]), 9: frozenset([2])}
+        assert (net.right.left.ip, net.right.right.ip) == (2, 3)
 
-    def test_single_node_is_the_root(self):
+    def test_addresses_in_tree_order(self):
+        net = build_net([(4, []), (2, []), (9, [])])
+        assert leaf_ips(net) == (4, 2, 9)
+
+    def test_tree_nodes_keeps_neighbour_sets(self):
+        leaves = node_states(single_init(build_net([(1, [2]), (2, [1])])))
+        assert {ip: n.nbrs for ip, n in leaves.items()} == {
+            1: frozenset([2]), 2: frozenset([1])}
+
+    def test_single_node_tree(self):
         net = build_net([(7, [])])
         assert isinstance(net, NodeAutomaton) and net.ip == 7
         assert net.addresses == frozenset([7])
 
-    def test_empty_list_rejected(self):
+    def test_empty_tree_rejected(self):
         with pytest.raises(ModelError):
             build_net([])
 
-    def test_duplicate_address_rejected(self):
+    def test_well_formedness(self):
+        # a build succeeds over distinct addresses and fails over a reused one
+        assert build_net([(1, []), (2, [])]).addresses == frozenset([1, 2])
+        with pytest.raises(ModelError):
+            build_net([(1, []), (2, []), (1, [])])
+
+    def test_build_rejects_duplicate_address(self):
         with pytest.raises(ModelError):
             build_net([(1, []), (1, [])])
 
