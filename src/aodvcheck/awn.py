@@ -24,18 +24,20 @@ process rules build twice is kept once, at its first position.  The tuple
 is thus the semantics' step set in an order that depends on no hash seed
 and no object identity.
 
-Every layer below the root is hash-consed.  Each process, node and
-subnet automaton keeps a table, ``_states``, of the states it has built
-(its initial states, step targets and cast deliveries), and hands out
-the one built first whenever a new state equals it, before anything
-digests it or caches on it.  A subtree value is then one object,
-digested at most once and carrying one set of the monitors' caches,
-however many global states share it.  Each new state is numbered by its
-place as it enters its table, as its ``_n``.  A process automaton
-interns by value, and interns a copy of each initial state it is given,
-so two automata never share a numbered object.  Two reached process
+Every layer below the root is hash-consed.  Each node and subnet
+automaton keeps a table, ``_states``, of the states it has built (its
+initial states, step targets and cast deliveries), and hands out the
+one built first whenever a new state equals it, before anything digests
+it or caches on it.  Process states are interned the same way, but by
+their ``ProcessTable``, which every automaton, run and seed of one
+configuration shares (see ``ProcessTable``).  A subtree value is then
+one object, digested at most once and carrying one set of the monitors'
+caches, however many global states share it.  Each new state is
+numbered by its place as it enters its table, as its ``_n``.  A process
+table interns by value, and interns a copy of each initial state it is
+given, so a caller's object is never numbered.  Two reached process
 states are equal exactly when they digest equal (see ``ProcState``), so
-a number stands for a value among its automaton's states, and for its
+a number stands for a value among its table's states, and for its
 ``bdigest`` value.  A node's table is keyed by its process states'
 numbers and its neighbours, and a subnet's by its children's numbers,
 which are set already; so a process state is hashed by value only as it
@@ -281,12 +283,24 @@ class ProcessTable:
     A term's control locations never change, so ``labels`` and ``locs``
     cache them per term, keyed by the term's identity; each entry keeps
     its term alive, so that no other term can take over its ``id``.
+
+    The table also owns its process states and their steps, for every
+    ``SeqAutomaton`` of it.  ``intern`` keeps one object per state value
+    and numbers it densely, as its ``_n``; ``steps`` memoizes
+    ``seq_steps`` on ``(state number, menu)``.  A process's steps depend
+    only on its own state and what it is offered, never on the network
+    around it, so every node, run and seed over one table can share
+    them; numbers only name values.  The memo stops growing at
+    ``_MEMO_CAP`` entries; the intern table has no cap, since the
+    numbers must be exact.
     """
 
     def __init__(self, bodies: dict[str, ProcessTerm]):
         self._bodies = dict(bodies)
         self._label_cache: dict[int, tuple] = {}
         self._loc_cache: dict[int, tuple] = {}
+        self._states: dict = {}       # process state -> its canonical instance
+        self._steps_memo: dict = {}   # (number, menu) -> steps
         for name, body in self._bodies.items():
             _check_complete(name, body)
             for t in subterms(body):
@@ -294,6 +308,30 @@ class ProcessTable:
                     raise ModelError(
                         f"process {name!r} calls undeclared process {t.name!r}"
                     )
+
+    def intern(self, state: ProcState) -> ProcState:
+        """The one numbered object of ``state``'s value in this table."""
+        got = self._states.get(state)
+        if got is None:
+            got = self._states[state] = state
+            cache_attr(state, "_n", len(self._states) - 1)
+        return got
+
+    def steps(self, state: ProcState, menu=()) -> tuple:
+        """``seq_steps`` of interned ``state``, with interned targets.
+
+        A memo hit returns the steps a fresh call would build, in their
+        order.
+        """
+        key = (state._n, menu)
+        out = self._steps_memo.get(key)
+        if out is None:
+            intern = self.intern
+            out = tuple((a, intern(s))
+                        for a, s in seq_steps(self, state, menu))
+            if len(self._steps_memo) < _MEMO_CAP:
+                self._steps_memo[key] = out
+        return out
 
     def __getitem__(self, name: str) -> ProcessTerm:
         try:
@@ -537,38 +575,21 @@ class Automaton:
 
 
 class SeqAutomaton(Automaton):
-    """A sequential process of one table; ``steps`` memoizes ``seq_steps``.
+    """A sequential process of one table; ``steps`` are the table's.
 
-    Its states are interned by value and numbered (see the module
-    docstring).  The memo keys on ``(state number, menu)``; a hit returns
-    the steps a fresh call would build, in their order, with interned
-    targets.
+    The automaton holds only its table and its initial states, which
+    the table interns as copies of the states it is given.  Every
+    automaton of one table shares the table's states, numbers and step
+    memo (see ``ProcessTable``).
     """
 
     def __init__(self, table: ProcessTable, init: Iterable):
         self.table = table
-        self._states: dict = {}   # process state -> its canonical instance
-        self._steps_memo: dict = {}
-        self.init = tuple(self._intern(ProcState(s.data, s.term, table))
+        self.init = tuple(table.intern(ProcState(s.data, s.term, table))
                           for s in init)
 
-    def _intern(self, state: ProcState) -> ProcState:
-        got = self._states.get(state)
-        if got is None:
-            got = self._states[state] = state
-            cache_attr(state, "_n", len(self._states) - 1)
-        return got
-
     def steps(self, state, menu=()) -> tuple:
-        key = (state._n, menu)
-        out = self._steps_memo.get(key)
-        if out is None:
-            intern = self._intern
-            out = tuple((a, intern(s))
-                        for a, s in seq_steps(self.table, state, menu))
-            if len(self._steps_memo) < _MEMO_CAP:
-                self._steps_memo[key] = out
-        return out
+        return self.table.steps(state, menu)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +740,11 @@ def _is_newpkt(msg: Any) -> bool:
 # compositionality the paper's invariants are lifted by.  Exploration of
 # a small network touches far fewer distinct (subtree state, projected
 # menu) pairs than global states, so a per-automaton cache pays for
-# itself immediately.  Each process automaton memoizes its steps by
-# (process state, menu) too: a node steps its protocol and queue again
+# itself immediately.  Each process table memoizes its processes' steps
+# by (process state, menu) too: a node steps its protocol and queue again
 # whenever it meets a new menu or cast, and most of those process steps
-# were built before (``SeqAutomaton``).  The root (the network a
+# were built before, by this node, another node, or an earlier run over
+# the table (``ProcessTable``).  The root (the network a
 # ``ClosedAutomaton`` closes) is expanded through the unmemoized body:
 # a search expands each root state exactly once, so a root memo would
 # only keep every expanded state's successors alive.  The memos key on

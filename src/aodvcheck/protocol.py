@@ -505,14 +505,20 @@ def build_table(cfg: VariantConfig = BASE) -> ProcessTable:
     """The labelled process table of ``cfg``, built once per process.
 
     Every run of one configuration shares the table, and with it the
-    label memo and ``monitor.dispatch_locations`` it keeps.  That is
-    safe because the table holds no run state: its label memo is keyed
-    by its own terms, and a run's automata, step memos and intern tables
+    label memo and ``monitor.dispatch_locations`` it keeps, and the
+    process states and process steps it owns (``awn.ProcessTable``).
+    That is safe because the table holds no run state.  Its label memo
+    is keyed by its own terms.  Its step memo holds values of
+    ``seq_steps``, a pure function of the table's terms and a process
+    state, keyed by the state's number, which only names the value; no
+    step order, digest, draw or file byte reads a number.  A run's node
+    and subnet automata, their memos and intern tables, and its menus
     are built per run.  The configurations form a small fixed set (the
-    named variants, with or without mutations), so the memo stays
-    small.  It is keyed on the configuration's value, so ``build_table()``
-    and ``build_table(cfg=BASE)`` give one table; a build that raises
-    is not kept.
+    named variants, with or without mutations), so the memo of tables
+    stays small, and each table's step memo stops at ``awn._MEMO_CAP``.
+    It is keyed on the configuration's value, so ``build_table()`` and
+    ``build_table(cfg=BASE)`` give one table; a build that raises is not
+    kept.
     """
     return _labelled_table(cfg)
 
@@ -537,7 +543,9 @@ def queue_table() -> ProcessTable:
 
     The table is built once: a queue state compares its control term by
     identity unless the term is a call, so every network must share one
-    queue table for equal states of two automata to compare equal.
+    queue table for equal states of two automata to compare equal.  Every
+    queue of every run interns its states and reads its steps there
+    (see ``build_table`` for why that is safe).
 
     While waiting to hand the head message over, the queue still accepts
     arrivals; without that alternative two nodes whose queues are both

@@ -133,12 +133,16 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
     ``nodes`` is the network's (ip, neighbours) pairs (see
     ``network.build_net``); the trace header lists them in that order.
 
-    Each run builds its own automata, with their step memos and intern
-    tables, its own monitor checks and its own generator, so every seed
-    starts with a cold node memo.  What it shares with other runs of
-    ``cfg`` in the process is the labelled process table, which
-    ``build_table`` builds once per configuration and which holds no
-    run state.
+    Each run builds its own node and subnet automata, with their step
+    memos, menus and intern tables, its own monitor checks and its own
+    generator, so every seed starts with a cold node memo.  What it
+    shares with other runs of ``cfg`` in the process is the labelled
+    process table and the queue table, which ``build_table`` and
+    ``queue_table`` build once, and with them the process states and
+    process steps those tables own: a seed takes a process step that an
+    earlier seed built from the table's memo instead of building it
+    again.  A table holds no run state, so no draw or trace depends on
+    what ran before.
     """
     table = build_table(cfg)
     auto = closed_net(nodes, cfg, table)

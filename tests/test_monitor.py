@@ -520,14 +520,12 @@ class TestStateVerdictsAgree:
         # two networks intern a failing and a passing state as the first
         # new state of each node, so that the two carry equal numbers;
         # each is checked twice, so that the second check reads the memo.
-        # A node is interned over process states that its own process
-        # automata interned, each from a copy, since an automaton numbers
-        # only objects it built.
+        # A node is interned over process states that their table
+        # interned, each from a copy, since a table numbers only objects
+        # it built.
         def node(auto, state):
-            inner = tuple(
-                seq._intern(ProcState(p.data, p.term, p.table))
-                for seq, p in zip((auto.inner.left, auto.inner.right),
-                                  state.inner))
+            inner = tuple(p.table.intern(ProcState(p.data, p.term, p.table))
+                          for p in state.inner)
             return auto._node(state.ip, inner, state.nbrs)
 
         def intern(auto, state):
