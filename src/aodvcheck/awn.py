@@ -10,8 +10,11 @@ The model is layered the way wireless protocol algebras usually are:
      reachable neighbours,
   4. parallel composition of node subnets, where a cast by one side is
      delivered synchronously to every in-range node of the other side,
-  5. a closed network, which internalizes casts and forbids stray
-     arrivals.
+  5. a closed network, which internalizes casts.
+
+A node receives a message only as a cast of another node, delivered by
+the subnet layer (``cast_delivery``); the environment offers nodes only
+new packets and topology events.
 
 States at every layer are immutable values.  The process layers' ``steps``
 map a state (plus a finite environment menu) to a tuple of (action,
@@ -440,17 +443,6 @@ class CastA:
 
 
 @dataclass(frozen=True)
-class ArriveA:
-    heard: frozenset
-    missed: frozenset
-    msg: Any
-
-    def __post_init__(self):
-        if self.heard & self.missed:
-            raise ModelError("arrive: hearing and missing sets overlap")
-
-
-@dataclass(frozen=True)
 class ConnectA:
     a: int
     b: int
@@ -477,7 +469,7 @@ class DeliverAtA:
 
 Action = (
     TauA | BroadcastA | GroupcastA | UnicastA | UnicastFailA | SendA | ReceiveA
-    | DeliverA | CastA | ArriveA | ConnectA | DisconnectA | NewpktA | DeliverAtA
+    | DeliverA | CastA | ConnectA | DisconnectA | NewpktA | DeliverAtA
 )
 
 
@@ -637,9 +629,9 @@ class ParAutomaton(Automaton):
 # ---------------------------------------------------------------------------
 # network layers
 #
-# The environment menu for the network layers bundles three finite
-# supplies: messages that may arrive from surrounding casts, new-packet
-# injections allowed per node, and topology events under consideration.
+# The environment menu for the network layers bundles two finite
+# supplies: new-packet injections allowed per node, and topology events
+# under consideration.
 
 
 @dataclass(frozen=True, eq=False)
@@ -648,18 +640,16 @@ class NetMenu:
 
     Menus compare and hash by identity.  Each node and subnet below the
     root maps a menu it is given, by identity, to one object per value
-    of its projection: the messages and links, and the new-packet
-    budgets of the subtree's own addresses only, which is all that a
-    subtree reads.  The step memos key on ``(state number, projection)``,
-    and an identity key hashes in C, with no call into the menu or its
-    link events.  A menu equal in value to one seen before, or differing
-    only in another node's budget, meets the same memo entries; a new
-    menu object costs one projection per automaton.  A run hands out one
-    object per menu value (``EnvNet.menu_for``), and the closed layer one
-    stripped menu per menu it is given.
+    of its projection: the links, and the new-packet budgets of the
+    subtree's own addresses only, which is all that a subtree reads.
+    The step memos key on ``(state number, projection)``, and an
+    identity key hashes in C, with no call into the menu or its link
+    events.  A menu equal in value to one seen before, or differing only
+    in another node's budget, meets the same memo entries; a new menu
+    object costs one projection per automaton.  A run's environment
+    keeps one menu object per environment state (``EnvNet.menu_for``).
     """
 
-    messages: tuple = ()
     newpkts: FrozenMap = EMPTY_MAP  # ip -> tuple of new-packet messages
     links: tuple = ()               # ConnectA / DisconnectA actions
 
@@ -729,10 +719,6 @@ class NetAutomaton(Automaton):
         raise NotImplementedError
 
 
-def _is_newpkt(msg: Any) -> bool:
-    return getattr(msg, "is_newpkt", False)
-
-
 # Step sets are memoized below the root.  A node's local state repeats
 # across a huge number of global states, and so does an inner subnet's:
 # its steps depend only on its own state and the part of the menu its
@@ -795,13 +781,13 @@ class MemoNetAutomaton(NetAutomaton):
     def _project(self, menu: NetMenu) -> NetMenu:
         """The one menu object of what ``menu`` offers this subtree.
 
-        A subtree reads a menu's messages and links whole, and its
-        new-packet budgets only for its own addresses, so the budgets of
-        other nodes are dropped.  Equal projections are one object.
+        A subtree reads a menu's links whole, and its new-packet budgets
+        only for its own addresses, so the budgets of other nodes are
+        dropped.  Equal projections are one object.
         """
         newpkts = FrozenMap({ip: pkts for ip, pkts in menu.newpkts.items()
                              if ip in self.addresses})
-        fields = (menu.messages, newpkts, menu.links)
+        fields = (newpkts, menu.links)
         own = self._projections.get(fields)
         if own is None:
             own = NetMenu(*fields)
@@ -860,14 +846,15 @@ class NodeAutomaton(MemoNetAutomaton):
                     build=RichStep, make=None) -> tuple:
         node = self._node if make is None else make
         ip = state.ip
-        local_new = menu.newpkts.get(ip, ())
-        inner_menu = (*menu.messages, *local_new)
         out: list = []
 
         def emit(origin, detail, action, target):
             out.append(build(origin, detail, action, target))
 
-        for a, inner2 in self.inner.steps(state.inner, inner_menu):
+        # the inner automaton is offered only this node's new packets, so
+        # each of its receives takes one of them
+        for a, inner2 in self.inner.steps(state.inner,
+                                          menu.newpkts.get(ip, ())):
             nxt = node(ip, inner2, state.nbrs)
             if isinstance(a, BroadcastA):
                 act = CastA(state.nbrs, a.msg)
@@ -883,23 +870,14 @@ class NodeAutomaton(MemoNetAutomaton):
                 if a.dest not in state.nbrs:
                     emit(ip, a, TAU, nxt)
             elif isinstance(a, ReceiveA):
-                if _is_newpkt(a.msg):
-                    if a.msg in local_new:
-                        act = NewpktA(ip, a.msg.data, a.msg.dip)
-                        emit(ip, act, act, nxt)
-                elif a.msg in menu.messages:
-                    act = ArriveA(frozenset([ip]), EMPTY, a.msg)
-                    emit(ip, act, act, nxt)
+                act = NewpktA(ip, a.msg.data, a.msg.dip)
+                emit(ip, act, act, nxt)
             elif isinstance(a, DeliverA):
                 act = DeliverAtA(ip, a.data)
                 emit(ip, act, act, nxt)
             elif isinstance(a, TauA):
                 emit(ip, a, TAU, nxt)
             # a bare Send has no node-level rule and is dropped
-
-        for m in menu.messages:
-            act = ArriveA(EMPTY, frozenset([ip]), m)
-            emit(None, act, act, node(ip, state.inner, state.nbrs))
 
         for ev in menu.links:
             nbrs = state.nbrs
@@ -977,16 +955,9 @@ class SubnetAutomaton(MemoNetAutomaton):
                         left, action.msg, action.dests):
                     add(build(origin, detail, action, pair(left2, target)))
 
-        # arrivals and topology changes are taken by both sides together
+        # topology changes are taken by both sides together
         for _, _, al, ltarget in lsteps:
-            if type(al) is ArriveA:
-                for _, _, ar, rtarget in rsteps:
-                    if type(ar) is ArriveA and ar.msg == al.msg:
-                        act = ArriveA(
-                            al.heard | ar.heard, al.missed | ar.missed, al.msg
-                        )
-                        add(build(None, act, act, pair(ltarget, rtarget)))
-            elif isinstance(al, (ConnectA, DisconnectA)):
+            if isinstance(al, (ConnectA, DisconnectA)):
                 for _, _, ar, rtarget in rsteps:
                     # the type test spares a dataclass ``__eq__`` call
                     # per record of another class
@@ -1004,7 +975,7 @@ class SubnetAutomaton(MemoNetAutomaton):
 
 
 class ClosedAutomaton(NetAutomaton):
-    """Top layer: casts become internal, arrivals are forbidden.
+    """Top layer: casts become internal.
 
     The network below is the root of the tree, so its steps are taken
     from its unmemoized body (see ``_MEMO_CAP``), which builds each
@@ -1025,17 +996,6 @@ class ClosedAutomaton(NetAutomaton):
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU,
                    build=RichStep, make=None) -> tuple:
-        # with no messages on offer no node can emit an arrival; a menu
-        # that offers none is passed on as it is, and one that offers
-        # some is replaced by one stripped copy, kept on it, so that each
-        # automaton below projects one object per menu
-        if menu.messages:
-            stripped = getattr(menu, "_closed", None)
-            if stripped is None:
-                stripped = NetMenu((), menu.newpkts, menu.links)
-                cache_attr(menu, "_closed", stripped)
-            menu = stripped
-
         def close(origin, detail, action, target):
             if type(action) is CastA:
                 action = TAU

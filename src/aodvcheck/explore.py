@@ -113,11 +113,12 @@ class EnvNet:
     packet, and under a link event once per state, and shared, so every
     explored state holds one of a handful of ``EnvState`` objects.  Each
     is numbered, as its ``_n``, by its place in the table, for the
-    explorer's keys.  Menus are interned too, by value, and each
-    environment state keeps its own: the step memos of the automata key
-    on menu identity (see ``awn.NetMenu``), so environment states that
-    offer the same menu must offer the same object.  The tables belong
-    to this instance, so a run's caches go with it.
+    explorer's keys.  Each environment state keeps its menu, built the
+    first time it is asked for.  Environment states that offer equal
+    menus need not share one object: each automaton projects a menu onto
+    one object per value, and its step memo keys on that projection (see
+    ``awn.NetMenu``).  The tables belong to this instance, so a run's
+    caches go with it.
     """
 
     def __init__(self, net, env: EnvMenu):
@@ -125,7 +126,6 @@ class EnvNet:
         self.env = env
         self._envs: dict = {}    # EnvState -> its one shared instance
         self._after: dict = {}   # ``_env_after`` key -> successor
-        self._menus: dict = {}   # (newpkts, links) -> its one NetMenu
         env0 = self._intern(EnvState(env.newpkts, 0))
         self.init = tuple((s, env0) for s in net.init)
 
@@ -158,7 +158,7 @@ class EnvNet:
         return env2
 
     def menu_for(self, env_state: EnvState) -> NetMenu:
-        """The one menu object of the offers of ``env_state``."""
+        """The menu of the offers of ``env_state``, built once per state."""
         menu = getattr(env_state, "_menu", None)
         if menu is not None:
             return menu
@@ -167,9 +167,7 @@ class EnvNet:
             per_ip.setdefault(ip, []).append(Newpkt(data, dip))
         newpkts = FrozenMap({ip: tuple(v) for ip, v in per_ip.items()})
         links = self.env.links[env_state.pos:env_state.pos + 1]
-        menu = self._menus.get((newpkts, links))
-        if menu is None:
-            menu = self._menus[newpkts, links] = NetMenu((), newpkts, links)
+        menu = NetMenu(newpkts, links)
         cache_attr(env_state, "_menu", menu)
         return menu
 

@@ -21,8 +21,6 @@ class Newpkt:
     data: Any
     dip: int
 
-    is_newpkt = True
-
 
 @dataclass(frozen=True)
 class Pkt:

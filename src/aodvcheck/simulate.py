@@ -72,8 +72,8 @@ def sibling_order(steps) -> list:
 def _event_menu(action) -> NetMenu:
     if isinstance(action, NewpktA):
         pkts = FrozenMap({action.ip: (Newpkt(action.data, action.dip),)})
-        return NetMenu((), pkts, ())
-    return NetMenu((), EMPTY_MAP, (action,))
+        return NetMenu(newpkts=pkts)
+    return NetMenu(links=(action,))
 
 
 @dataclass

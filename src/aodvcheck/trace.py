@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 
-from .awn import (ArriveA, CastA, ConnectA, DeliverAtA, DisconnectA, NewpktA,
-                  TauA, UnicastFailA)
+from .awn import (CastA, ConnectA, DeliverAtA, DisconnectA, NewpktA, TauA,
+                  UnicastFailA)
 
 # The format also names the state encoding behind the recorded digests,
 # here ``bdigest``: a trace whose header carries another format cannot be
@@ -33,9 +33,9 @@ TRACE_FORMAT = "aodvcheck-trace-3"
 
 # The classes a step's detail or a scheduled event can be, by the name
 # each is rendered under
-_NAMES = {TauA: "tau", CastA: "cast", ArriveA: "arrive", NewpktA: "newpkt",
-          DeliverAtA: "deliver", ConnectA: "connect",
-          DisconnectA: "disconnect", UnicastFailA: "unicast_fail"}
+_NAMES = {TauA: "tau", CastA: "cast", NewpktA: "newpkt", DeliverAtA: "deliver",
+          ConnectA: "connect", DisconnectA: "disconnect",
+          UnicastFailA: "unicast_fail"}
 
 
 def render_action(a) -> str:

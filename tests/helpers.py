@@ -2,7 +2,7 @@
 from dataclasses import replace
 
 from aodvcheck.awn import EMPTY_MENU, NetMenu, NewpktA, NodeS, SubnetS
-from aodvcheck.canon import EMPTY_MAP, FrozenMap
+from aodvcheck.canon import FrozenMap
 from aodvcheck.messages import Newpkt
 from aodvcheck.simulate import sibling_order
 
@@ -25,7 +25,7 @@ def run_to_quiescence(auto, state, menu=EMPTY_MENU, limit=5000):
 
 def inject(auto, state, ip, data, dip):
     """Take the new-packet step at ``ip``; the menu is offered only here."""
-    menu = NetMenu((), FrozenMap({ip: (Newpkt(data, dip),)}), ())
+    menu = NetMenu(newpkts=FrozenMap({ip: (Newpkt(data, dip),)}))
     steps = [r for r in canonical_steps(auto, state, menu)
              if isinstance(r.action, NewpktA)]
     assert steps, f"node {ip} cannot accept a new packet"

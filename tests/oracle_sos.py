@@ -5,20 +5,18 @@ recomputed from scratch on every call, with none of the menu threading
 or caching the package uses.  Tests compare its transition sets against
 the real step functions, layer by layer: when checking a composite
 layer the components underneath run on the already-validated
-implementation.
+implementation.  As in the package, the environment offers the network
+layers only new packets and link events: a node is offered its own new
+packets, and receives another node's message only by cast delivery.
 """
-from aodvcheck.awn import (ArriveA, Assign, Broadcast, BroadcastA, Call, CastA,
-                           Choice, ConnectA, DeliverA, DeliverAtA, Deliver,
-                           DisconnectA, Groupcast, GroupcastA, Guard, NetMenu,
-                           NewpktA, NodeAutomaton, NodeS, ProcState, Receive,
-                           ReceiveA, Send, SendA, SubnetAutomaton, SubnetS,
-                           TAU, Unicast, UnicastA, UnicastFailA)
+from aodvcheck.awn import (Assign, Broadcast, BroadcastA, Call, CastA, Choice,
+                           ConnectA, DeliverA, DeliverAtA, Deliver,
+                           DisconnectA, Groupcast, GroupcastA, Guard, NewpktA,
+                           NodeAutomaton, NodeS, ProcState, Receive, ReceiveA,
+                           Send, SendA, SubnetAutomaton, SubnetS, TAU, Unicast,
+                           UnicastA, UnicastFailA)
 
 EMPTY = frozenset()
-
-
-def _is_newpkt(msg):
-    return getattr(msg, "is_newpkt", False)
 
 
 def seq_oracle(table, ps, menu=EMPTY):
@@ -87,10 +85,9 @@ def _inner_steps(auto, inner, menu_msgs):
 def node_oracle(auto, state, menu):
     """Visible behaviour of one node, rule by rule."""
     ip = state.ip
-    local_new = menu.newpkts.get(ip, EMPTY)
+    local_new = frozenset(menu.newpkts.get(ip, EMPTY))
     out = set()
-    offered = frozenset((*menu.messages, *local_new))
-    for a, inner2 in _inner_steps(auto, state.inner, offered):
+    for a, inner2 in _inner_steps(auto, state.inner, local_new):
         nxt = NodeS(ip, inner2, state.nbrs)
         if isinstance(a, BroadcastA):
             out.add((CastA(state.nbrs, a.msg), nxt))
@@ -100,17 +97,12 @@ def node_oracle(auto, state, menu):
             out.add((CastA(frozenset([a.dest]), a.msg), nxt))
         elif isinstance(a, UnicastFailA) and a.dest not in state.nbrs:
             out.add((TAU, nxt))
-        elif isinstance(a, ReceiveA):
-            if _is_newpkt(a.msg) and a.msg in local_new:
-                out.add((NewpktA(ip, a.msg.data, a.msg.dip), nxt))
-            elif not _is_newpkt(a.msg) and a.msg in menu.messages:
-                out.add((ArriveA(frozenset([ip]), EMPTY, a.msg), nxt))
+        elif isinstance(a, ReceiveA) and a.msg in local_new:
+            out.add((NewpktA(ip, a.msg.data, a.msg.dip), nxt))
         elif isinstance(a, DeliverA):
             out.add((DeliverAtA(ip, a.data), nxt))
         elif a == TAU:
             out.add((TAU, nxt))
-    for m in menu.messages:
-        out.add((ArriveA(EMPTY, frozenset([ip]), m), state))
     for ev in menu.links:
         pair = {ev.a, ev.b}
         if ip in pair:
@@ -159,12 +151,7 @@ def subnet_oracle(auto, state, menu):
             for l2 in deliver_oracle(auto.left, state.left, a.msg, a.dests):
                 out.add((a, SubnetS(l2, r2)))
     for a, l2 in lsteps:
-        if isinstance(a, ArriveA):
-            for b, r2 in rsteps:
-                if isinstance(b, ArriveA) and b.msg == a.msg:
-                    out.add((ArriveA(a.heard | b.heard, a.missed | b.missed,
-                                     a.msg), SubnetS(l2, r2)))
-        elif isinstance(a, (ConnectA, DisconnectA)):
+        if isinstance(a, (ConnectA, DisconnectA)):
             for b, r2 in rsteps:
                 if b == a:
                     out.add((a, SubnetS(l2, r2)))
@@ -178,14 +165,11 @@ def node_or_subnet_oracle(auto, state, menu):
 
 
 def closed_oracle(auto, state, menu):
-    """Top closure: no messages arrive, casts turn internal."""
-    inner_menu = NetMenu(EMPTY, menu.newpkts, menu.links)
+    """Top closure: casts turn internal."""
     out = set()
-    for a, s2 in node_or_subnet_oracle(auto.net, state, inner_menu):
+    for a, s2 in node_or_subnet_oracle(auto.net, state, menu):
         if isinstance(a, CastA):
             out.add((TAU, s2))
-        elif isinstance(a, ArriveA):
-            pass
         else:
             out.add((a, s2))
     return out

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field, fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aodvcheck.awn import (TAU, ArriveA, BroadcastA, CastA, ConnectA,
-                           DeliverA, DeliverAtA, DisconnectA, GroupcastA,
-                           Label, ModelError, NewpktA, ReceiveA, SendA,
-                           UnicastA, UnicastFailA)
+from aodvcheck.awn import (TAU, BroadcastA, CastA, ConnectA, DeliverA,
+                           DeliverAtA, DisconnectA, GroupcastA, Label,
+                           NewpktA, ReceiveA, SendA, UnicastA, UnicastFailA)
 from aodvcheck.canon import FrozenMap, bdigest, digest, value_key
 from aodvcheck.explore import EnvNet
 from aodvcheck.messages import (Newpkt, Pkt, Rerr, Rrep, Rreq, RreqFlagged,
@@ -59,14 +58,6 @@ ROUTES = {
 }
 
 
-@st.composite
-def arrivals(draw):
-    heard = draw(addr_sets)
-    missed = draw(st.frozensets(ips.filter(lambda ip: ip not in heard),
-                                max_size=2))
-    return ArriveA(heard, missed, draw(messages))
-
-
 ACTIONS = {
     "TauA": st.just(TAU),
     "BroadcastA": st.builds(BroadcastA, messages),
@@ -77,7 +68,6 @@ ACTIONS = {
     "ReceiveA": st.builds(ReceiveA, messages),
     "DeliverA": st.builds(DeliverA, datum),
     "CastA": st.builds(CastA, addr_sets, messages),
-    "ArriveA": arrivals(),
     "ConnectA": st.builds(ConnectA, ips, ips),
     "DisconnectA": st.builds(DisconnectA, ips, ips),
     "NewpktA": st.builds(NewpktA, ips, datum, ips),
@@ -114,10 +104,7 @@ def test_equality_keys_and_digests_agree(kind, data):
     assert_encodings_agree(a, replace(a))
     # ``a`` with any one field taken from another value of its kind
     for f in fields(a):
-        try:
-            b = replace(a, **{f.name: getattr(other, f.name)})
-        except ModelError:  # an arrival whose heard and missed sets overlap
-            continue
+        b = replace(a, **{f.name: getattr(other, f.name)})
         assert_encodings_agree(a, b)
     assert_encodings_agree(a, other)
     assert_encodings_agree(a, data.draw(any_kind))
@@ -144,9 +131,12 @@ def test_encodings_are_cached_on_the_instance():
     assert value_key(xi) is k and bdigest(xi) is d
 
 
+# A fixed alphabet, with characters beyond ASCII, spares Hypothesis
+# building its Unicode character map, which multiplies a test process's
+# peak memory several times over.
 @given(st.one_of(
     st.sets(st.integers(), max_size=6),
-    st.sets(st.tuples(st.integers(-3, 3), st.text(max_size=2),
+    st.sets(st.tuples(st.integers(-3, 3), st.text("abé中", max_size=2),
                       st.integers(-3, 3)), max_size=6)))
 def test_map_iterates_its_keys_in_key_order(keys):
     # the model's maps have int or (ip, data, dip) keys, which sort by

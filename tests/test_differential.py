@@ -10,8 +10,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from aodvcheck.awn import (ArriveA, ConnectA, DisconnectA, NetMenu, NewpktA,
-                          root_parts)
+from aodvcheck.awn import ConnectA, DisconnectA, NewpktA, root_parts
 from aodvcheck.canon import digest, value_key
 from aodvcheck.explore import (EnvNet, EnvState, check_theorem1, env_menu,
                                explore, reachable)
@@ -21,8 +20,6 @@ from aodvcheck.protocol import build_table
 from aodvcheck.variants import VARIANTS
 
 from oracle_sos import closed_oracle, node_or_subnet_oracle
-
-EMPTY = frozenset()
 
 
 @st.composite
@@ -83,14 +80,11 @@ def naive_search(auto, table, bound):
         for s in frontier:
             net_s, env_s = s
             menu = auto.menu_for(env_s)
-            opened = node_or_subnet_oracle(
-                auto.net.net, net_s, NetMenu(EMPTY, menu.newpkts, menu.links))
-            for a, t in opened:
-                if not isinstance(a, ArriveA):
-                    rich = SimpleNamespace(origin=None, detail=a)
-                    after = root_parts(t)
-                    faults |= {n for n, f in tchecks
-                               if f(net_s, rich, after) is not None}
+            for a, t in node_or_subnet_oracle(auto.net.net, net_s, menu):
+                rich = SimpleNamespace(origin=None, detail=a)
+                after = root_parts(t)
+                faults |= {n for n, f in tchecks
+                           if f(net_s, rich, after) is not None}
             for a, t in closed_oracle(auto.net, net_s, menu):
                 edges += 1
                 target = (t, _env_after(env_s, a))

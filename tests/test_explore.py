@@ -522,15 +522,20 @@ class TestEnvThreading:
         assert auto.menu_for(env0) is auto.menu_for(env0)
 
     def test_env_states_offering_one_menu_share_it(self):
-        # A budget of 2 and a budget of 1 offer the same injection.  The
-        # step memos key on menu identity, so both must get one object.
+        # A budget of 2 and a budget of 1 offer the same injection.  Each
+        # automaton projects both menus onto one object, on which its
+        # step memo keys, so both meet one memo entry.
         auto = pair_net(env_menu(newpkts=[(1, "x", 2, 2)]))
         (s0,) = auto.init
         (r,) = [r for r in auto.rich_steps(s0)
                 if isinstance(r.action, NewpktA)]
         env0, env1 = s0[1], r.target[1]
         assert env0 != env1
-        assert auto.menu_for(env0) is auto.menu_for(env1)
+        m0, m1 = auto.menu_for(env0), auto.menu_for(env1)
+        assert (m0.newpkts, m0.links) == (m1.newpkts, m1.links)
+        net, net_s = auto.net.net, s0[0]
+        for node, state in ((net.left, net_s.left), (net.right, net_s.right)):
+            assert node.rich_steps(state, m1) is node.rich_steps(state, m0)
 
     def test_equal_environments_are_one_object(self):
         # Injecting at 1 then 2, or at 2 then 1, uses up the same budget.

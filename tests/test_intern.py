@@ -17,12 +17,12 @@ two networks share process states and nothing above them.  The step
 memos key on state numbers and on the identity of a menu's projection
 onto the subtree, so the next tests check that a menu equal in value to
 another, or differing only in another node's budget, gives the same
-steps, that the closed layer strips a menu of its messages once, that
-memoized process steps and cast deliveries are the ones a fresh call
-builds, and how many entries the node and subnet step and cast memos
-hold on chain3.  The last tests check that simulation seeds share the
-process steps of their table but no node memo, and that a search comes
-out the same on a fresh table and on one that earlier runs have warmed.
+steps, that memoized process steps and cast deliveries are the ones a
+fresh call builds, and how many entries the node and subnet step and
+cast memos hold on chain3.  The last tests check that simulation seeds
+share the process steps of their table but no node memo, and that a
+search comes out the same on a fresh table and on one that earlier runs
+have warmed.
 """
 import gc
 import json
@@ -32,9 +32,9 @@ import weakref
 import pytest
 
 from aodvcheck import awn, network, protocol, simulate
-from aodvcheck.awn import (Call, DisconnectA, NetMenu, NodeAutomaton, NodeS,
-                           ParAutomaton, ProcessTable, ProcState, SeqAutomaton,
-                           SubnetAutomaton, SubnetS, seq_steps)
+from aodvcheck.awn import (Call, ConnectA, DisconnectA, NetMenu, NodeAutomaton,
+                           NodeS, ParAutomaton, ProcessTable, ProcState,
+                           SeqAutomaton, SubnetAutomaton, SubnetS, seq_steps)
 from aodvcheck.canon import FrozenMap, bdigest
 from aodvcheck.cli import EXIT_PASS, EXIT_VIOLATION, main
 from aodvcheck.explore import EnvNet, explore
@@ -340,8 +340,8 @@ def _pair_net():
 
 
 def _busy_menu():
-    return NetMenu((("hi", 9),), FrozenMap({1: (Newpkt("x", 2),)}),
-                   (DisconnectA(1, 2),))
+    return NetMenu(FrozenMap({1: (Newpkt("x", 2), Newpkt("y", 2))}),
+                   (DisconnectA(1, 2), ConnectA(1, 2)))
 
 
 def test_menus_equal_in_value_give_equal_steps():
@@ -360,25 +360,13 @@ def test_menus_equal_in_value_give_equal_steps():
         assert len(first) > 3
 
 
-def test_closed_layer_strips_a_menu_once():
-    net = closed_net([(1, [2]), (2, [1])])
-    (s,) = net.init
-    menu = _busy_menu()
-    first = net.rich_steps(s, menu)
-    nodes = (net.net.left, net.net.right)
-    sizes = [len(a._steps_memo) for a in nodes]
-    assert net.rich_steps(s, menu) == first
-    assert [len(a._steps_memo) for a in nodes] == sizes
-
-
 def test_another_nodes_budget_is_projected_away():
     # A node reads only its own new-packet budget, so two menus that
     # differ only in another node's budget give it one memo entry.
     subnet = _pair_net()
     (s,) = subnet.init
     busy = _busy_menu()
-    more = NetMenu(busy.messages,
-                   FrozenMap({**busy.newpkts, 2: (Newpkt("y", 1),)}),
+    more = NetMenu(FrozenMap({**busy.newpkts, 2: (Newpkt("y", 1),)}),
                    busy.links)
     node, state = subnet.left, s.left
     assert node.ip == 1
