@@ -19,8 +19,8 @@ new packets and topology events.
 States at every layer are immutable values.  The process layers' ``steps``
 map a state (plus a finite environment menu) to a tuple of (action,
 successor) pairs; the network layers' ``rich_steps`` map it to a tuple of
-``RichStep`` records, which add the acting node and the action's
-informative shape.  Either tuple lists steps in the order the rules build
+``RichStep`` records of the acting node, the action's informative shape
+and the successor.  Either tuple lists steps in the order the rules build
 them: choice branches left to right, the protocol before its queue, the
 left subnet before the right, and menu entries in menu order.  A step the
 process rules build twice is kept once, at its first position.  The tuple
@@ -57,15 +57,17 @@ object stands for a value.
 
 The composition rules of the network layers are written once, in the
 node's and the subnet's ``_rich_steps``.  These take a record builder,
-called as ``build(origin, detail, action, target)`` for each step they
-compose, and a target maker, called as ``make(left, right)`` by a subnet
-and ``make(ip, inner, nbrs)`` by a node.  Below the root the builder is
+called as ``build(origin, detail, target)`` for each step they compose,
+and a target maker, called as ``make(left, right)`` by a subnet and
+``make(ip, inner, nbrs)`` by a node.  Below the root the builder is
 ``RichStep`` itself and the maker the automaton's interning one.  The
-layers above the root hand theirs down instead of copying the records
-they get back: the closed network passes a builder that relabels casts
-as Tau, and an explorer's environment wrapper one that also pairs each
-target with its environment successor, so each step of the closed
-system is built exactly once.
+closed network hands its caller's builder straight down to the root: by
+default ``RichStep``, or an explorer's environment wrapper's, which
+pairs each target with its environment successor.  So each step of the
+closed system is built exactly once, and no layer relabels a record.  A
+record's detail is what the acting node did; which details a layer
+shows as Tau is written once, in ``NetAutomaton.hidden``, and read only
+by the ``steps`` view.
 
 Root targets are built by whoever calls the closed network.  By default
 a subnet root's maker is ``SubnetS`` and a node root's its automaton's
@@ -83,7 +85,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .canon import EMPTY_MAP, FrozenMap, cache_attr, struct_digest, value_key
+from .canon import EMPTY_MAP, FrozenMap, interned, struct_digest, value_key
 from .canon import bdigest  # noqa: F401  (bench/spans.py patches this name)
 
 EMPTY = frozenset()
@@ -314,11 +316,7 @@ class ProcessTable:
 
     def intern(self, state: ProcState) -> ProcState:
         """The one numbered object of ``state``'s value in this table."""
-        got = self._states.get(state)
-        if got is None:
-            got = self._states[state] = state
-            cache_attr(state, "_n", len(self._states) - 1)
-        return got
+        return interned(self._states, state)
 
     def steps(self, state: ProcState, menu=()) -> tuple:
         """``seq_steps`` of interned ``state``, with interned targets.
@@ -329,8 +327,8 @@ class ProcessTable:
         key = (state._n, menu)
         out = self._steps_memo.get(key)
         if out is None:
-            intern = self.intern
-            out = tuple((a, intern(s))
+            states = self._states
+            out = tuple((a, interned(states, s))
                         for a, s in seq_steps(self, state, menu))
             if len(self._steps_memo) < _MEMO_CAP:
                 self._steps_memo[key] = out
@@ -673,16 +671,17 @@ class SubnetS:
 class RichStep(NamedTuple):
     """A network transition with provenance for traces and drivers.
 
-    ``action`` is the action visible at this layer; ``detail`` keeps the
-    informative shape (for instance the Cast that a closed network
-    reports as Tau) and ``origin`` the address of the acting node, when
-    there is one.  A record is a tuple, so it is never changed once
-    built, and the composition rules unpack it as one.
+    ``detail`` is what the acting node did, in its informative shape,
+    and ``origin`` the address of that node, when there is one.  Every
+    layer keeps the node's detail as it is: a layer that shows a step as
+    Tau (a unicast failure at every layer, a cast at the closed one)
+    says so only in its ``steps`` view (see ``NetAutomaton.shown``).  A
+    record is a tuple, so it is never changed once built, and the
+    composition rules unpack it as one.
     """
 
     origin: Optional[int]
     detail: Action
-    action: Action
     target: Any
 
     # The simulator orders sibling steps by this key, with steps that no
@@ -690,25 +689,36 @@ class RichStep(NamedTuple):
     # out: ``simulate.sibling_order`` keys a target only where two
     # siblings tie here.
     def canon_key(self) -> tuple:
-        return (
-            "step",
-            -1 if self.origin is None else self.origin,
-            value_key(self.detail),
-            value_key(self.action),
-        )
+        return ("step", -1 if self.origin is None else self.origin,
+                value_key(self.detail))
 
 
 class NetAutomaton(Automaton):
     """Shared shape of node, subnet and closed automata."""
 
     addresses: frozenset
+    # the details of the steps this layer shows as Tau: a unicast
+    # failure here, and a cast as well at the closed layer
+    hidden: tuple = (UnicastFailA,)
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
         raise NotImplementedError
 
+    def shown(self, detail) -> Action:
+        """The action this layer shows for a step of ``detail``."""
+        return TAU if isinstance(detail, self.hidden) else detail
+
     def steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
+        """The transition-system view: (action, target) pairs, each once.
+
+        A step's action is what this layer shows for its record's detail
+        (``shown``): Tau for a unicast failure below the root, and for a
+        cast or a unicast failure at the closed layer; the detail itself
+        for any other step.
+        """
+        shown = self.shown
         return tuple(dict.fromkeys(
-            (r.action, r.target) for r in self.rich_steps(state, menu)))
+            (shown(r.detail), r.target) for r in self.rich_steps(state, menu)))
 
     def cast_delivery(self, state, msg, dests: frozenset) -> tuple:
         """States after ``msg`` is cast with range ``dests``.
@@ -740,8 +750,8 @@ class NetAutomaton(Automaton):
 # monitors' caches.
 _MEMO_CAP = 1 << 20
 
-# actions of one side of a subnet that the other side takes no part in
-_LOCAL = (TauA, DeliverAtA, NewpktA)
+# details of one side's steps that the other side takes no part in
+_LOCAL = (TauA, UnicastFailA, DeliverAtA, NewpktA)
 
 
 class MemoNetAutomaton(NetAutomaton):
@@ -836,48 +846,37 @@ class NodeAutomaton(MemoNetAutomaton):
         """
         key = ((inner[0]._n, inner[1]._n, nbrs) if type(inner) is tuple
                else (inner._n, nbrs))
-        s = self._states.get(key)
-        if s is None:
-            s = self._states[key] = NodeS(ip, inner, nbrs)
-            cache_attr(s, "_n", len(self._states) - 1)
-        return s
+        return interned(self._states, key, NodeS, ip, inner, nbrs)
 
     def _rich_steps(self, state: NodeS, menu: NetMenu,
                     build=RichStep, make=None) -> tuple:
         node = self._node if make is None else make
-        ip = state.ip
+        ip, nbrs = state.ip, state.nbrs
         out: list = []
-
-        def emit(origin, detail, action, target):
-            out.append(build(origin, detail, action, target))
 
         # the inner automaton is offered only this node's new packets, so
         # each of its receives takes one of them
         for a, inner2 in self.inner.steps(state.inner,
                                           menu.newpkts.get(ip, ())):
-            nxt = node(ip, inner2, state.nbrs)
             if isinstance(a, BroadcastA):
-                act = CastA(state.nbrs, a.msg)
-                emit(ip, act, act, nxt)
+                detail = CastA(nbrs, a.msg)
             elif isinstance(a, GroupcastA):
-                act = CastA(state.nbrs & a.dests, a.msg)
-                emit(ip, act, act, nxt)
-            elif isinstance(a, UnicastA):
-                if a.dest in state.nbrs:
-                    act = CastA(frozenset([a.dest]), a.msg)
-                    emit(ip, act, act, nxt)
-            elif isinstance(a, UnicastFailA):
-                if a.dest not in state.nbrs:
-                    emit(ip, a, TAU, nxt)
+                detail = CastA(nbrs & a.dests, a.msg)
+            elif isinstance(a, UnicastA) and a.dest in nbrs:
+                detail = CastA(frozenset([a.dest]), a.msg)
+            elif isinstance(a, UnicastFailA) and a.dest not in nbrs:
+                detail = a
             elif isinstance(a, ReceiveA):
-                act = NewpktA(ip, a.msg.data, a.msg.dip)
-                emit(ip, act, act, nxt)
+                detail = NewpktA(ip, a.msg.data, a.msg.dip)
             elif isinstance(a, DeliverA):
-                act = DeliverAtA(ip, a.data)
-                emit(ip, act, act, nxt)
+                detail = DeliverAtA(ip, a.data)
             elif isinstance(a, TauA):
-                emit(ip, a, TAU, nxt)
-            # a bare Send has no node-level rule and is dropped
+                detail = a
+            else:
+                # an out-of-range unicast, an in-range unicast failure
+                # and a bare send have no node-level rule
+                continue
+            out.append(build(ip, detail, node(ip, inner2, nbrs)))
 
         for ev in menu.links:
             nbrs = state.nbrs
@@ -893,7 +892,7 @@ class NodeAutomaton(MemoNetAutomaton):
                     nbrs = nbrs - {ev.a}
             else:
                 raise ModelError(f"bad link event {ev!r}")
-            emit(None, ev, ev, node(ip, state.inner, nbrs))
+            out.append(build(None, ev, node(ip, state.inner, nbrs)))
 
         return tuple(out)
 
@@ -922,12 +921,8 @@ class SubnetAutomaton(MemoNetAutomaton):
         Keyed by the children's numbers, so equal children give one
         state, whose own number is its place in the table.
         """
-        key = (left._n, right._n)
-        s = self._states.get(key)
-        if s is None:
-            s = self._states[key] = SubnetS(left, right)
-            cache_attr(s, "_n", len(self._states) - 1)
-        return s
+        return interned(self._states, (left._n, right._n),
+                        SubnetS, left, right)
 
     def _rich_steps(self, state: SubnetS, menu: NetMenu,
                     build=RichStep, make=None) -> tuple:
@@ -940,29 +935,29 @@ class SubnetAutomaton(MemoNetAutomaton):
 
         # a local step of one side leaves the other as it is; a cast by
         # one side must be taken by every in-range node of the other
-        for origin, detail, action, target in lsteps:
-            if isinstance(action, _LOCAL):
-                add(build(origin, detail, action, pair(target, right)))
-            elif type(action) is CastA:
+        for origin, detail, target in lsteps:
+            if isinstance(detail, _LOCAL):
+                add(build(origin, detail, pair(target, right)))
+            elif type(detail) is CastA:
                 for right2 in self.right.cast_delivery(
-                        right, action.msg, action.dests):
-                    add(build(origin, detail, action, pair(target, right2)))
-        for origin, detail, action, target in rsteps:
-            if isinstance(action, _LOCAL):
-                add(build(origin, detail, action, pair(left, target)))
-            elif type(action) is CastA:
+                        right, detail.msg, detail.dests):
+                    add(build(origin, detail, pair(target, right2)))
+        for origin, detail, target in rsteps:
+            if isinstance(detail, _LOCAL):
+                add(build(origin, detail, pair(left, target)))
+            elif type(detail) is CastA:
                 for left2 in self.left.cast_delivery(
-                        left, action.msg, action.dests):
-                    add(build(origin, detail, action, pair(left2, target)))
+                        left, detail.msg, detail.dests):
+                    add(build(origin, detail, pair(left2, target)))
 
         # topology changes are taken by both sides together
-        for _, _, al, ltarget in lsteps:
-            if isinstance(al, (ConnectA, DisconnectA)):
-                for _, _, ar, rtarget in rsteps:
+        for _, dl, ltarget in lsteps:
+            if isinstance(dl, (ConnectA, DisconnectA)):
+                for _, dr, rtarget in rsteps:
                     # the type test spares a dataclass ``__eq__`` call
                     # per record of another class
-                    if type(ar) is type(al) and ar == al:
-                        add(build(None, al, al, pair(ltarget, rtarget)))
+                    if type(dr) is type(dl) and dr == dl:
+                        add(build(None, dl, pair(ltarget, rtarget)))
         return tuple(out)
 
     def _cast_delivery(self, state: SubnetS, msg, dests: frozenset) -> tuple:
@@ -977,15 +972,19 @@ class SubnetAutomaton(MemoNetAutomaton):
 class ClosedAutomaton(NetAutomaton):
     """Top layer: casts become internal.
 
-    The network below is the root of the tree, so its steps are taken
-    from its unmemoized body (see ``_MEMO_CAP``), which builds each
-    record with ``build`` after relabelling casts as Tau.  A caller that
-    wraps the closed network passes its own ``build`` here instead of
-    rebuilding the records it gets back, and may pass a ``make`` for the
-    root targets, such as ``part_maker(closed)``.  By default a subnet
-    root's targets are plain ``SubnetS`` states and a node root's are
-    interned by its automaton, so that each root part carries a number.
+    Its ``steps`` view shows a cast as Tau, as well as a unicast failure
+    (see ``hidden``); its records keep the cast as their detail, like
+    every layer's.  The network below is the root of the tree, so its
+    steps are taken from its unmemoized body (see ``_MEMO_CAP``), which
+    builds each record with ``build``.  A caller that wraps the closed
+    network passes its own ``build`` here instead of rebuilding the
+    records it gets back, and may pass a ``make`` for the root targets,
+    such as ``part_maker(closed)``.  By default a subnet root's targets
+    are plain ``SubnetS`` states and a node root's are interned by its
+    automaton, so that each root part carries a number.
     """
+
+    hidden = NetAutomaton.hidden + (CastA,)
 
     def __init__(self, net: MemoNetAutomaton):
         self.net = net
@@ -996,12 +995,7 @@ class ClosedAutomaton(NetAutomaton):
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU,
                    build=RichStep, make=None) -> tuple:
-        def close(origin, detail, action, target):
-            if type(action) is CastA:
-                action = TAU
-            return build(origin, detail, action, target)
-
-        return self.net._rich_steps(state, menu, close,
+        return self.net._rich_steps(state, menu, build,
                                     self._make if make is None else make)
 
 

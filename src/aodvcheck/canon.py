@@ -265,6 +265,20 @@ def quote(x) -> str:
 cache_attr = object.__setattr__
 
 
+def interned(table: dict, key, make=None, *args):
+    """The object ``table`` holds under ``key``, added if there is none.
+
+    A new object is ``make(*args)``, or ``key`` itself when no ``make``
+    is given, and is numbered by its place in the table, cached as its
+    ``_n``.  Such a table has no cap, since the numbers must be exact.
+    """
+    got = table.get(key)
+    if got is None:
+        got = table[key] = key if make is None else make(*args)
+        cache_attr(got, "_n", len(table) - 1)
+    return got
+
+
 def _hd(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()[:16]
 

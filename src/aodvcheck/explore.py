@@ -34,11 +34,11 @@ The search builds root states itself, and only new ones.  It expands a
 state with ``awn.part_maker`` as the target maker, so the closed layer
 hands each successor over as parts: the root's children (the acting
 child's target beside the other child, or two targets for a step both
-sides take), the environment successor, and the step's origin, detail
-and closed action.  The parts are interned subtrees that already carry
-their numbers, so the successor is keyed without being built; its root
-state ``(network, environment)`` is built only when the key is new, and
-about three in four successors are not.  The suites see network states
+sides take), the environment successor, and the step's origin and
+detail.  The parts are interned subtrees that already carry their
+numbers, so the successor is keyed without being built; its root state
+``(network, environment)`` is built only when the key is new, and about
+three in four successors are not.  The suites see network states
 and root parts, never the pair: a step suite takes the source network,
 the step and the target's parts, and a state suite the network of a new
 state (see ``monitor``).  Replay, ``_rebuild`` and the simulator expand
@@ -55,7 +55,7 @@ from typing import Optional
 from .awn import (ConnectA, DisconnectA, ModelError, NetMenu, RichStep,
                   NewpktA, join_parts, part_maker, root_parts)
 from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, digest,
-                    quote, value_key)
+                    interned, quote, value_key)
 from .messages import Newpkt
 from .monitor import state_checks, step_checks
 from .network import closed_net
@@ -126,15 +126,8 @@ class EnvNet:
         self.env = env
         self._envs: dict = {}    # EnvState -> its one shared instance
         self._after: dict = {}   # ``_env_after`` key -> successor
-        env0 = self._intern(EnvState(env.newpkts, 0))
+        env0 = interned(self._envs, EnvState(env.newpkts, 0))
         self.init = tuple((s, env0) for s in net.init)
-
-    def _intern(self, env_state: EnvState) -> EnvState:
-        got = self._envs.get(env_state)
-        if got is None:
-            got = self._envs[env_state] = env_state
-            cache_attr(got, "_n", len(self._envs) - 1)
-        return got
 
     def _env_after(self, env_s: EnvState, action) -> EnvState:
         # a link event only advances the script, so it is keyed by the
@@ -154,7 +147,7 @@ class EnvNet:
                 env2 = EnvState(rem, env_s.pos)
             else:
                 env2 = EnvState(env_s.remaining, env_s.pos + 1)
-            env2 = self._after[key] = self._intern(env2)
+            env2 = self._after[key] = interned(self._envs, env2)
         return env2
 
     def menu_for(self, env_state: EnvState) -> NetMenu:
@@ -181,17 +174,17 @@ class EnvNet:
         net_s, env_s = state
         after = self._env_after
 
-        def attach(origin, detail, action, target):
-            if isinstance(action, _ENV_ACTIONS):
-                target = (target, after(env_s, action))
+        def attach(origin, detail, target):
+            if isinstance(detail, _ENV_ACTIONS):
+                target = (target, after(env_s, detail))
             else:
                 target = (target, env_s)
-            return _record(RichStep, (origin, detail, action, target))
+            return _record(RichStep, (origin, detail, target))
 
         return self.net.rich_steps(net_s, self.menu_for(env_s), attach, make)
 
 
-# the actions that consume the environment's menu
+# the details of the steps that consume the environment's menu
 _ENV_ACTIONS = (NewpktA, ConnectA, DisconnectA)
 
 # ``_record(RichStep, fields)`` is ``RichStep(*fields)`` without the
@@ -508,10 +501,14 @@ def step_invariant(auto, pred, bound=None,
     """Does ``pred(net, action, successor)`` hold on every transition?
 
     ``net`` and ``successor`` are the network states of the transition's
-    source and target, without their environments.
+    source and target, without their environments.  ``action`` is what
+    the closed network shows for the step (``ClosedAutomaton.shown``):
+    Tau for a cast or a unicast failure, and the step's detail for any
+    other.
     """
+    shown = auto.net.shown
     check = (lambda net, r, after:
-             None if pred(net, r.action, join_parts(after))
+             None if pred(net, shown(r.detail), join_parts(after))
              else ("predicate false",))
     return explore(auto, bound=bound, state_cap=state_cap,
                    step_suites=[("step-invariant", check)])

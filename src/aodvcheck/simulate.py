@@ -187,7 +187,7 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
         forced = events.pop(i, None)
         if forced is not None:
             choices = [r for r in auto.rich_steps(state, _event_menu(forced))
-                       if r.action == forced]
+                       if r.detail == forced]
             if not choices:
                 raise ScheduleError(
                     f"event {render_action(forced)} cannot fire at step {i}")
@@ -204,8 +204,8 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
         target = r.target
         executed += 1
         path.append((i, r))
-        if isinstance(r.action, DeliverAtA):
-            delivered.append((i, r.action.ip, r.action.data))
+        if isinstance(r.detail, DeliverAtA):
+            delivered.append((i, r.detail.ip, r.detail.data))
 
         violated = False
         after = root_parts(target)

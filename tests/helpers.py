@@ -27,7 +27,7 @@ def inject(auto, state, ip, data, dip):
     """Take the new-packet step at ``ip``; the menu is offered only here."""
     menu = NetMenu(newpkts=FrozenMap({ip: (Newpkt(data, dip),)}))
     steps = [r for r in canonical_steps(auto, state, menu)
-             if isinstance(r.action, NewpktA)]
+             if isinstance(r.detail, NewpktA)]
     assert steps, f"node {ip} cannot accept a new packet"
     return steps[0].target
 

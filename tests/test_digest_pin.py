@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from aodvcheck.awn import TAU, CastA, RichStep
+from aodvcheck.awn import CastA, RichStep
 from aodvcheck.canon import FrozenMap, bdigest, digest, value_key
 from aodvcheck.explore import EnvNet
 from aodvcheck.messages import (Newpkt, Pkt, Rerr, Rrep, Rreq, RreqFlagged,
@@ -55,8 +55,11 @@ def pinned_values() -> dict:
         "RreqFlagged": RreqFlagged(0, 1, 2, 0, UNKNOWN, 1, 2, 1, True),
         "Rrep": Rrep(1, 2, 3, 1, 2),
         "Rerr": Rerr(FrozenMap({2: 3}), 1),
-        # a network step is a named tuple, and encodes as a tuple
-        "RichStep": RichStep(1, CastA(frozenset({2}), Pkt("a", 2, 1)), TAU,
+        # a network step is a named tuple, and encodes as a tuple; its
+        # pins were recorded from the plain tuple of its three fields,
+        # by the encoder as it stood when records still had a fourth
+        # field, ``action``
+        "RichStep": RichStep(1, CastA(frozenset({2}), Pkt("a", 2, 1)),
                              Pkt("a", 2, 1)),
     }
 
@@ -78,7 +81,7 @@ PINNED = {
     "RreqFlagged": "633608e23fe2dc327d319b43f5e5fb9b",
     "Rrep": "3a7b490287e2c6f3d504aa5fe1bb727c",
     "Rerr": "8c6fea30e035c9f36fa67cb3a2b2f73b",
-    "RichStep": "e4fcd8be3880410fdf7156117e11e960",
+    "RichStep": "90b37efe10d6442860734e55a1e7212e",
 }
 
 KEY_PINNED = {
@@ -98,7 +101,7 @@ KEY_PINNED = {
     "RreqFlagged": "85558e6eb9e8bc40db0d2031d55a00fe",
     "Rrep": "d0e024c65384d5ed9e06a27283d1ecc6",
     "Rerr": "c1c702af04e0410b150e1902b1c7bae1",
-    "RichStep": "7967cb509214b34af11b4ff89376834d",
+    "RichStep": "10735b11c34d1c88a87daca7782d31c0",
 }
 
 

@@ -18,8 +18,9 @@ memos key on state numbers and on the identity of a menu's projection
 onto the subtree, so the next tests check that a menu equal in value to
 another, or differing only in another node's budget, gives the same
 steps, that memoized process steps and cast deliveries are the ones a
-fresh call builds, and how many entries the node and subnet step and
-cast memos hold on chain3.  The last tests check that simulation seeds
+fresh call builds, how many entries the node and subnet step and cast
+memos hold on chain3, and how many states each node's table holds on
+fig1 and chain3.  The last tests check that simulation seeds
 share the process steps of their table but no node memo, and that a
 search comes out the same on a fresh table and on one that earlier runs
 have warmed.
@@ -462,6 +463,22 @@ def test_chain3_cast_memo_sizes():
     assert sizes == [0, 27, 275, 94, 27]
     assert sum(len(a._cast_memo) for a in automata(auto)
                if isinstance(a, NodeAutomaton)) == 148
+
+
+@pytest.mark.parametrize("path,bound,sizes", [
+    (FIG1, None, [227, 36, 23, 13]),
+    (CHAIN3, 32, [269, 446, 141]),
+])
+def test_node_tables_hold_only_kept_steps_targets(path, bound, sizes):
+    # A node interns the target of an inner step only when it keeps the
+    # step, so a dropped one (an out-of-range unicast, an in-range
+    # unicast failure, a bare send) takes no number: interning every
+    # inner step's target added 7 entries on fig1 and 3 on chain3.
+    # Nodes left to right.
+    auto = env_net(path)
+    explore(auto, bound=bound)
+    assert [len(a._states) for a in automata(auto)
+            if isinstance(a, NodeAutomaton)] == sizes
 
 
 def _batch(path, seeds=20):

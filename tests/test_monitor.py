@@ -342,7 +342,7 @@ class TestSharedChangeList:
 
 
 def fake_step(detail=TAU, origin=None):
-    return RichStep(origin, detail, TAU, None)
+    return RichStep(origin, detail, None)
 
 
 class TestStepSuites:
@@ -385,7 +385,7 @@ class TestStepSuites:
     def test_rerr_must_name_a_destination(self):
         _, table, init = quiescent_pair()
         empty_rerr = CastA(frozenset([2]), Rerr(EMPTY_MAP, 1))
-        rich = RichStep(1, empty_rerr, TAU, None)
+        rich = RichStep(1, empty_rerr, None)
         v = check_step_invariants((init, rich, init), table,
                                   ["rerr-grounded"])
         assert not v.holds
@@ -394,14 +394,14 @@ class TestStepSuites:
     def test_grounded_rerr_passes(self):
         _, table, init = quiescent_pair()
         rerr = CastA(frozenset([2]), Rerr(FrozenMap({5: 3}), 1))
-        rich = RichStep(1, rerr, TAU, None)
+        rich = RichStep(1, rerr, None)
         triple = (init, rich, init)
         assert check_step_invariants(triple, table, ["rerr-grounded"]).holds
 
     def test_unheard_rerr_not_flagged(self):
         _, table, init = quiescent_pair()
         rerr = CastA(EMPTY, Rerr(EMPTY_MAP, 1))
-        rich = RichStep(1, rerr, TAU, None)
+        rich = RichStep(1, rerr, None)
         triple = (init, rich, init)
         assert check_step_invariants(triple, table, ["rerr-grounded"]).holds
 

@@ -12,8 +12,9 @@ from aodvcheck.awn import (Assign, Broadcast, Call, CastA, ClosedAutomaton,
                            DisconnectA, Guard, ModelError, NetMenu,
                            NodeAutomaton, ParAutomaton, ProcState,
                            ProcessTable, Receive, ReceiveA, Send, SendA,
-                           SubnetAutomaton, TAU, Unicast, choice,
-                           label_process, seq, seq_steps, SeqAutomaton)
+                           SubnetAutomaton, TAU, Unicast, UnicastFailA,
+                           choice, label_process, seq, seq_steps,
+                           SeqAutomaton)
 from aodvcheck.canon import FrozenMap, value_key
 from aodvcheck.messages import Newpkt
 from aodvcheck.protocol import queue_table
@@ -327,6 +328,22 @@ class TestSubnetLayer:
         # the deaf node's own internal step still interleaves
         assert any(a == TAU for a, _ in auto.steps(s))
 
+    def test_unicast_failures_show_as_tau(self):
+        # each node's peer is out of range, so its unicast fails; the
+        # record keeps the failure, which every layer shows as Tau
+        table = unicast_table()
+        one = _node(table, "u", 1, frozenset(), 2)
+        two = _node(table, "u", 2, frozenset(), 1)
+        auto = SubnetAutomaton(one, two)
+        (s,) = auto.init
+        for layer, state in ((one, s.left), (two, s.right), (auto, s),
+                             (ClosedAutomaton(auto), s)):
+            rich = layer.rich_steps(state)
+            assert [type(r.detail) for r in rich] == \
+                [UnicastFailA] * len(rich)
+            assert rich
+            assert layer.steps(state) == tuple((TAU, r.target) for r in rich)
+
     def test_out_of_range_nodes_are_untouched_by_casts(self):
         table = chatter_table()
         speaker = _node(table, "t", 1, frozenset(), (1, ()))
@@ -362,9 +379,12 @@ class TestClosedLayer:
     def test_casts_become_internal_but_keep_their_shape(self):
         auto = self._closed_pair()
         (s,) = auto.init
-        rich = []
+        casts = 0
         for r in auto.rich_steps(s):
-            rich += [r2 for r2 in auto.rich_steps(r.target)
-                     if isinstance(r2.detail, CastA)]
-        assert rich
-        assert all(r2.action == TAU for r2 in rich)
+            shown = auto.steps(r.target)
+            assert not any(isinstance(a, CastA) for a, _ in shown)
+            for r2 in auto.rich_steps(r.target):
+                if isinstance(r2.detail, CastA):
+                    casts += 1
+                    assert (TAU, r2.target) in shown
+        assert casts

@@ -51,7 +51,7 @@ class TestScheduleBuilder:
         # steps 0 and 1 are quiescent, so the run jumps to the event
         sched = Schedule(events=FrozenMap({2: NewpktA(1, "x", 2)}))
         (first, r), *_ = run(PAIR, sched).path
-        assert (first, r.action) == (2, NewpktA(1, "x", 2))
+        assert (first, r.detail) == (2, NewpktA(1, "x", 2))
 
     def test_defaults(self):
         for section in ({}, {"events": None}):
@@ -197,7 +197,7 @@ class TestSiblingOrder:
         assert any(ties) and not all(ties)
 
     @given(st.lists(st.tuples(st.sampled_from([None, 1, 2]),
-                              st.integers(0, 2), st.integers(0, 1),
+                              st.integers(0, 2),
                               st.one_of(st.integers(0, 3),
                                         st.text("ab", max_size=2))),
                     max_size=12))
