@@ -28,32 +28,35 @@ is thus the semantics' step set in an order that depends on no hash seed
 and no object identity.
 
 Every layer below the root is hash-consed.  Each node and subnet
-automaton keeps a table, ``_states``, of the states it has built (its
-initial states, step targets and cast deliveries), and hands out the
-one built first whenever a new state equals it, before anything digests
-it or caches on it.  Process states are interned the same way, but by
-their ``ProcessTable``, which every automaton, run and seed of one
-configuration shares (see ``ProcessTable``).  A subtree value is then
-one object, digested at most once and carrying one set of the monitors'
-caches, however many global states share it.  Each new state is
-numbered by its place as it enters its table, as its ``_n``.  A process
-table interns by value, and interns a copy of each initial state it is
-given, so a caller's object is never numbered.  Two reached process
-states are equal exactly when they digest equal (see ``ProcState``), so
-a number stands for a value among its table's states, and for its
-``bdigest`` value.  A node's table is keyed by its process states'
-numbers and its neighbours, and a subnet's by its children's numbers,
-which are set already; so a process state is hashed by value only as it
-is built and interned, and a node or subnet state never.  Every memo and
-duplicate check above keys on numbers, and the network layers' memos
-also on the identity of the menu's projection onto the subtree's
-addresses (see ``NetMenu``), so a lookup hashes small values in C.  The
-tables have no cap, since the numbers must be exact.  Subnet root
-targets are built plain: a table at the root would keep every explored
-state alive, so that table holds only its initial states.  A node root
-interns its targets, so that they carry numbers too; a one-node network
-has few states.  Interning changes no step, order or digest, only which
-object stands for a value.
+automaton interns the states it builds (its initial states, step targets
+and cast deliveries) in a table, ``_states``, and hands out the one
+built first whenever a new state equals it, before anything digests it
+or caches on it.  A subnet automaton keeps its own table.  A node
+automaton uses the one table of every node at its address over its
+process tables, which the protocol table keeps with the node memos
+(``ProcessTable.node_tables``), so node states outlive a run.  Process
+states are interned the same way by their ``ProcessTable``, which every
+automaton, run and seed of one configuration shares.  A subtree value is
+then one object, digested at most once and carrying one set of the
+monitors' caches, however many global states share it.  Each new state
+is numbered by its place as it enters its table, as its ``_n``.  A
+process table interns by value, and interns a copy of each initial state
+it is given, so a caller's object is never numbered.  Two reached
+process states are equal exactly when they digest equal (see
+``ProcState``), so a number stands for a value among its table's states,
+and for its ``bdigest`` value.  A node's table is keyed by its process
+states' numbers and its neighbours, and a subnet's by its children's
+numbers, which are set already; so a process state is hashed by value
+only as it is built and interned, and a node or subnet state never.
+Every memo and duplicate check above keys on numbers, and the network
+layers' memos also on the identity of the menu's projection onto the
+subtree's addresses (see ``NetMenu``), so a lookup hashes small values
+in C.  The tables have no cap, since the numbers must be exact.  Subnet
+root targets are built plain: a table at the root would keep every
+explored state alive, so that table holds only its initial states.  A
+node root interns its targets in its node table, so that they carry
+numbers too; a one-node network has few states.  Interning changes no
+step, order or digest, only which object stands for a value.
 
 The composition rules of the network layers are written once, in the
 node's and the subnet's ``_rich_steps``.  These take a record builder,
@@ -298,6 +301,9 @@ class ProcessTable:
     them; numbers only name values.  The memo stops growing at
     ``_MEMO_CAP`` entries; the intern table has no cap, since the
     numbers must be exact.
+
+    For the same reason the table keeps the node layer's tables, for
+    every node over it (see ``node_tables``).
     """
 
     def __init__(self, bodies: dict[str, ProcessTerm]):
@@ -306,6 +312,7 @@ class ProcessTable:
         self._loc_cache: dict[int, tuple] = {}
         self._states: dict = {}       # process state -> its canonical instance
         self._steps_memo: dict = {}   # (number, menu) -> steps
+        self._node_tables: dict = {}  # (other table, address) -> node tables
         for name, body in self._bodies.items():
             _check_complete(name, body)
             for t in subterms(body):
@@ -333,6 +340,25 @@ class ProcessTable:
             if len(self._steps_memo) < _MEMO_CAP:
                 self._steps_memo[key] = out
         return out
+
+    def node_tables(self, other: Optional["ProcessTable"], ip: int) -> tuple:
+        """The tables of every node at ``ip`` over this table and ``other``.
+
+        ``other`` is the table of the queue beside this process, or None
+        for a bare process.  The tables are the node states' intern
+        table, the step memo, the cast memo and the menu projections, in
+        that order (see ``MemoNetAutomaton``).  A node's steps and cast
+        deliveries depend only on its state's number and what is offered
+        to it, and its process steps only on this table and ``other``,
+        so every node automaton at ``ip`` over the two, in any run, seed
+        or network, builds the same ones; numbers only name values, and
+        no draw, rank or digest reads one.
+        """
+        key = (other, ip)
+        got = self._node_tables.get(key)
+        if got is None:
+            got = self._node_tables[key] = ({}, {}, {}, {})
+        return got
 
     def __getitem__(self, name: str) -> ProcessTerm:
         try:
@@ -735,12 +761,20 @@ class NetAutomaton(Automaton):
 # context offers it (``MemoNetAutomaton._project``), which is the
 # compositionality the paper's invariants are lifted by.  Exploration of
 # a small network touches far fewer distinct (subtree state, projected
-# menu) pairs than global states, so a per-automaton cache pays for
-# itself immediately.  Each process table memoizes its processes' steps
-# by (process state, menu) too: a node steps its protocol and queue again
-# whenever it meets a new menu or cast, and most of those process steps
-# were built before, by this node, another node, or an earlier run over
-# the table (``ProcessTable``).  The root (the network a
+# menu) pairs than global states, so a cache pays for itself
+# immediately.  The same compositionality lets the node memos outlive a
+# run: a node's steps are the same in every run, seed and network over
+# its tables, so every node automaton at one address over one protocol
+# table and one queue table reads and fills one set of node tables,
+# which the protocol table keeps (``ProcessTable.node_tables``); a seed
+# takes the node steps an earlier seed built.  An inner subnet's memos
+# are its automaton's own, and so live as long as its run: its states
+# are the union of every path it took, which would grow with every seed.
+# Each process table memoizes its processes' steps by (process state,
+# menu) too: a node steps its protocol and queue again whenever it meets
+# a new menu or cast, and most of those process steps were built before,
+# by this node, another node, or an earlier run over the table
+# (``ProcessTable``).  The root (the network a
 # ``ClosedAutomaton`` closes) is expanded through the unmemoized body:
 # a search expands each root state exactly once, so a root memo would
 # only keep every expanded state's successors alive.  The memos key on
@@ -765,15 +799,23 @@ class MemoNetAutomaton(NetAutomaton):
     ``_rich_steps`` interns the targets it builds unless it is given
     another ``make``, as the closed layer does for a subnet root.  A
     subclass writes only its composition rules and its intern key.
+
+    ``tables`` holds the intern table, the two memos and the projections
+    (in the order of ``ProcessTable.node_tables``), which a node shares
+    with every node over its process tables at its address; a subnet
+    passes none and gets new ones.  The map of menus to projections is
+    always the automaton's own, since it is keyed by the identity of
+    its run's menus.
     """
 
-    def __init__(self, addresses: frozenset):
+    def __init__(self, addresses: frozenset, tables: tuple = None):
         self.addresses = addresses
-        self._steps_memo: dict = {}   # (number, projected menu) -> steps
-        self._cast_memo: dict = {}    # (number, msg, own range) -> deliveries
+        (self._states,        # intern key -> the canonical state
+         self._steps_memo,    # (number, projected menu) -> steps
+         self._cast_memo,     # (number, msg, own range) -> deliveries
+         self._projections,   # projection's fields -> its NetMenu
+         ) = ({}, {}, {}, {}) if tables is None else tables
         self._own_menus: dict = {}    # menu -> its projection onto addresses
-        self._projections: dict = {}  # projection's fields -> its NetMenu
-        self._states: dict = {}       # intern key -> the canonical state
 
     def rich_steps(self, state, menu: NetMenu = EMPTY_MENU) -> tuple:
         own = self._own_menus.get(menu)
@@ -828,10 +870,23 @@ class MemoNetAutomaton(NetAutomaton):
 
 
 class NodeAutomaton(MemoNetAutomaton):
+    """A node at ``ip`` over ``inner``, a protocol and queue pair or a
+    bare process.
+
+    The automaton is its run's, but its intern table, memos and menu
+    projections are those of every node at ``ip`` over ``inner``'s
+    process tables (``ProcessTable.node_tables``), so a node meets the
+    states and steps that any earlier node over them built.
+    """
+
     def __init__(self, ip: int, inner: Automaton, nbrs: frozenset):
         if ip in nbrs:
             raise ModelError(f"node {ip} lists itself as neighbour")
-        super().__init__(frozenset([ip]))
+        if isinstance(inner, ParAutomaton):
+            tables = inner.left.table.node_tables(inner.right.table, ip)
+        else:
+            tables = inner.table.node_tables(None, ip)
+        super().__init__(frozenset([ip]), tables)
         self.ip = ip
         self.inner = inner
         self.init = tuple(self._node(ip, i, frozenset(nbrs))

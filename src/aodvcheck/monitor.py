@@ -51,12 +51,13 @@ value, and the verdicts are cached where that value lives:
 The states of nodes and inner subnets are interned by the automata of
 ``aodvcheck.awn``, one object per distinct subtree value, each carrying
 its number ``_n``, so a verdict cached on such a state is computed once
-however many global states share it, and lives as long as the run's
-automata do.  A part that carries no number, such as an oracle's state
-or a test's forged one, is checked directly and nothing is cached on
-it.  Each suite keeps one check all the same, so a caller calls it once
-per transition or new state, and selecting one suite alone selects one
-slot of the shared verdicts.
+however many global states share it, and lives as long as its state: a
+node state's as long as its process table, an inner subnet state's as
+long as its run's automata.  A part that carries no number, such as an
+oracle's state or a test's forged one, is checked directly and nothing
+is cached on it.  Each suite keeps one check all the same, so a caller
+calls it once per transition or new state, and selecting one suite alone
+selects one slot of the shared verdicts.
 """
 from __future__ import annotations
 

@@ -505,17 +505,20 @@ def build_table(cfg: VariantConfig = BASE) -> ProcessTable:
     """The labelled process table of ``cfg``, built once per process.
 
     Every run of one configuration shares the table, and with it the
-    label memo and ``monitor.dispatch_locations`` it keeps, and the
-    process states and process steps it owns (``awn.ProcessTable``).
+    label memo and ``monitor.dispatch_locations`` it keeps, the process
+    states and process steps it owns, and the node states and node
+    steps it keeps per queue table and address (``awn.ProcessTable``).
     That is safe because the table holds no run state.  Its label memo
     is keyed by its own terms.  Its step memo holds values of
     ``seq_steps``, a pure function of the table's terms and a process
     state, keyed by the state's number, which only names the value; no
-    step order, digest, draw or file byte reads a number.  A run's node
-    and subnet automata, their memos and intern tables, and its menus
-    are built per run.  The configurations form a small fixed set (the
+    step order, digest, draw or file byte reads a number.  The node
+    memos are likewise pure functions of a node state's number and
+    the menu projected onto the node.  A run's node and subnet
+    automata, its subnet memos and intern tables, and its menus are
+    built per run.  The configurations form a small fixed set (the
     named variants, with or without mutations), so the memo of tables
-    stays small, and each table's step memo stops at ``awn._MEMO_CAP``.
+    stays small, and each table's memos stop at ``awn._MEMO_CAP``.
     It is keyed on the configuration's value, so ``build_table()`` and
     ``build_table(cfg=BASE)`` give one table; a build that raises is not
     kept.

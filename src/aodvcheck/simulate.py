@@ -14,6 +14,13 @@ The generator draws from the sibling steps in one fixed order,
 their targets, so a state is encoded as a key only where that decides
 a draw.
 
+Each run builds its own network automata, but a node's automaton reads
+and fills the node states and node steps that its process table keeps
+for that node's address (``awn.ProcessTable.node_tables``), as it reads
+the table's process steps.  A node's steps do not depend on the run, so
+a seed takes the node steps an earlier seed of the configuration built,
+and no draw or trace depends on what ran before.
+
 A run keeps only the path it walked.  Its trace records, where each
 step names the state it reaches by its ``bdigest``, are built from that
 path the first time ``SimResult.records`` is read, so a run whose trace
@@ -133,14 +140,15 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
     ``nodes`` is the network's (ip, neighbours) pairs (see
     ``network.build_net``); the trace header lists them in that order.
 
-    Each run builds its own node and subnet automata, with their step
-    memos, menus and intern tables, its own monitor checks and its own
-    generator, so every seed starts with a cold node memo.  What it
-    shares with other runs of ``cfg`` in the process is the labelled
-    process table and the queue table, which ``build_table`` and
-    ``queue_table`` build once, and with them the process states and
-    process steps those tables own: a seed takes a process step that an
-    earlier seed built from the table's memo instead of building it
+    Each run builds its own node and subnet automata, with their maps
+    of menus, its own subnet memos and intern tables, its own monitor
+    checks and its own generator.  What it shares with other runs of
+    ``cfg`` in the process is the labelled process table and the queue
+    table, which ``build_table`` and ``queue_table`` build once, and
+    with them the process states and process steps those tables own,
+    and the node states, node steps and cast deliveries the protocol
+    table keeps per address: a seed takes a node or process step that
+    an earlier seed built from the table's memos instead of building it
     again.  A table holds no run state, so no draw or trace depends on
     what ran before.
     """

@@ -1,10 +1,37 @@
 """Shared drivers for exercising automata in tests."""
 from dataclasses import replace
 
+from aodvcheck import network, protocol
 from aodvcheck.awn import EMPTY_MENU, NetMenu, NewpktA, NodeS, SubnetS
 from aodvcheck.canon import FrozenMap
 from aodvcheck.messages import Newpkt
+from aodvcheck.protocol import queue_table
 from aodvcheck.simulate import sibling_order
+
+# builds a new labelled table, bypassing ``build_table``'s memo
+_LABELLED = protocol._labelled_table.__wrapped__
+
+
+def fresh_tables(monkeypatch):
+    """Make every network built from here on use new tables.
+
+    Each configuration gets a new labelled table on first use, and every
+    network the one new queue table, so no earlier test's process states
+    and steps are in them, nor its node states and node steps, which a
+    protocol table keeps.  Returns the protocol tables by configuration
+    and the queue table.
+    """
+    tables: dict = {}
+    qtable = queue_table.__wrapped__()
+
+    def labelled(cfg):
+        if cfg not in tables:
+            tables[cfg] = _LABELLED(cfg)
+        return tables[cfg]
+
+    monkeypatch.setattr(protocol, "_labelled_table", labelled)
+    monkeypatch.setattr(network, "queue_table", lambda: qtable)
+    return tables, qtable
 
 
 def canonical_steps(auto, state, menu=EMPTY_MENU):

@@ -16,6 +16,8 @@ import sys
 
 import pytest
 
+from helpers import fresh_tables
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -38,7 +40,10 @@ def _namespaces():
     return names
 
 
-def test_instrument_installs_and_uninstalls(spans):
+def test_instrument_installs_and_uninstalls(spans, monkeypatch):
+    # The tables are new, so that the search digests states of its own:
+    # node states that earlier tests reached carry their digests.
+    fresh_tables(monkeypatch)
     before = _namespaces()
     tracer = spans.Tracer()
     try:

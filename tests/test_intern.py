@@ -1,29 +1,35 @@
 """Hash-consed states: one object per distinct value below the root.
 
-Each node and subnet automaton below the root keeps a table of the
-states it has built, hands out the one built first whenever a new state
-equals it, and numbers each state it interns.  Process states are
-interned and numbered the same way by their ``ProcessTable``, which
-every automaton, run and seed of one configuration shares, with its
-step memo.  These tests check that reached subtrees are shared that
-way, that the interned object digests like the state it replaces, that
-a table holds one object per process state value across nodes and that
-reached process states are equal exactly when they digest equal, that
-the numbers stand for digests in every table, that a table numbers only
-copies of the initial states it is given, that nodes share queue-state
-objects, that a search hashes a process state only where it enters a
-table and a node state never, that root states enter no table, and that
-two networks share process states and nothing above them.  The step
-memos key on state numbers and on the identity of a menu's projection
-onto the subtree, so the next tests check that a menu equal in value to
-another, or differing only in another node's budget, gives the same
-steps, that memoized process steps and cast deliveries are the ones a
-fresh call builds, how many entries the node and subnet step and cast
-memos hold on chain3, and how many states each node's table holds on
-fig1 and chain3.  The last tests check that simulation seeds
-share the process steps of their table but no node memo, and that a
-search comes out the same on a fresh table and on one that earlier runs
-have warmed.
+Each node and subnet automaton below the root interns the states it
+builds in a table, hands out the one built first whenever a new state
+equals it, and numbers each state it interns.  A subnet's table is its
+own; a node's is that of every node at its address over its process
+tables, which the protocol table keeps with the node memos.  Process
+states are interned and numbered the same way by their
+``ProcessTable``, which every automaton, run and seed of one
+configuration shares, with its step memo.  These tests check that
+reached subtrees are shared that way, that the interned object digests
+like the state it replaces, that a table holds one object per process
+state value across nodes and that reached process states are equal
+exactly when they digest equal, that the numbers stand for digests in
+every table, that a table numbers only copies of the initial states it
+is given, that nodes share queue-state objects, that a search hashes a
+process state only where it enters a table and a node state never, that
+root states enter no table, and that two networks share process and
+node states but no subnet state.  The step memos key on state numbers
+and on the identity of a menu's projection onto the subtree, so the
+next tests check that a menu equal in value to another, or differing
+only in another node's budget, gives the same steps, that memoized
+process steps and cast deliveries are the ones a fresh call builds, how
+many entries the node and subnet step and cast memos hold on chain3,
+and how many states each node's table holds on fig1 and chain3.  The
+last tests check that simulation seeds share the process and node steps
+of their tables but no subnet memo, how many node, pair and process
+step sets the benchmark's first simulation batch builds, and that a
+simulation and a search come out the same on fresh tables and on ones
+that earlier runs have warmed.  Tests that count calls or table sizes
+run on new tables (``helpers.fresh_tables``), so that no earlier test
+changes them.
 """
 import gc
 import json
@@ -32,7 +38,7 @@ import weakref
 
 import pytest
 
-from aodvcheck import awn, network, protocol, simulate
+from aodvcheck import awn, simulate
 from aodvcheck.awn import (Call, ConnectA, DisconnectA, NetMenu, NodeAutomaton,
                            NodeS, ParAutomaton, ProcessTable, ProcState,
                            SeqAutomaton, SubnetAutomaton, SubnetS, seq_steps)
@@ -45,41 +51,20 @@ from aodvcheck.protocol import build_table, queue_table
 from aodvcheck.scenario import load_scenario
 from aodvcheck.simulate import Schedule
 
+from helpers import fresh_tables
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHAIN3 = "scenarios/chain3.json"
 FIG1 = "scenarios/fig1.json"
 PAIR2 = "scenarios/pair2.json"
 STALE_LINKS = "bench/scenarios/pair2_links_stale.json"
 CHAIN3_STALE = "bench/scenarios/chain3_stale.json"
-
-# builds a new labelled table, bypassing ``build_table``'s memo
-_LABELLED = protocol._labelled_table.__wrapped__
+LINE3_CROSS = "scenarios/line3_cross.json"
 
 
 def env_net(path, table=None) -> EnvNet:
     sc = load_scenario(os.path.join(ROOT, path))
     return EnvNet(closed_net(sc.tree, sc.cfg, table), sc.env)
-
-
-def fresh_tables(monkeypatch):
-    """Make every network built from here on use new tables.
-
-    Each configuration gets a new labelled table on first use, and every
-    network one new queue table, so no earlier test's states or steps
-    are in them.  Returns the protocol tables by configuration and the
-    queue table.
-    """
-    tables: dict = {}
-    qtable = queue_table.__wrapped__()
-
-    def labelled(cfg):
-        if cfg not in tables:
-            tables[cfg] = _LABELLED(cfg)
-        return tables[cfg]
-
-    monkeypatch.setattr(protocol, "_labelled_table", labelled)
-    monkeypatch.setattr(network, "queue_table", lambda: qtable)
-    return tables, qtable
 
 
 def automata(auto):
@@ -315,18 +300,25 @@ def test_root_states_enter_no_table():
     assert refs and all(ref() is None for ref in refs)
 
 
-def test_two_networks_share_process_states_only():
-    # Node and subnet states are interned per network; process states
-    # by their table, which both networks share.
+def test_two_networks_share_process_and_node_states_not_subnet_states():
+    # Subnet states are interned per network.  Node states are interned
+    # in the node tables that their process table keeps per address, and
+    # process states by their table, so both networks share them.
     sc = load_scenario(os.path.join(ROOT, CHAIN3))
     table = build_table(sc.cfg)
     nets = [env_net(CHAIN3, table) for _ in range(2)]
     reps = [explore(n, bound=8, keep_states=True) for n in nets]
-    held = [{id(s) for a in automata(n) if not isinstance(a, SeqAutomaton)
-             for s in a._states.values()}
-            for n in nets]
-    assert held[0] and held[1]
-    assert not held[0] & held[1]
+    subnets = [{id(s) for a in automata(n) if isinstance(a, SubnetAutomaton)
+                for s in a._states.values()}
+               for n in nets]
+    assert subnets[0] and subnets[1]
+    assert not subnets[0] & subnets[1]
+    nodes = [[a for a in automata(n) if isinstance(a, NodeAutomaton)]
+             for n in nets]
+    assert len(nodes[0]) == len(nodes[1]) == 3
+    for one, other in zip(*nodes):
+        assert one is not other
+        assert one._states is other._states and one._states
     procs = [{id(p) for a in automata(n) if isinstance(a, NodeAutomaton)
               for s in a._states.values() for p in s.inner}
              for n in nets]
@@ -361,9 +353,12 @@ def test_menus_equal_in_value_give_equal_steps():
         assert len(first) > 3
 
 
-def test_another_nodes_budget_is_projected_away():
+def test_another_nodes_budget_is_projected_away(monkeypatch):
     # A node reads only its own new-packet budget, so two menus that
-    # differ only in another node's budget give it one memo entry.
+    # differ only in another node's budget give it one memo entry.  The
+    # tables are new, so that the node memos hold this test's entries
+    # only.
+    fresh_tables(monkeypatch)
     subnet = _pair_net()
     (s,) = subnet.init
     busy = _busy_menu()
@@ -382,9 +377,12 @@ def test_another_nodes_budget_is_projected_away():
 
 
 @pytest.mark.parametrize("path,bound", [(STALE_LINKS, 58), (FIG1, None)])
-def test_memoized_process_steps_are_fresh_steps(path, bound):
+def test_memoized_process_steps_are_fresh_steps(path, bound, monkeypatch):
     # Every answer of a process automaton's memo must be the tuple that
-    # a fresh ``seq_steps`` builds, in the same order.
+    # a fresh ``seq_steps`` builds, in the same order.  The tables are
+    # new, so that the nodes step their processes at all: warm node
+    # tables would answer every node step.
+    fresh_tables(monkeypatch)
     auto = env_net(path)
     hits = [0]
 
@@ -440,10 +438,12 @@ def test_memoized_cast_deliveries_are_fresh_deliveries(path, bound):
     assert hits[0] > 0 and outside[0] > 0
 
 
-def test_chain3_memo_sizes():
+def test_chain3_memo_sizes(monkeypatch):
     # The node and subnet memos key on the menu each subtree can see, so
     # a change in another node's budget costs no entry.  Root first, then
-    # left to right; the root is expanded unmemoized.
+    # left to right; the root is expanded unmemoized.  The tables are
+    # new, since the node memos outlive a search.
+    fresh_tables(monkeypatch)
     auto = env_net(CHAIN3)
     explore(auto, bound=32)
     sizes = [len(a._steps_memo) for a in automata(auto)
@@ -452,10 +452,12 @@ def test_chain3_memo_sizes():
     assert sum(sizes) == 5360
 
 
-def test_chain3_cast_memo_sizes():
+def test_chain3_cast_memo_sizes(monkeypatch):
     # The cast memos key on the part of the range each subtree sees, so
     # a node meets a state and message once whatever else is in range.
-    # Root first, then left to right; the root delivers no cast.
+    # Root first, then left to right; the root delivers no cast.  The
+    # tables are new, since the node memos outlive a search.
+    fresh_tables(monkeypatch)
     auto = env_net(CHAIN3)
     explore(auto, bound=32)
     sizes = [len(a._cast_memo) for a in automata(auto)
@@ -469,41 +471,59 @@ def test_chain3_cast_memo_sizes():
     (FIG1, None, [227, 36, 23, 13]),
     (CHAIN3, 32, [269, 446, 141]),
 ])
-def test_node_tables_hold_only_kept_steps_targets(path, bound, sizes):
+def test_node_tables_hold_only_kept_steps_targets(path, bound, sizes,
+                                                  monkeypatch):
     # A node interns the target of an inner step only when it keeps the
     # step, so a dropped one (an out-of-range unicast, an in-range
     # unicast failure, a bare send) takes no number: interning every
     # inner step's target added 7 entries on fig1 and 3 on chain3.
-    # Nodes left to right.
+    # Nodes left to right, on new tables, since node tables outlive a
+    # search.
+    fresh_tables(monkeypatch)
     auto = env_net(path)
     explore(auto, bound=bound)
     assert [len(a._states) for a in automata(auto)
             if isinstance(a, NodeAutomaton)] == sizes
 
 
-def _batch(path, seeds=20):
-    """Run the first ``seeds`` seeds of scenario ``path``'s schedule."""
+def _batch(path, seeds=20, reverse=False):
+    """Run the first ``seeds`` seeds of scenario ``path``'s schedule, in
+    order, or last to first when ``reverse``."""
     sc = load_scenario(os.path.join(ROOT, path))
+    order = range(seeds - 1, -1, -1) if reverse else range(seeds)
     return [simulate.run(sc.tree, Schedule(seed, sc.sched.max_steps,
                                            sc.sched.events),
                          sc.cfg, suites=sc.suites)
-            for seed in range(seeds)]
+            for seed in order]
 
 
-def test_seeds_share_process_steps_not_node_memos(monkeypatch):
-    # Runs of one configuration share its process tables, so the first
-    # pass over 20 seeds of chain3_stale builds every process step they
-    # take, in 538 calls of ``seq_steps`` (each pass made 2,375 when
-    # every run's automata memoized their own), and a second pass builds
-    # none and adds nothing to either table.  The node memos are each
-    # run's own, so every run's starts empty.
+def _node_table_sizes(table) -> dict:
+    """The sizes of the node tables that ``table`` keeps, by address."""
+    return {ip: [len(t) for t in tables]
+            for (_, ip), tables in table._node_tables.items()}
+
+
+def test_seeds_share_process_and_node_steps(monkeypatch):
+    # Runs of one configuration share its process tables, and the node
+    # tables that the protocol table keeps per address, so the first
+    # pass over 20 seeds of chain3_stale builds every process step and
+    # node step they take, in 538 calls of ``seq_steps`` and 746 of a
+    # node's ``_rich_steps`` (2,123 when every run's nodes memoized their
+    # own), and a second pass builds none and adds nothing to any table.
+    # The automata are each run's own, and so are its subnets, whose
+    # memos start empty.
     tables, qtable = fresh_tables(monkeypatch)
-    calls = [0]
+    calls = {"seq": 0, "node": 0}
     fresh_steps = awn.seq_steps
+    node_steps = NodeAutomaton._rich_steps
 
-    def counted(*args):
-        calls[0] += 1
+    def counted_seq(*args):
+        calls["seq"] += 1
         return fresh_steps(*args)
+
+    def counted_node(*args):
+        calls["node"] += 1
+        return node_steps(*args)
 
     build = simulate.closed_net
     nodes = []
@@ -511,23 +531,74 @@ def test_seeds_share_process_steps_not_node_memos(monkeypatch):
     def closed(*args, **kwargs):
         auto = build(*args, **kwargs)
         new = [a for a in automata(auto) if isinstance(a, NodeAutomaton)]
-        assert len(new) == 3 and not any(a._steps_memo for a in new)
+        subnets = [a for a in automata(auto)
+                   if isinstance(a, SubnetAutomaton)]
+        assert len(new) == 3 and len(subnets) == 2
+        assert not any(a._steps_memo or a._cast_memo for a in subnets)
         nodes.extend(new)
         return auto
 
-    monkeypatch.setattr(awn, "seq_steps", counted)
+    monkeypatch.setattr(awn, "seq_steps", counted_seq)
+    monkeypatch.setattr(NodeAutomaton, "_rich_steps", counted_node)
     monkeypatch.setattr(simulate, "closed_net", closed)
     first = [(r.stop, r.steps) for r in _batch(CHAIN3_STALE)]
-    assert calls[0] == 538
+    assert calls == {"seq": 538, "node": 746}
     (table,) = tables.values()
     sizes = [(len(t._states), len(t._steps_memo)) for t in (table, qtable)]
-    calls[0] = 0
+    node_sizes = _node_table_sizes(table)
+    assert sorted(node_sizes) == [1, 2, 3]
+    assert all(n and m for n, m, _, _ in node_sizes.values())
+    calls.update(seq=0, node=0)
     assert [(r.stop, r.steps) for r in _batch(CHAIN3_STALE)] == first
-    assert calls[0] == 0
+    assert calls == {"seq": 0, "node": 0}
     assert [(len(t._states), len(t._steps_memo))
             for t in (table, qtable)] == sizes
+    assert _node_table_sizes(table) == node_sizes
     assert len({id(a) for a in nodes}) == 2 * 20 * 3
     assert sum(stop == "violation" for stop, _ in first) == 19
+
+
+def test_sim_batch_node_and_process_step_counts(monkeypatch):
+    # The 200 seeds of the benchmark's batch 0 of chain3_stale, on new
+    # tables: nodes step 1,683 times and their protocol and queue pairs
+    # 2,108 times (21,171 and 23,365 when every run's node memos were
+    # its own), and ``seq_steps`` builds 900 process step sets.
+    fresh_tables(monkeypatch)
+    calls = {"seq": 0, "par": 0, "node": 0}
+
+    def counted(tally, fn):
+        def wrapper(*args):
+            calls[tally] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(awn, "seq_steps", counted("seq", awn.seq_steps))
+    monkeypatch.setattr(ParAutomaton, "steps",
+                        counted("par", ParAutomaton.steps))
+    monkeypatch.setattr(NodeAutomaton, "_rich_steps",
+                        counted("node", NodeAutomaton._rich_steps))
+    results = _batch(CHAIN3_STALE, seeds=200)
+    assert calls == {"seq": 900, "par": 2108, "node": 1683}
+    assert sum(r.stop == "violation" for r in results) == 198
+
+
+def test_a_simulation_is_independent_of_the_tables_history(monkeypatch):
+    # A run reads node states and node steps from tables that earlier
+    # runs may have filled and numbered, so chain3's seeds must give the
+    # same trace records on new tables as after a line3_cross batch over
+    # the same addresses.  The second pass also runs the seeds last to
+    # first, so that it numbers the states they share in another order.
+    fresh_tables(monkeypatch)
+    cold = [r.records for r in _batch(CHAIN3)]
+    tables, _ = fresh_tables(monkeypatch)
+    _batch(LINE3_CROSS)
+    (table,) = tables.values()
+    warmed = _node_table_sizes(table)
+    assert sorted(warmed) == [1, 2, 3]
+    assert all(n and m for n, m, _, _ in warmed.values())
+    warm = [r.records for r in reversed(_batch(CHAIN3, reverse=True))]
+    assert _node_table_sizes(table) != warmed
+    assert warm == cold
 
 
 def test_a_search_is_independent_of_the_tables_history(tmp_path, monkeypatch,

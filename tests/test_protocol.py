@@ -25,6 +25,8 @@ from aodvcheck.routing import (INVALID, KNOWN, UNKNOWN, VALID, RouteEntry,
 from aodvcheck.simulate import Schedule, run
 from aodvcheck.variants import VARIANTS, apply_mutations
 
+from helpers import fresh_tables
+
 
 def rte(dsn=0, dsk=UNKNOWN, flag=VALID, hops=1, nhip=9, pre=frozenset()):
     return RouteEntry(dsn, dsk, flag, hops, nhip, frozenset(pre))
@@ -264,7 +266,13 @@ class TestTableMemo:
         for cfg, table in zip(cfgs, tables):
             assert build_table(cfg) is table
 
-    def test_automata_share_the_table_not_their_memos(self):
+    def test_automata_share_the_table_not_their_memos(self, monkeypatch):
+        # Two networks over one table have their own automata and their
+        # own subnet memo and states; a node's memo and states are the
+        # table's, kept per address, so one network's search fills the
+        # other's nodes' too.  The tables are new, so that they start
+        # empty.
+        fresh_tables(monkeypatch)
         pair = [(1, [2]), (2, [1])]
         a, b = closed_net(pair, BASE), closed_net(pair, BASE)
         table = build_table(BASE)
@@ -273,12 +281,15 @@ class TestTableMemo:
                 assert node.inner.left.table is table
         memos = lambda auto: [(m._steps_memo, m._states) for m in
                               (auto.net, auto.net.left, auto.net.right)]
-        for (sa, na), (sb, nb) in zip(memos(a), memos(b)):
-            assert sa is not sb and na is not nb
-        before = [(len(s), len(n)) for s, n in memos(b)]
+        ((sa, na), *nodes_a), ((sb, nb), *nodes_b) = memos(a), memos(b)
+        assert sa is not sb and na is not nb
+        assert a.net.left is not b.net.left
+        for x, y in zip(nodes_a, nodes_b):
+            assert x[0] is y[0] and x[1] is y[1] and not y[0]
+        before = (len(sb), len(nb))
         explore(EnvNet(a, env_menu([(1, "x", 2, 1)], [])), bound=6)
-        assert all(s and n for s, n in memos(a)[1:])  # the two nodes
-        assert [(len(s), len(n)) for s, n in memos(b)] == before
+        assert all(s and n for s, n in nodes_b)
+        assert (len(sb), len(nb)) == before
 
     def test_repeated_runs_do_not_grow_the_label_memo(self):
         # the memos are keyed by term identity, so a run must start its
