@@ -851,8 +851,11 @@ class MemoNetAutomaton(NetAutomaton):
 
     def cast_delivery(self, state, msg, dests: frozenset) -> tuple:
         # keyed by the part of the range this subtree sees; a subtree
-        # with no node in range is left as it is
-        own = dests & self.addresses
+        # with no node in range is left as it is.  A range that covers
+        # the subtree is keyed by the subtree's own address set, so that
+        # the memo does not keep a set per entry
+        own = (self.addresses if self.addresses <= dests
+               else dests & self.addresses)
         if not own:
             return (state,)
         mkey = (state._n, msg, own)

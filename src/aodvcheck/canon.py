@@ -170,8 +170,13 @@ def _bool_key(x) -> tuple:
     return ("bool", int(x))
 
 
+# the keys of small non-negative ints, built once, so that the keys
+# cached on model values share them
+_SMALL_INT_KEYS = tuple(("int", i) for i in range(256))
+
+
 def _int_key(x) -> tuple:
-    return ("int", x)
+    return _SMALL_INT_KEYS[x] if 0 <= x < 256 else ("int", x)
 
 
 def _str_key(x) -> tuple:

@@ -332,8 +332,10 @@ def _check_dispatch_msg(net):
 # then nsqn-monotone's, and each suite reads its own slot.  The
 # tuple is memoized on the source part, as ``_ndw``, keyed by the target
 # part's number.  Both parts are states of one child automaton of the
-# root, whose number stands for the value, so a memo is exact and
-# belongs to the run whose automata built its part.
+# root, numbered in one table, where a number stands for the value, so a
+# memo is exact.  It lives as long as its part: a node part's as long as
+# its node table, which every run over the node's process tables shares,
+# an inner subnet part's as long as its run.
 
 
 def _sn_monotone(ip, b, a):
@@ -481,9 +483,9 @@ def step_checks(table: ProcessTable, names=None):
 
     ``net`` is the source network state and ``after`` the target's root
     parts (see the module docstring).  The node-data checks share one
-    lifting, memoized on the interned parts of each run's states and
-    keyed by that run's numbers, so one list may serve any number of
-    runs.
+    lifting, memoized on the interned parts of the states and keyed by
+    the numbers of the tables those parts come from, so one list may
+    serve any number of runs.
     """
     picked = split_suites(names)[1]
     return [(n, STEP_SUITES[n]) for n in picked]

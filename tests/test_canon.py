@@ -124,6 +124,15 @@ def test_key_is_class_name_then_field_keys():
     assert value_key(Newpkt("x", 2)) == ("Newpkt", ("str", "x"), ("int", 2))
 
 
+def test_small_int_keys_are_built_once():
+    # the keys cached on model values share the keys of small
+    # non-negative ints; every other int is keyed afresh, alike in value
+    assert value_key(0) is value_key(0) == ("int", 0)
+    assert value_key(255) is value_key(255) == ("int", 255)
+    assert value_key(256) == ("int", 256) and value_key(-1) == ("int", -1)
+    assert value_key(True) == ("bool", 1)
+
+
 def test_encodings_are_cached_on_the_instance():
     xi = aodv_init(1)
     k, d = value_key(xi), bdigest(xi)

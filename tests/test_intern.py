@@ -22,6 +22,7 @@ next tests check that a menu equal in value to another, or differing
 only in another node's budget, gives the same steps, that memoized
 process steps and cast deliveries are the ones a fresh call builds, how
 many entries the node and subnet step and cast memos hold on chain3,
+that a node's cast memo keys every range by the node's own address set,
 and how many states each node's table holds on fig1 and chain3.  The
 last tests check that simulation seeds share the process and node steps
 of their tables but no subnet memo, how many node, pair and process
@@ -465,6 +466,18 @@ def test_chain3_cast_memo_sizes(monkeypatch):
     assert sizes == [0, 27, 275, 94, 27]
     assert sum(len(a._cast_memo) for a in automata(auto)
                if isinstance(a, NodeAutomaton)) == 148
+
+
+def test_node_cast_memos_key_ranges_by_the_node_address_set(monkeypatch):
+    # A range that covers a subtree is keyed by the subtree's own
+    # address set, so a node's cast memo keeps no set per entry.
+    fresh_tables(monkeypatch)
+    auto = env_net(CHAIN3)
+    explore(auto, bound=32)
+    nodes = [a for a in automata(auto) if isinstance(a, NodeAutomaton)]
+    assert len(nodes) == 3 and all(a._cast_memo for a in nodes)
+    assert all(own is a.addresses
+               for a in nodes for _, _, own in a._cast_memo)
 
 
 @pytest.mark.parametrize("path,bound,sizes", [
