@@ -510,6 +510,14 @@ def _batch(path, seeds=20, reverse=False):
             for seed in order]
 
 
+def _counting(calls: dict, tally: str, fn):
+    """``fn``, counting each call in ``calls[tally]``."""
+    def counted(*args):
+        calls[tally] += 1
+        return fn(*args)
+    return counted
+
+
 def _node_table_sizes(table) -> dict:
     """The sizes of the node tables that ``table`` keeps, by address."""
     return {ip: [len(t) for t in tables]
@@ -527,17 +535,6 @@ def test_seeds_share_process_and_node_steps(monkeypatch):
     # memos start empty.
     tables, qtable = fresh_tables(monkeypatch)
     calls = {"seq": 0, "node": 0}
-    fresh_steps = awn.seq_steps
-    node_steps = NodeAutomaton._rich_steps
-
-    def counted_seq(*args):
-        calls["seq"] += 1
-        return fresh_steps(*args)
-
-    def counted_node(*args):
-        calls["node"] += 1
-        return node_steps(*args)
-
     build = simulate.closed_net
     nodes = []
 
@@ -551,8 +548,10 @@ def test_seeds_share_process_and_node_steps(monkeypatch):
         nodes.extend(new)
         return auto
 
-    monkeypatch.setattr(awn, "seq_steps", counted_seq)
-    monkeypatch.setattr(NodeAutomaton, "_rich_steps", counted_node)
+    monkeypatch.setattr(awn, "seq_steps",
+                        _counting(calls, "seq", awn.seq_steps))
+    monkeypatch.setattr(NodeAutomaton, "_rich_steps",
+                        _counting(calls, "node", NodeAutomaton._rich_steps))
     monkeypatch.setattr(simulate, "closed_net", closed)
     first = [(r.stop, r.steps) for r in _batch(CHAIN3_STALE)]
     assert calls == {"seq": 538, "node": 746}
@@ -578,18 +577,12 @@ def test_sim_batch_node_and_process_step_counts(monkeypatch):
     # its own), and ``seq_steps`` builds 900 process step sets.
     fresh_tables(monkeypatch)
     calls = {"seq": 0, "par": 0, "node": 0}
-
-    def counted(tally, fn):
-        def wrapper(*args):
-            calls[tally] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(awn, "seq_steps", counted("seq", awn.seq_steps))
+    monkeypatch.setattr(awn, "seq_steps",
+                        _counting(calls, "seq", awn.seq_steps))
     monkeypatch.setattr(ParAutomaton, "steps",
-                        counted("par", ParAutomaton.steps))
+                        _counting(calls, "par", ParAutomaton.steps))
     monkeypatch.setattr(NodeAutomaton, "_rich_steps",
-                        counted("node", NodeAutomaton._rich_steps))
+                        _counting(calls, "node", NodeAutomaton._rich_steps))
     results = _batch(CHAIN3_STALE, seeds=200)
     assert calls == {"seq": 900, "par": 2108, "node": 1683}
     assert sum(r.stop == "violation" for r in results) == 198
