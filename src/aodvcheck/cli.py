@@ -127,8 +127,9 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("scenario", help="scenario JSON file")
     common.add_argument("--variant", help="override the scenario's variant")
-    common.add_argument("--suite",
-                        help=f"comma-separated suites (default all: {names})")
+    common.add_argument("--suite", action="append",
+                        help="comma-separated suites; repeated flags add up "
+                             f"(default all: {names})")
     common.add_argument("--out", help="output file")
 
     e = sub.add_parser(
@@ -185,7 +186,7 @@ def _load(args) -> Scenario:
     if args.variant is not None:
         sc = replace(sc, cfg=with_variant(sc.cfg, args.variant))
     if args.suite is not None:
-        names = tuple(n for n in args.suite.split(",") if n)
+        names = tuple(n for arg in args.suite for n in arg.split(",") if n)
         split_suites(names)
         sc = replace(sc, suites=names)
     return sc

@@ -41,7 +41,9 @@ numbers, so the successor is keyed without being built; its root state
 three in four successors are not.  The suites see network states
 and root parts, never the pair: a step suite takes the source network,
 the step and the target's parts, and a state suite the network of a new
-state (see ``monitor``).  Replay, ``_rebuild`` and the simulator expand
+state.  The search checks them through ``monitor.combined_checks``: per
+transition one call checks every step suite, and then, when the target
+is new, one call checks every state suite of the target.  Replay, ``_rebuild`` and the simulator expand
 states with the default maker, which builds each target; the steps and
 their order are the same either way, since one composition code builds
 both.
@@ -57,7 +59,7 @@ from .awn import (ConnectA, DisconnectA, ModelError, NetMenu, RichStep,
 from .canon import (EMPTY_MAP, FrozenMap, bdigest, cache_attr, digest,
                     interned, quote, value_key)
 from .messages import Newpkt
-from .monitor import state_checks, step_checks
+from .monitor import combined_checks, state_checks, step_checks
 from .network import closed_net
 from .protocol import BASE, VariantConfig, build_table
 from .trace import render_action
@@ -370,11 +372,16 @@ def explore(auto, *, bound=None, state_cap=DEFAULT_STATE_CAP,
     Each state is expanded with ``part_maker``, so its successors come
     as parts: every step's target is ``(root parts, environment)``.  The
     search keys a successor by those parts and builds it only when the
-    key is new.  Per transition the step suites run first, in their
-    order, and then the state suites of a new target.
+    key is new.  The pairs are checked through
+    ``monitor.combined_checks``: per transition one call checks the step
+    suites, and then, when the target is new, one call checks the state
+    suites of the target; each initial state takes one call of the
+    state suites.  Counterexamples are listed in that order, the
+    failing suites of one call in the order of their pairs.
     """
     suites = tuple(n for n, _ in state_suites) + tuple(n for n, _ in step_suites)
     report = ExplorationReport(suites=suites)
+    check_state, check_step = combined_checks(state_suites, step_suites)
     # The store.  States are numbered from 0 in the order they are first
     # reached, which is the order of ``visited``; the columns are indexed
     # by those numbers.
@@ -398,10 +405,8 @@ def explore(auto, *, bound=None, state_cap=DEFAULT_STATE_CAP,
         if keep_states:
             index[k] = s
         frontier.append(s)
-        for name, check in state_suites:
-            w = check(s[0])
-            if w is not None:
-                pending.append((name, "state", tuple(w), n, None))
+        for name, w in check_state(s[0]) or ():
+            pending.append((name, "state", tuple(w), n, None))
 
     make = part_maker(auto.net)
     first = 0                     # the number of the frontier's first state
@@ -439,14 +444,14 @@ def explore(auto, *, bound=None, state_cap=DEFAULT_STATE_CAP,
                         next_frontier.append((tnet, env))
                     if keep_states:
                         index[tkey] = (tnet, env)
-                for name, check in step_suites:
-                    w = check(net, r, parts)
-                    if w is not None:
+                failed = check_step(net, r, parts)
+                if failed is not None:
+                    for name, w in failed:
                         pending.append((name, "step", tuple(w), source, rank))
                 if is_new:
-                    for name, check in state_suites:
-                        w = check(tnet)
-                        if w is not None:
+                    failed = check_state(tnet)
+                    if failed is not None:
+                        for name, w in failed:
                             pending.append(
                                 (name, "state", tuple(w), target, None))
         layer = len(visited) - next_first

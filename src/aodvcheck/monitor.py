@@ -55,9 +55,19 @@ however many global states share it, and lives as long as its state: a
 node state's as long as its process table, an inner subnet state's as
 long as its run's automata.  A part that carries no number, such as an
 oracle's state or a test's forged one, is checked directly and nothing
-is cached on it.  Each suite keeps one check all the same, so a caller
-calls it once per transition or new state, and selecting one suite alone
-selects one slot of the shared verdicts.
+is cached on it.
+
+Each suite keeps a check of its own (``state_checks``, ``step_checks``),
+and selecting one suite alone selects one slot of the shared verdicts.
+A caller checks its selection with ``combined_checks``, which turns the
+(name, check) pairs into one state check and one step check, each
+returning the failing suites' (name, witness) pairs in the order of the
+pairs, or None.  Over the monitor's own checks, a combined check reads
+each shared verdict once for every suite selected: per new state one
+routing-table tuple and one dispatch-msg verdict, per transition one
+node-data lifting and an inline test of the step's detail for
+rerr-grounded.  Over any other check, such as a traced or wrapped one,
+it calls each pair's check in turn.
 """
 from __future__ import annotations
 
@@ -192,38 +202,40 @@ def _rt_number(x):
 
 
 def _rt_witnesses(net) -> tuple:
-    """Every routing-table suite's witness for ``net``, in order."""
+    """Every routing-table suite's witness for ``net``, in ``_RT_CHECKS``
+    order: ``_RT_HOLDS`` itself when every suite holds.
+
+    It looks the verdicts up by the numbers already on the parts first,
+    and numbers the parts only on a miss; a key with no number in it is
+    never stored, so it always misses.
+    """
     if type(net) is SubnetS:
+        w = _rt_verdicts.get((getattr(net.left, "_rts", None),
+                              getattr(net.right, "_rts", None)))
+        if w is not None:
+            return w
         key = (_rt_number(net.left), _rt_number(net.right))
         if None in key:
             key = None
     else:
+        w = _rt_verdicts.get(getattr(net, "_rts", None))
+        if w is not None:
+            return w
         key = _rt_number(net)
     w = None if key is None else _rt_verdicts.get(key)
     if w is None:
         w = tuple(raw(net) for raw in _RT_CHECKS)
+        if w == _RT_HOLDS:
+            w = _RT_HOLDS
         if key is not None and len(_rt_verdicts) < _MEMO_CAP:
             _rt_verdicts[key] = w
     return w
 
 
 def _rt_suite(slot: int):
-    """The state check reading slot ``slot`` of ``_rt_witnesses``.
-
-    It looks the verdicts up by the numbers already on the parts, and
-    leaves any other case to ``_rt_witnesses``; a key with no number in
-    it is never stored, so it always misses.
-    """
+    """The state check reading slot ``slot`` of ``_rt_witnesses``."""
     def check(net):
-        if type(net) is SubnetS:
-            key = (getattr(net.left, "_rts", None),
-                   getattr(net.right, "_rts", None))
-        else:
-            key = getattr(net, "_rts", None)
-        w = _rt_verdicts.get(key)
-        if w is None:
-            w = _rt_witnesses(net)
-        return w[slot]
+        return _rt_witnesses(net)[slot]
 
     check.__name__ = _RT_CHECKS[slot].__name__
     return check
@@ -262,6 +274,7 @@ def _check_loop_freedom(state):
 
 
 _RT_CHECKS = (_check_hop_positivity, _check_quality, _check_loop_freedom)
+_RT_HOLDS = (None,) * len(_RT_CHECKS)
 
 
 def dispatch_locations(table: ProcessTable) -> frozenset:
@@ -357,6 +370,15 @@ def _nsqn_monotone(ip, b, a):
 _HOLDS = (None, None)
 
 
+def _merge(w, v) -> tuple:
+    """The least witness of each suite between two witness tuples."""
+    if w is _HOLDS:
+        return v
+    if v is _HOLDS:
+        return w
+    return tuple(map(_least, w, v))
+
+
 def _diff(before, after) -> tuple:
     """Each node-data suite's least witness below two subtrees that are
     not one object."""
@@ -365,11 +387,7 @@ def _diff(before, after) -> tuple:
         if before.left is not after.left:
             w = _diff(before.left, after.left)
         if before.right is not after.right:
-            v = _diff(before.right, after.right)
-            if w is _HOLDS:
-                w = v
-            elif v is not _HOLDS:
-                w = tuple(map(_least, w, v))
+            w = _merge(w, _diff(before.right, after.right))
         return w
     # proc_state(x).data, inlined: this runs on every memo miss
     b, a = before.inner[0].data, after.inner[0].data
@@ -397,22 +415,28 @@ def _changed(before, after) -> tuple:
     return w
 
 
+def _lifted(net, after) -> tuple:
+    """Each node-data suite's least witness over the root parts that a
+    step from ``net`` to ``after`` changed: ``_HOLDS`` itself when both
+    suites hold."""
+    if type(net) is SubnetS:
+        left, right = after
+        if left is net.left:
+            if right is net.right:
+                return _HOLDS
+            return _changed(net.right, right)
+        w = _changed(net.left, left)
+        if right is net.right:
+            return w
+        return _merge(w, _changed(net.right, right))
+    return _HOLDS if after[0] is net else _changed(net, after[0])
+
+
 def _node_data_suite(slot: int):
-    """The step check reading slot ``slot`` of ``_changed`` over the
-    root parts that a step changed."""
+    """The step check reading slot ``slot`` of ``_lifted``."""
 
     def check(net, rich, after):
-        if type(net) is SubnetS:
-            left, right = after
-            if left is net.left:
-                if right is net.right:
-                    return None
-                return _changed(net.right, right)[slot]
-            w = _changed(net.left, left)[slot]
-            if right is net.right:
-                return w
-            return _least(w, _changed(net.right, right)[slot])
-        return None if after[0] is net else _changed(net, after[0])[slot]
+        return _lifted(net, after)[slot]
 
     return check
 
@@ -491,13 +515,110 @@ def step_checks(table: ProcessTable, names=None):
     return [(n, STEP_SUITES[n]) for n in picked]
 
 
+# The monitor's own checks, each with its slot in the verdicts that a
+# combined check reads: a state suite's in ``_rt_witnesses(net)``
+# followed by dispatch-msg's witness, a step suite's in ``_lifted(net,
+# after)`` followed by rerr-grounded's.  They are keyed by the function,
+# not the name, so that a check put in a suite's place, as a test may
+# put one, is called and not read around; a suite with no slot here is
+# called the same way.
+_STATE_SLOTS = {STATE_SUITES[name]: i for i, name in enumerate(
+    ("hop-positivity", "quality", "loop-freedom", "dispatch-msg"))}
+_STEP_SLOTS = {STEP_SUITES[name]: i for i, name in enumerate(
+    ("sn-monotone", "nsqn-monotone", "rerr-grounded"))}
+_DSP = len(_RT_CHECKS)   # dispatch-msg's slot
+_RERR = len(_HOLDS)      # rerr-grounded's slot
+
+
+def combined_checks(state_suites=(), step_suites=()) -> tuple:
+    """One state check and one step check for (name, check) pairs.
+
+    The state check is called as ``check(net)`` and the step check as
+    ``check(net, step, after)``, as each pair's check is.  Each returns
+    the failing suites' ``(name, witness)`` pairs, in the order of the
+    pairs, or None when every suite holds.
+
+    When every check is the monitor's own (from ``state_checks`` or
+    ``step_checks``), a combined check reads each shared verdict once
+    for all the suites: the state check one routing-table tuple and one
+    dispatch-msg verdict, the step check one node-data lifting, testing
+    the step's detail for rerr-grounded inline.  Otherwise, as for a
+    traced, wrapped or caller-written check, it calls every pair's check
+    in turn.
+    """
+    return (_combined(state_suites, _STATE_SLOTS, _state_reader),
+            _combined(step_suites, _STEP_SLOTS, _step_reader))
+
+
+def _combined(pairs, slots, reader):
+    pairs = tuple(pairs)
+    plan = tuple((name, slots.get(fn)) for name, fn in pairs)
+    if all(slot is not None for _, slot in plan):
+        return reader(plan)
+
+    def check(*args):
+        failed = None
+        for name, fn in pairs:
+            w = fn(*args)
+            if w is not None:
+                if failed is None:
+                    failed = []
+                failed.append((name, w))
+        return failed
+
+    return check
+
+
+def _state_reader(plan):
+    """The combined state check of the monitor's own suites in ``plan``,
+    (name, slot) pairs."""
+    slots = {slot for _, slot in plan}
+    rt = not slots.isdisjoint(range(_DSP))
+    dsp = _DSP in slots
+
+    def check(net):
+        w = _rt_witnesses(net) if rt else _RT_HOLDS
+        d = _check_dispatch_msg(net) if dsp else None
+        if w is _RT_HOLDS and d is None:
+            return None
+        w += (d,)
+        return [(name, w[i]) for name, i in plan if w[i] is not None] or None
+
+    return check
+
+
+def _step_reader(plan):
+    """The combined step check of the monitor's own suites in ``plan``,
+    (name, slot) pairs."""
+    slots = {slot for _, slot in plan}
+    nd = not slots.isdisjoint(range(_RERR))
+    rerr = _RERR in slots
+
+    def check(net, rich, after):
+        w = _lifted(net, after) if nd else _HOLDS
+        r = None
+        if rerr and isinstance(rich.detail, CastA):
+            r = _check_rerr_grounded(net, rich, after)
+        if w is _HOLDS and r is None:
+            return None
+        w += (r,)
+        return [(name, w[i]) for name, i in plan if w[i] is not None] or None
+
+    return check
+
+
+def _first(failed) -> Verdict:
+    """The verdict of the first of a combined check's failing suites."""
+    if failed is None:
+        return Verdict(True)
+    name, witness = failed[0]
+    return Verdict(False, name, witness)
+
+
 def check_state_invariants(state, table: ProcessTable, names=None) -> Verdict:
     """First failing state suite, or a passing verdict."""
-    for name, fn in state_checks(table, names):
-        witness = fn(state)
-        if witness is not None:
-            return Verdict(False, name, witness)
-    return Verdict(True)
+    check, _ = combined_checks(state_checks(table, names))
+    return _first(check(state))
 
 
 def check_step_invariants(step_triple, table: ProcessTable,
@@ -505,9 +626,5 @@ def check_step_invariants(step_triple, table: ProcessTable,
     """First failing step suite on ``(net, step, target)``, or a passing
     verdict; ``net`` and ``target`` are network states."""
     net, rich, target = step_triple
-    after = root_parts(target)
-    for name, fn in step_checks(table, names):
-        witness = fn(net, rich, after)
-        if witness is not None:
-            return Verdict(False, name, witness)
-    return Verdict(True)
+    _, check = combined_checks(step_suites=step_checks(table, names))
+    return _first(check(net, rich, root_parts(target)))

@@ -6,8 +6,12 @@ the simulator picks uniformly among the network's internal steps using
 a seeded generator.  Runs are reproducible: the same scenario and seed
 give byte-identical traces.
 
-Every executed step is monitored against the chosen invariant suites;
-a violation stops the run and is recorded in the trace.
+Every executed step is monitored against the chosen invariant suites,
+through ``monitor.combined_checks``: the initial state takes one call of
+the state suites, and each step one call of the step suites and then,
+when they all hold, one call of the state suites of the state reached.
+A violation stops the run and is recorded in the trace, the first
+failing suite of the call in the order of the suites.
 
 The generator draws from the sibling steps in one fixed order,
 ``sibling_order``.  Only steps that tie on their own key are ordered by
@@ -39,7 +43,7 @@ from .awn import DeliverAtA, NewpktA, NetMenu, EMPTY_MENU, root_parts
 from .canon import EMPTY_MAP, FrozenMap, bdigest, value_key
 from .canon import digest  # noqa: F401  (bench/spans.py patches this name)
 from .messages import Newpkt
-from .monitor import Verdict, state_checks, step_checks
+from .monitor import Verdict, combined_checks, state_checks, step_checks
 from .network import closed_net, net_data
 from .protocol import BASE, VariantConfig, build_table
 from .trace import TRACE_FORMAT, render_action, sigma_dict
@@ -158,6 +162,7 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
     rng = random.Random(sched.seed)
     schecks = state_checks(table, suites)
     tchecks = step_checks(table, suites)
+    check_state, check_step = combined_checks(schecks, tchecks)
     events = dict(sched.events)
 
     header = {"format": TRACE_FORMAT, "kind": "simulate",
@@ -171,20 +176,16 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
                        dump_sigma=dump_sigma)
     path = result.path
 
-    def fail(name, kind, w, at):
+    def fail(failed, kind, at):
+        # the first failing suite in the order of the checks
+        name, w = failed[0]
         result.verdict = Verdict(False, name, tuple(w))
         result.violation = {"suite": name, "kind": kind, "witness": list(w),
                             "step": at}
 
-    def check_state(s, at):
-        for name, fn in schecks:
-            w = fn(s)
-            if w is not None:
-                fail(name, "state", w, at)
-                return False
-        return True
-
-    if not check_state(state, -1):
+    failed = check_state(state)
+    if failed is not None:
+        fail(failed, "state", -1)
         result.stop = "violation"
         return result
 
@@ -215,18 +216,14 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
         if isinstance(r.detail, DeliverAtA):
             delivered.append((i, r.detail.ip, r.detail.data))
 
-        violated = False
-        after = root_parts(target)
-        for name, fn in tchecks:
-            w = fn(state, r, after)
-            if w is not None:
-                fail(name, "step", w, i)
-                violated = True
-                break
+        kind = "step"
+        failed = check_step(state, r, root_parts(target))
         state = target
-        if not violated:
-            violated = not check_state(state, i)
-        if violated:
+        if failed is None:
+            kind = "state"
+            failed = check_state(state)
+        if failed is not None:
+            fail(failed, kind, i)
             result.stop = "violation"
             break
         i += 1

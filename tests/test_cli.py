@@ -257,6 +257,16 @@ def test_repeated_suite_option_is_a_usage_error(capsys, command):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("command", ["explore", "simulate", "graph"])
+def test_suite_named_in_two_flags_is_a_usage_error(capsys, command):
+    pair2 = os.path.join(SCENARIOS, "pair2.json")
+    code, out = run_cli([command, pair2, "--suite", "loop-freedom",
+                         "--suite", "quality,loop-freedom"], capsys)
+    assert code == EXIT_USAGE
+    assert out.err == ("error: suite 'loop-freedom' is selected twice\n")
+    assert out.out == ""
+
+
 def test_scenario_naming_a_suite_twice_is_a_usage_error(tmp_path, capsys):
     scenario = write_scenario(tmp_path, {
         "nodes": PAIR, "suites": ["quality", "quality"],
@@ -279,6 +289,17 @@ def test_smallest_numeric_options_are_accepted(tmp_path, capsys):
 
 STALE_LINKS = os.path.join(os.path.dirname(SCENARIOS), "bench", "scenarios",
                            "pair2_links_stale.json")
+
+
+def test_repeated_suite_flags_add_up(tmp_path, capsys):
+    # nsqn-monotone fails at depth 58; a run that kept only the last
+    # flag would check sn-monotone alone and pass after 127845 states
+    out = tmp_path / "cx.json"
+    code, got = run_cli(["explore", STALE_LINKS, "--suite", "nsqn-monotone",
+                         "--suite", "sn-monotone", "--out", str(out)], capsys)
+    assert code == EXIT_VIOLATION
+    assert "suites: nsqn-monotone sn-monotone\n" in got.out
+    assert "violated: nsqn-monotone (step) at depth 58" in got.out
 
 
 def test_violation_found_before_the_state_cap_is_reported(tmp_path, capsys):

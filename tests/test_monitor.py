@@ -4,6 +4,7 @@ The cycle finder is compared against a brute-force walker on seeded
 random functional graphs; the suites themselves are exercised on forged
 states, since the protocol never produces violating ones.
 """
+import importlib
 import os
 import random
 from dataclasses import replace
@@ -13,14 +14,16 @@ import pytest
 from aodvcheck.awn import (RichStep, TAU, CastA, ProcState, SubnetS,
                            join_parts, root_parts)
 from aodvcheck.canon import EMPTY_MAP, FrozenMap, value_key
+from aodvcheck.cli import main
 from aodvcheck.explore import EnvNet, check_theorem1, env_menu, explore
 from aodvcheck.messages import Rerr
 from aodvcheck.monitor import (ALL_SUITES, RtGraph, SuiteError, Verdict,
                                _check_hop_positivity, _check_loop_freedom,
                                _check_quality, check_state_invariants,
-                               check_step_invariants, dispatch_locations,
-                               find_cycle, loop_free, rt_graph, split_suites,
-                               state_checks, step_checks)
+                               check_step_invariants, combined_checks,
+                               dispatch_locations, find_cycle, loop_free,
+                               rt_graph, split_suites, state_checks,
+                               step_checks)
 from aodvcheck.network import (GlobalView, closed_net, net_data,
                                node_states, proc_state)
 from aodvcheck.protocol import BASE, aodv_init, build_table
@@ -597,6 +600,174 @@ class TestMemosBelongToTheRun:
             "dispatch-msg": 0, "sn-monotone": 0, "nsqn-monotone": 4,
             "rerr-grounded": 0, "sn-monotone backwards": 300,
             "nsqn-monotone backwards": 484}
+
+
+def per_pair(pairs):
+    """``pairs`` with each check wrapped in a lambda, which a combined
+    check cannot read around, so that it calls each in turn."""
+    return [(name, lambda *args, fn=fn: fn(*args)) for name, fn in pairs]
+
+
+def one_by_one(pairs, *args):
+    """The failing suites of ``pairs`` on ``args``, each check called
+    alone."""
+    return [(name, fn(*args)) for name, fn in pairs
+            if fn(*args) is not None] or None
+
+
+class TestCombinedChecks:
+    """One combined call against each suite's own check."""
+
+    ORDERS = [ALL_SUITES, ALL_SUITES[::-1]]
+
+    def failing_state(self):
+        # node 1 sits at a dispatch location without a message, and
+        # routes to 7 through itself: quality and loop-freedom fail,
+        # hop-positivity holds
+        table, state = TestDispatchSuite().drive_to_dispatch()
+        bad = forge_data(state, 1, lambda d: replace(
+            d, msg=None, rt=d.rt.set(7, rte(hops=1, nhip=1))))
+        return table, bad
+
+    @pytest.mark.parametrize("names", ORDERS, ids=["default", "reversed"])
+    def test_a_state_failing_three_suites(self, names, monkeypatch):
+        import aodvcheck.monitor as monitor
+        table, bad = self.failing_state()
+        pairs = state_checks(table, names)
+        want = one_by_one(pairs, bad)
+        assert [name for name, _ in want] == [
+            n for n in names
+            if n in ("quality", "loop-freedom", "dispatch-msg")]
+        lookups = []
+        witnesses = monitor._rt_witnesses
+        monkeypatch.setattr(monitor, "_rt_witnesses",
+                            lambda net: lookups.append(net) or witnesses(net))
+        check, _ = combined_checks(pairs)
+        assert check(bad) == want
+        assert len(lookups) == 1
+        check, _ = combined_checks(per_pair(pairs))
+        assert check(bad) == want
+        assert check_state_invariants(bad, table, names) == Verdict(
+            False, *want[0])
+
+    @pytest.mark.parametrize("names", ORDERS, ids=["default", "reversed"])
+    @pytest.mark.parametrize("detail,failing", [
+        (TAU, 2),
+        (CastA(frozenset([2]), Rerr(EMPTY_MAP, 1)), 3),
+    ], ids=["tau", "empty rerr"])
+    def test_a_step_failing_both_node_data_suites(self, names, detail,
+                                                  failing, monkeypatch):
+        import aodvcheck.monitor as monitor
+        _, table, init = quiescent_pair()
+        high = forge_data(init, 2, lambda d: replace(
+            d, sn=d.sn + 5, rt=d.rt.set(9, rte(dsn=4, nhip=9))))
+        low = forge_data(high, 2, lambda d: replace(
+            d, sn=d.sn - 5, rt=d.rt.set(9, rte(dsn=2, nhip=9))))
+        rich = RichStep(1, detail, None)
+        after = root_parts(low)
+        pairs = step_checks(table, names)
+        want = one_by_one(pairs, high, rich, after)
+        assert len(want) == failing
+        assert dict(want)["sn-monotone"] == (2, 6, 1)
+        assert dict(want)["nsqn-monotone"] == (2, 9, 4, 2)
+        liftings = []
+        lifted = monitor._lifted
+        monkeypatch.setattr(monitor, "_lifted", lambda net, after: (
+            liftings.append(net) or lifted(net, after)))
+        _, check = combined_checks(step_suites=pairs)
+        assert check(high, rich, after) == want
+        assert len(liftings) == 1
+        _, check = combined_checks(step_suites=per_pair(pairs))
+        assert check(high, rich, after) == want
+        assert check_step_invariants((high, rich, low), table,
+                                     names) == Verdict(False, *want[0])
+
+    def test_every_suite_holding_gives_none(self):
+        _, table, init = quiescent_pair()
+        for pairs in (state_checks(table), per_pair(state_checks(table))):
+            check, _ = combined_checks(pairs)
+            assert check(init) is None
+        for pairs in (step_checks(table), per_pair(step_checks(table))):
+            _, check = combined_checks(step_suites=pairs)
+            assert check(init, fake_step(), root_parts(init)) is None
+        check_state, check_step = combined_checks()
+        assert check_state(init) is None
+        assert check_step(init, fake_step(), root_parts(init)) is None
+
+
+class TestCombinedPathsAgree:
+    """A search whose checks the combined checks read around, and one
+    whose checks they call one by one, find the same."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        # the reports of the command line's searches, in order
+        cli = importlib.import_module("aodvcheck.cli")
+        reports = []
+        check = cli.check_theorem1
+
+        def recording(*args, **kwargs):
+            reports.append(check(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "check_theorem1", recording)
+        return reports
+
+    def wrap(self, monkeypatch):
+        # ``import aodvcheck.explore as m`` would bind the function the
+        # package re-exports under that name
+        mod = importlib.import_module("aodvcheck.explore")
+        for name in ("state_checks", "step_checks"):
+            checks = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda table, names=None,
+                                checks=checks: per_pair(checks(table, names)))
+
+    def found(self, rep):
+        return (rep.states, rep.transitions, rep.depth, rep.suites,
+                [(c.suite, c.kind, c.witness, c._ranks)
+                 for c in rep.counterexamples])
+
+    @pytest.mark.parametrize("names", TestCombinedChecks.ORDERS,
+                             ids=["default", "reversed"])
+    @pytest.mark.parametrize("path", [
+        "scenarios/pair2.json", "scenarios/fig1.json",
+        "scenarios/line3_cross.json",
+        "bench/scenarios/pair2_links_stale.json"])
+    def test_explore_and_its_file(self, path, names, tmp_path, capsys,
+                                  monkeypatch, record):
+        argv = ["explore", os.path.join(ROOT, path)]
+        if names is not ALL_SUITES:
+            argv += ["--suite", ",".join(names)]
+        outs = []
+        for wrapped in (False, True):
+            if wrapped:
+                self.wrap(monkeypatch)
+            out = tmp_path / f"cx.{wrapped}.json"
+            code = main(argv + ["--out", str(out)])
+            outs.append((code, capsys.readouterr().out.replace(str(out), ""),
+                         out.read_bytes() if out.exists() else None))
+        assert outs[1] == outs[0]
+        assert self.found(record[1]) == self.found(record[0])
+        assert record[0].suites == sum(split_suites(names), ())
+        if "stale" in path:
+            assert outs[0][2] is not None
+            assert len(record[0].counterexamples) == 4
+
+    @pytest.mark.parametrize("names", TestCombinedChecks.ORDERS,
+                             ids=["default", "reversed"])
+    def test_every_violation_of_pair2_links_stale(self, names, monkeypatch):
+        # past the first violating layer, to depth 70
+        sc = load_scenario(os.path.join(
+            ROOT, "bench", "scenarios", "pair2_links_stale.json"))
+        found = []
+        for wrapped in (False, True):
+            if wrapped:
+                self.wrap(monkeypatch)
+            rep = check_theorem1(sc.tree, sc.env, sc.cfg, suites=names,
+                                 bound=70, stop_on_violation=False)
+            found.append(self.found(rep))
+        assert found[1] == found[0]
+        assert len(found[0][4]) == 518
 
 
 class TestSuiteWiring:
