@@ -43,10 +43,10 @@ and root parts, never the pair: a step suite takes the source network,
 the step and the target's parts, and a state suite the network of a new
 state.  The search checks them through ``monitor.combined_checks``: per
 transition one call checks every step suite, and then, when the target
-is new, one call checks every state suite of the target.  Replay, ``_rebuild`` and the simulator expand
-states with the default maker, which builds each target; the steps and
-their order are the same either way, since one composition code builds
-both.
+is new, one call checks every state suite of the target.  Replay,
+``_rebuild`` and the simulator expand states with the default maker,
+which builds each target; the steps and their order are the same either
+way, since one composition code builds both.
 """
 from __future__ import annotations
 

@@ -182,11 +182,11 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
         result.verdict = Verdict(False, name, tuple(w))
         result.violation = {"suite": name, "kind": kind, "witness": list(w),
                             "step": at}
+        result.stop = "violation"
 
     failed = check_state(state)
     if failed is not None:
         fail(failed, "state", -1)
-        result.stop = "violation"
         return result
 
     i = 0
@@ -224,7 +224,6 @@ def run(nodes, sched: Schedule, cfg: VariantConfig = BASE,
             failed = check_state(state)
         if failed is not None:
             fail(failed, kind, i)
-            result.stop = "violation"
             break
         i += 1
     else:
