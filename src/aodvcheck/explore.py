@@ -256,7 +256,6 @@ class ExplorationReport:
     transitions: int = 0
     depth: int = 0
     complete: bool = False
-    capped: bool = False
     suites: tuple = ()
     counterexamples: tuple = ()
     # packed key (see ``_key``) -> state, for every state the search
@@ -432,7 +431,6 @@ def explore(auto, *, bound=None, state_cap=DEFAULT_STATE_CAP,
                     target = len(visited)
                     if target >= state_cap:
                         report.states = target
-                        report.capped = True
                         report.counterexamples = _finish(
                             auto, inits, parents, ranks, pending)
                         raise ResourceCapError(report)

@@ -26,36 +26,38 @@ trace records.  A state check takes a network state.  A step check is
 ``awn.root_parts``, so that an explorer need not build the target.
 
 The paper proves invariants of a single node and lifts them to a whole
-network, where such an invariant holds of every node.  dispatch-msg is
-one of these, so it is checked the same way: its verdict is computed
-once per node state and composed up the subnet tree, a subnet failing
-when either child fails, with the witness of lesser address.
-sn-monotone and nsqn-monotone relate one node's data before and after a
-step; each is defined once as a check of one node's data pair, and one
-lifting computes both over the root parts that the step changed (see
-the step suites below).  The routing-table suites relate nodes to each
-other, so they are not lifted; the three share one verdict tuple per
-signature of the tables (see the state suites below).
+network.  The monitor caches every verdict by one rule, which does the
+lifting's work: a verdict depends only on what the suites read of the
+nodes, so it is computed once per distinct value of that and looked up
+by its signature number.  Each interned part below the root carries its
+number, cached as ``_sig``:
 
-Each check is thus a lookup of verdicts computed once per distinct
-value, and the verdicts are cached where that value lives:
+  node             numbers its address, its own sequence number, the
+                   digest of its routing table and its dispatch-msg
+                   witness
+  inner subnet     numbers the pair of its children's numbers
 
-  dispatch-msg     on each node and inner subnet state, as ``_dsp``
-  routing tables   one tuple per signature in ``_rt_verdicts``, keyed
-                   by the numbers of the root parts' signatures, which
-                   are cached on the parts as ``_rts``
-  node data        one tuple per changed pair of root parts, in a memo
-                   on the source part, ``_ndw``, keyed by the target
-                   part's number
+This is all that any suite reads of a node, so two parts with one
+number pass and fail every suite alike.  A suite that reads another
+field of a node must add that field to the node's signature
+(``_sig_number``), or it would read another state's verdict.  The
+verdicts are kept in two tables, beside the numbers in ``_rt_numbers``:
 
-The states of nodes and inner subnets are interned by the automata of
-``aodvcheck.awn``, one object per distinct subtree value, each carrying
-its number ``_n``, so a verdict cached on such a state is computed once
-however many global states share it, and lives as long as its state: a
-node state's as long as its process table, an inner subnet state's as
-long as its run's automata.  A part that carries no number, such as an
-oracle's state or a test's forged one, is checked directly and nothing
-is cached on it.
+  state suites     one tuple of the four witnesses per root signature,
+                   in ``_rt_verdicts``, keyed by the root parts' numbers
+  sn-monotone,     one tuple of the two witnesses per changed pair of a
+  nsqn-monotone    root part's numbers, in ``_nd_verdicts``; a pair of
+                   equal numbers holds at once
+
+rerr-grounded reads only the step's detail, and is tested inline.  The
+states of nodes and inner subnets are interned by the automata of
+``aodvcheck.awn``, each carrying its number ``_n``, so a signature is
+numbered once per interned state however many global states share it.
+Node states outlive a run in their process table, carrying their
+signature numbers, so the three tables are module-level.  Each stops
+growing at ``awn._MEMO_CAP``.  A part that carries no number, such as an
+oracle's state or a test's forged one, or whose signature found no room
+in ``_rt_numbers``, is checked directly and nothing is cached for it.
 
 Each suite keeps a check of its own (``state_checks``, ``step_checks``),
 and selecting one suite alone selects one slot of the shared verdicts.
@@ -64,8 +66,8 @@ A caller checks its selection with ``combined_checks``, which turns the
 returning the failing suites' (name, witness) pairs in the order of the
 pairs, or None.  Over the monitor's own checks, a combined check reads
 each shared verdict once for every suite selected: per new state one
-routing-table tuple and one dispatch-msg verdict, per transition one
-node-data lifting and an inline test of the step's detail for
+tuple from ``_rt_verdicts``, per transition one node-data lookup per
+changed root part and an inline test of the step's detail for
 rerr-grounded.  Over any other check, such as a traced or wrapped one,
 it calls each pair's check in turn.
 """
@@ -78,7 +80,7 @@ from .awn import (_MEMO_CAP, CastA, ProcessTable, Receive, SubnetS, root_parts,
                   subterms)
 from .canon import bdigest, cache_attr, quote
 from .messages import Rerr
-from .network import GlobalView, net_data, proc_state
+from .network import GlobalView, net_data, node_states, proc_state
 from .routing import (VALID, known_dests, net_seqno, next_hop,
                       strictly_fresher, valid_dests)
 
@@ -158,86 +160,76 @@ def loop_free(sigma: GlobalView, nodes) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# state suites
+# signatures
 #
-# Verdicts are cached only on parts that carry a number, ``_n`` (see the
-# module docstring).
-_MISSING = object()
-
-# The routing-table suites read nothing but the nodes' addresses and
-# tables, and most transitions shuffle queues or scratch variables
-# without touching a routing table, so the vast majority of states share
-# their verdict with an already-checked one.  The three suites share one
-# verdict tuple per signature of the tables, computed on its first
-# lookup and kept in ``_rt_verdicts``.  A signature is numbered by value
-# in ``_rt_numbers``: a node's by its address and table digest, an inner
-# subnet's by the pair of its children's numbers.  Each number is cached
-# on its interned part as ``_rts``, so a root state's key is its parts'
-# numbers, read off the parts.  Both tables stop growing at
-# ``awn._MEMO_CAP``; past it, a state whose signature has no number is
-# checked directly.
+# A signature is numbered by value in ``_rt_numbers`` (see the module
+# docstring), and its number is cached on its interned part as ``_sig``,
+# so a verdict's key is read off the parts.  Node and inner subnet
+# signatures differ in length, so the two never share a number.
 _rt_numbers: dict = {}   # signature -> its number
-_rt_verdicts: dict = {}  # root key -> witnesses, in ``_RT_CHECKS`` order
+_rt_verdicts: dict = {}  # root key -> witnesses, in ``_STATE_CHECKS`` order
+_nd_verdicts: dict = {}  # (before, after) numbers -> ``_diff`` witnesses
 
 
-def _rt_number(x):
+def _sig_number(x):
     """The signature number of interned part ``x``, or None when ``x``
     is not interned or its signature has no number."""
-    n = getattr(x, "_rts", None)
+    n = getattr(x, "_sig", None)
     if n is not None or getattr(x, "_n", None) is None:
         return n
     if type(x) is SubnetS:
-        sig = (_rt_number(x.left), _rt_number(x.right))
+        sig = (_sig_number(x.left), _sig_number(x.right))
         if None in sig:
             return None
     else:
-        sig = (x.ip, bdigest(proc_state(x).data.rt))
+        data = proc_state(x).data
+        sig = (x.ip, data.sn, bdigest(data.rt), _dispatch_witness(x))
     n = _rt_numbers.get(sig)
     if n is None:
         if len(_rt_numbers) >= _MEMO_CAP:
             return None
         n = _rt_numbers[sig] = len(_rt_numbers)
-    cache_attr(x, "_rts", n)
+    cache_attr(x, "_sig", n)
     return n
 
 
-def _rt_witnesses(net) -> tuple:
-    """Every routing-table suite's witness for ``net``, in ``_RT_CHECKS``
-    order: ``_RT_HOLDS`` itself when every suite holds.
+# ---------------------------------------------------------------------------
+# state suites
+#
+# The four suites share one witness tuple per root signature, computed
+# by their raw checks on its first lookup.  Most transitions shuffle
+# queues or scratch variables and leave every signature as it was, so
+# the vast majority of states share their tuple with an already-checked
+# one.
 
-    It looks the verdicts up by the numbers already on the parts first,
-    and numbers the parts only on a miss; a key with no number in it is
-    never stored, so it always misses.
+
+def _rt_witnesses(net) -> tuple:
+    """Every state suite's witness for ``net``, in ``_STATE_CHECKS``
+    order: ``_STATE_HOLDS`` itself when every suite holds.  A key with
+    no number in it is None, which is never stored, so it always misses.
     """
     if type(net) is SubnetS:
-        w = _rt_verdicts.get((getattr(net.left, "_rts", None),
-                              getattr(net.right, "_rts", None)))
-        if w is not None:
-            return w
-        key = (_rt_number(net.left), _rt_number(net.right))
+        key = (_sig_number(net.left), _sig_number(net.right))
         if None in key:
             key = None
     else:
-        w = _rt_verdicts.get(getattr(net, "_rts", None))
-        if w is not None:
-            return w
-        key = _rt_number(net)
-    w = None if key is None else _rt_verdicts.get(key)
+        key = _sig_number(net)
+    w = _rt_verdicts.get(key)
     if w is None:
-        w = tuple(raw(net) for raw in _RT_CHECKS)
-        if w == _RT_HOLDS:
-            w = _RT_HOLDS
+        w = tuple(raw(net) for raw in _STATE_CHECKS)
+        if w == _STATE_HOLDS:
+            w = _STATE_HOLDS
         if key is not None and len(_rt_verdicts) < _MEMO_CAP:
             _rt_verdicts[key] = w
     return w
 
 
-def _rt_suite(slot: int):
+def _state_suite(slot: int):
     """The state check reading slot ``slot`` of ``_rt_witnesses``."""
     def check(net):
         return _rt_witnesses(net)[slot]
 
-    check.__name__ = _RT_CHECKS[slot].__name__
+    check.__name__ = _STATE_CHECKS[slot].__name__
     return check
 
 
@@ -273,10 +265,6 @@ def _check_loop_freedom(state):
     return None if verdict.holds else verdict.witness
 
 
-_RT_CHECKS = (_check_hop_positivity, _check_quality, _check_loop_freedom)
-_RT_HOLDS = (None,) * len(_RT_CHECKS)
-
-
 def dispatch_locations(table: ProcessTable) -> frozenset:
     """Control locations right after the main loop has taken a message."""
     cached = getattr(table, "_dispatch_locs", None)
@@ -289,41 +277,28 @@ def dispatch_locations(table: ProcessTable) -> frozenset:
     raise SuiteError("main loop has no receive branch")
 
 
-# dispatch-msg is lifted from nodes to subnets (see the module
-# docstring).  A node's verdict is a function of its state alone, since
-# its process state carries its table, so verdicts are cached on
-# interned node and inner subnet states, as ``_dsp``; a root state's is
-# not kept, as the search meets each root state once.
+def _dispatch_witness(node):
+    """dispatch-msg's witness at one node, or None.  It is a function of
+    the node's state alone, since its process state carries its table."""
+    proc = proc_state(node)
+    table = proc.table
+    here = table.labels(proc.term) & dispatch_locations(table)
+    if here and proc.data.msg is None:
+        return (node.ip, min(str(l) for l in here))
+    return None
 
 
-def _least(a, b):
-    """The witness of lesser address, or the one that is not None."""
-    if a is None:
-        return b
-    if b is None or a[0] < b[0]:
-        return a
-    return b
+def _check_dispatch_msg(state):
+    for _, node in sorted(node_states(state).items()):
+        w = _dispatch_witness(node)
+        if w is not None:
+            return w
+    return None
 
 
-def _check_dispatch_msg(net):
-    if type(net) is SubnetS:
-        left = getattr(net.left, "_dsp", _MISSING)
-        if left is _MISSING:
-            left = _check_dispatch_msg(net.left)
-        right = getattr(net.right, "_dsp", _MISSING)
-        if right is _MISSING:
-            right = _check_dispatch_msg(net.right)
-        w = _least(left, right)
-    else:
-        proc = proc_state(net)
-        table = proc.table
-        here = table.labels(proc.term) & dispatch_locations(table)
-        w = None
-        if here and proc.data.msg is None:
-            w = (net.ip, min(str(l) for l in here))
-    if getattr(net, "_n", None) is not None:
-        cache_attr(net, "_dsp", w)
-    return w
+_STATE_CHECKS = (_check_hop_positivity, _check_quality, _check_loop_freedom,
+                 _check_dispatch_msg)
+_STATE_HOLDS = (None,) * len(_STATE_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +308,17 @@ def _check_dispatch_msg(net):
 # target's root parts (see the module docstring).
 #
 # sn-monotone and nsqn-monotone are node-data suites: a check of one
-# node's data record before and after a step, lifted to the network the
-# way dispatch-msg is.  A step's source and target share every subtree
-# the step did not touch, and subtrees are interned, so the lifting
-# compares the two part by part and recurses only into the parts that
-# are not the same object, down to the nodes whose data record was
-# replaced.  When several nodes fail, the witness of least address wins.
-#
-# One lifting serves every node-data suite: ``_changed`` gives each
-# suite's least witness below a changed pair of root parts, sn-monotone's
-# then nsqn-monotone's, and each suite reads its own slot.  The
-# tuple is memoized on the source part, as ``_ndw``, keyed by the target
-# part's number.  Both parts are states of one child automaton of the
-# root, numbered in one table, where a number stands for the value, so a
-# memo is exact.  It lives as long as its part: a node part's as long as
-# its node table, which every run over the node's process tables shares,
-# an inner subnet part's as long as its run.
+# node's data record before and after a step, lifted to the network.  A
+# step's source and target share every subtree the step did not touch,
+# and subtrees are interned, so ``_diff`` compares the two part by part
+# and recurses only into the parts that are not the same object, down to
+# the nodes whose data record was replaced.  When several nodes fail,
+# the witness of least address wins.  One lookup serves both suites:
+# ``_lifted`` gives each suite's least witness over the root parts that
+# the step changed, sn-monotone's then nsqn-monotone's, and each suite
+# reads its own slot.  A changed pair of root parts with one signature
+# number holds at once, and any other pair reads its tuple in
+# ``_nd_verdicts``, keyed by the two numbers.
 
 
 def _sn_monotone(ip, b, a):
@@ -370,6 +340,15 @@ def _nsqn_monotone(ip, b, a):
 _HOLDS = (None, None)
 
 
+def _least(a, b):
+    """The witness of lesser address, or the one that is not None."""
+    if a is None:
+        return b
+    if b is None or a[0] < b[0]:
+        return a
+    return b
+
+
 def _merge(w, v) -> tuple:
     """The least witness of each suite between two witness tuples."""
     if w is _HOLDS:
@@ -389,7 +368,7 @@ def _diff(before, after) -> tuple:
         if before.right is not after.right:
             w = _merge(w, _diff(before.right, after.right))
         return w
-    # proc_state(x).data, inlined: this runs on every memo miss
+    # proc_state(x).data, inlined: this runs on every lookup miss
     b, a = before.inner[0].data, after.inner[0].data
     if a is b:
         return _HOLDS
@@ -399,19 +378,18 @@ def _diff(before, after) -> tuple:
 
 
 def _changed(before, after) -> tuple:
-    """``_diff`` of a changed pair of root parts, memoized on ``before``."""
-    n = getattr(after, "_n", None)
-    memo = getattr(before, "_ndw", None)
-    if memo is None:
-        w = _diff(before, after)
-        if n is not None and getattr(before, "_n", None) is not None:
-            cache_attr(before, "_ndw", {n: w})
-        return w
-    w = memo.get(n)
+    """``_diff`` of a changed pair of root parts, by their signature
+    numbers."""
+    b, a = _sig_number(before), _sig_number(after)
+    if b is None or a is None:
+        return _diff(before, after)
+    if b == a:
+        return _HOLDS
+    w = _nd_verdicts.get((b, a))
     if w is None:
         w = _diff(before, after)
-        if n is not None:
-            memo[n] = w
+        if len(_nd_verdicts) < _MEMO_CAP:
+            _nd_verdicts[b, a] = w
     return w
 
 
@@ -450,10 +428,10 @@ def _check_rerr_grounded(net, rich, after):
 
 
 STATE_SUITES = {
-    "hop-positivity": _rt_suite(0),
-    "quality": _rt_suite(1),
-    "loop-freedom": _rt_suite(2),
-    "dispatch-msg": _check_dispatch_msg,
+    "hop-positivity": _state_suite(0),
+    "quality": _state_suite(1),
+    "loop-freedom": _state_suite(2),
+    "dispatch-msg": _state_suite(3),
 }
 
 STEP_SUITES = {
@@ -507,26 +485,21 @@ def step_checks(table: ProcessTable, names=None):
 
     ``net`` is the source network state and ``after`` the target's root
     parts (see the module docstring).  The node-data checks share one
-    lifting, memoized on the interned parts of the states and keyed by
-    the numbers of the tables those parts come from, so one list may
-    serve any number of runs.
+    lookup per changed root part, keyed by signatures, which stand for
+    values, so one list may serve any number of runs.
     """
     picked = split_suites(names)[1]
     return [(n, STEP_SUITES[n]) for n in picked]
 
 
 # The monitor's own checks, each with its slot in the verdicts that a
-# combined check reads: a state suite's in ``_rt_witnesses(net)``
-# followed by dispatch-msg's witness, a step suite's in ``_lifted(net,
-# after)`` followed by rerr-grounded's.  They are keyed by the function,
-# not the name, so that a check put in a suite's place, as a test may
-# put one, is called and not read around; a suite with no slot here is
-# called the same way.
-_STATE_SLOTS = {STATE_SUITES[name]: i for i, name in enumerate(
-    ("hop-positivity", "quality", "loop-freedom", "dispatch-msg"))}
-_STEP_SLOTS = {STEP_SUITES[name]: i for i, name in enumerate(
-    ("sn-monotone", "nsqn-monotone", "rerr-grounded"))}
-_DSP = len(_RT_CHECKS)   # dispatch-msg's slot
+# combined check reads: a state suite's in ``_rt_witnesses(net)``, a
+# step suite's in ``_lifted(net, after)`` followed by rerr-grounded's.
+# They are keyed by the function, not the name, so that a check put in
+# a suite's place, as a test may put one, is called and not read
+# around; a suite with no slot here is called the same way.
+_STATE_SLOTS = {fn: i for i, fn in enumerate(STATE_SUITES.values())}
+_STEP_SLOTS = {fn: i for i, fn in enumerate(STEP_SUITES.values())}
 _RERR = len(_HOLDS)      # rerr-grounded's slot
 
 
@@ -540,11 +513,11 @@ def combined_checks(state_suites=(), step_suites=()) -> tuple:
 
     When every check is the monitor's own (from ``state_checks`` or
     ``step_checks``), a combined check reads each shared verdict once
-    for all the suites: the state check one routing-table tuple and one
-    dispatch-msg verdict, the step check one node-data lifting, testing
-    the step's detail for rerr-grounded inline.  Otherwise, as for a
-    traced, wrapped or caller-written check, it calls every pair's check
-    in turn.
+    for all the suites: the state check one witness tuple, the step
+    check one node-data lookup per changed root part, testing the step's
+    detail for rerr-grounded inline.  Otherwise, as for a traced,
+    wrapped or caller-written check, it calls every pair's check in
+    turn.
     """
     return (_combined(state_suites, _STATE_SLOTS, _state_reader),
             _combined(step_suites, _STEP_SLOTS, _step_reader))
@@ -571,17 +544,14 @@ def _combined(pairs, slots, reader):
 
 def _state_reader(plan):
     """The combined state check of the monitor's own suites in ``plan``,
-    (name, slot) pairs."""
-    slots = {slot for _, slot in plan}
-    rt = not slots.isdisjoint(range(_DSP))
-    dsp = _DSP in slots
+    (name, slot) pairs; with none selected, it reads nothing."""
+    if not plan:
+        return lambda net: None
 
     def check(net):
-        w = _rt_witnesses(net) if rt else _RT_HOLDS
-        d = _check_dispatch_msg(net) if dsp else None
-        if w is _RT_HOLDS and d is None:
+        w = _rt_witnesses(net)
+        if w is _STATE_HOLDS:
             return None
-        w += (d,)
         return [(name, w[i]) for name, i in plan if w[i] is not None] or None
 
     return check

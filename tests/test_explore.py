@@ -347,7 +347,6 @@ class TestStateCap:
             explore(one_shot(), state_cap=50)
         except ResourceCapError as e:
             rep = e.report
-        assert rep.capped
         assert rep.states == 50
         assert not rep.complete
 
@@ -371,7 +370,7 @@ class TestStateCap:
                     bound=bound, state_cap=below + 1,
                     stop_on_violation=False)
         rep = caught.value.report
-        assert rep.capped and rep.states == below + 1
+        assert rep.states == below + 1
         assert len(rep.counterexamples) == len(found) > 1
         assert max(cx.depth for cx in rep.counterexamples) == bound
         for cx in rep.counterexamples:

@@ -32,7 +32,7 @@ from aodvcheck.routing import (INVALID, KNOWN, VALID, RouteEntry,
 from aodvcheck.scenario import load_scenario
 from aodvcheck.simulate import Schedule, run
 
-from helpers import forge_data, inject
+from helpers import forge_data, fresh_tables, inject
 
 EMPTY = frozenset()
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -260,7 +260,9 @@ def scan_dispatch_msg(state, table):
 
 
 class TestDispatchLifting:
-    """The per-node verdicts, composed up the tree, against the scan."""
+    """dispatch-msg's slot of the tuple kept per root signature, whose
+    node signatures carry each node's dispatch-msg witness, against the
+    scan."""
 
     @pytest.mark.parametrize("path", ["scenarios/fig1.json",
                                       "bench/scenarios/pair2_links_stale.json"])
@@ -520,12 +522,16 @@ class TestStateVerdictsAgree:
         assert len(checked) == rep.states
 
     def test_each_suite_reads_its_own_verdict_of_a_failing_state(self):
-        # two networks intern a failing and a passing state as the first
-        # new state of each node, so that the two carry equal numbers;
-        # each is checked twice, so that the second check reads the memo.
-        # A node is interned over process states that their table
-        # interned, each from a copy, since a table numbers only objects
-        # it built.
+        # pairs of a failing and a passing state, each checked twice, so
+        # that the second check reads the cached tuple.  Two networks
+        # intern the routing-table pair as the first new state of each
+        # node, so that the two carry equal intern numbers.  The
+        # dispatch-msg pair is one node at a dispatch location without
+        # its message and with it, with one address, sequence number and
+        # routing table, so only its dispatch-msg witness tells their
+        # signatures apart.  A node is interned over process states that
+        # their table interned, each from a copy, since a table numbers
+        # only objects it built.
         def node(auto, state):
             inner = tuple(p.table.intern(ProcState(p.data, p.term, p.table))
                           for p in state.inner)
@@ -545,11 +551,19 @@ class TestStateVerdictsAgree:
         other, _, _ = quiescent_pair()
         bad = routes(init, {1: 0}, {1: 2, 2: 1})
         good = routes(init, {1: 2}, {1: 2, 2: 7})
-        cases = [(intern(auto, bad), bad), (intern(other, good), good)]
-        checks = state_checks(table, RT_SUITES)
-        raw = (_check_hop_positivity, _check_quality, _check_loop_freedom)
+        _, holding = TestDispatchSuite().drive_to_dispatch()
+        lost = forge_data(holding, 1, lambda d: replace(d, msg=None))
+        lone = closed_net([(1, [])], BASE, table).net
+        cases = [(intern(auto, bad), bad), (intern(other, good), good),
+                 (node(lone, lost), lost), (node(lone, holding), holding)]
+        checks = state_checks(table, RT_SUITES + ["dispatch-msg"])
+        raw = (_check_hop_positivity, _check_quality, _check_loop_freedom,
+               lambda net: scan_dispatch_msg(net, table))
         assert [fn(bad) for fn in raw][::2] == [(1, 7, 0), (7, 1, 2, 1)]
-        assert [fn(good) for fn in raw] == [None, None, None]
+        assert [fn(good) for fn in raw] == [None] * 4
+        assert [fn(lost) for fn in raw][:3] == [None] * 3
+        assert raw[3](lost)[0] == 1
+        assert [fn(holding) for fn in raw] == [None] * 4
         for _ in range(2):
             for interned, forged in cases:
                 want = [fn(forged) for fn in raw]
@@ -558,11 +572,13 @@ class TestStateVerdictsAgree:
 
 
 class TestMemosBelongToTheRun:
-    """Verdicts memoized on one run's states are never read by another's.
+    """Verdicts are keyed by signature numbers, which stand for values,
+    so runs whose automata number their states in other orders read
+    one another's verdicts and find the same.
 
     Each node-data suite is also run backwards, on every step's target
-    and source, so that many verdicts fail and a verdict read from the
-    wrong memo shows in the lists.
+    and source, so that many verdicts fail and a verdict kept under the
+    wrong key shows in the lists.
     """
 
     def suites(self, auto, table):
@@ -600,6 +616,76 @@ class TestMemosBelongToTheRun:
             "dispatch-msg": 0, "sn-monotone": 0, "nsqn-monotone": 4,
             "rerr-grounded": 0, "sn-monotone backwards": 300,
             "nsqn-monotone backwards": 484}
+
+
+class TestSignatureTables:
+    """The monitor's tables, emptied for each test, filled only by the
+    lookups a check needs.  Each test builds its networks on new process
+    tables, so that no node state carries a number from the tables that
+    the test replaces, and none keeps one from the test's tables."""
+
+    @pytest.fixture
+    def monitor(self, monkeypatch):
+        import aodvcheck.monitor as monitor
+        fresh_tables(monkeypatch)
+        for name in ("_rt_numbers", "_rt_verdicts", "_nd_verdicts"):
+            monkeypatch.setattr(monitor, name, {})
+        return monitor
+
+    def test_a_step_changing_only_a_queue_or_locals_skips_the_diff(
+            self, monitor, monkeypatch):
+        # node 1 takes a new packet into its queue, its queue steps, and
+        # its protocol takes the packet into its local variables; no
+        # sequence number or routing table changes on the way
+        auto, table, init = quiescent_pair()
+        assert not hasattr(init.left, "_sig")
+        diffs = []
+        diff = monitor._diff
+        monkeypatch.setattr(monitor, "_diff", lambda before, after: (
+            diffs.append(before) or diff(before, after)))
+        _, check = combined_checks(step_suites=step_checks(table))
+
+        def data(state):
+            return proc_state(node_states(state)[1]).data
+
+        steps = [(init, inject(auto, init, 1, "x", 2))]
+        for _ in range(2):
+            source = steps[-1][1]
+            steps.append((source, auto.rich_steps(source)[0].target))
+        assert [data(t) == data(s) for s, t in steps] == [True, True, False]
+        for source, target in steps:
+            assert (data(target).sn, data(target).rt) == (data(source).sn,
+                                                          data(source).rt)
+            assert target.left is not source.left
+            assert target.left._n is not None
+            assert check(source, fake_step(), root_parts(target)) is None
+        assert diffs == []
+        assert monitor._nd_verdicts == {}
+        # a forged part carries no number and is checked directly
+        raised = forge_data(init, 1, lambda d: replace(d, sn=5))
+        assert check(raised, fake_step(), root_parts(init)) == [
+            ("sn-monotone", (1, 5, 1))]
+        assert len(diffs) == 1
+
+    def test_no_state_suite_reads_no_state_verdict(self, monitor,
+                                                    monkeypatch):
+        sc = load_scenario(os.path.join(
+            ROOT, "bench", "scenarios", "pair2_links_stale.json"))
+        table = build_table(sc.cfg)
+        lookups = []
+        witnesses = monitor._rt_witnesses
+        monkeypatch.setattr(monitor, "_rt_witnesses",
+                            lambda net: lookups.append(net) or witnesses(net))
+        check, _ = combined_checks((), step_checks(table))
+        (init,) = closed_net(sc.tree, sc.cfg, table).init
+        assert check(init) is None
+        auto = EnvNet(closed_net(sc.tree, sc.cfg, table), sc.env)
+        rep = explore(auto, step_suites=step_checks(table), bound=58,
+                      stop_on_violation=False)
+        assert len(rep.counterexamples) == 4
+        assert lookups == []
+        assert monitor._rt_verdicts == {}
+        assert monitor._nd_verdicts
 
 
 def per_pair(pairs):
